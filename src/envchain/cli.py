@@ -226,14 +226,7 @@ def _run_suites(G: FiniteGroup, gname: str, H: Subgroup, label: str, suite: str,
     if suite in ("structure", "all"):
         _add_checks(report, prefix, chains.verify_ek_structure(G, H, kmax))
         for tag, A, B, C, k in _abc_triples(G, H, kmax):
-            recs = chains.verify_abc_lemma(A, B, C, k)
-            for r in recs:
-                report["checks"].append({
-                    "id": prefix + tag + r.id,
-                    "claim": r.claim,
-                    "status": r.status,
-                    **({"witness": r.witness} if r.witness is not None else {}),
-                })
+            _add_checks(report, prefix + tag, chains.verify_abc_lemma(A, B, C, k))
     if suite in ("nilpotent", "all"):
         _add_checks(report, prefix, chains.verify_nilpotent_envelope(G, H))
 
@@ -332,8 +325,7 @@ def cmd_counterexample(args) -> dict:
             "pass" if not bad2 else "fail",
             None if not bad2 else f"e.g. {sorted(bad2)[0].to_text()}",
         ))
-        lev = sorted(model.level(i), key=symnat.BitFn.sort_key)
-        closed = all((a ^ b) in model.level(i) for a in lev for b in lev)
+        closed = symnat.xor_closed(model.level(i), window)
         checks.append(CheckRecord(
             f"model-xor-closed-i{i}",
             "level is a group under pointwise XOR",

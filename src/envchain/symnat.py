@@ -14,8 +14,11 @@ Bit functions are eventually periodic and always kept in canonical form
 (minimal prefix, then minimal period), so equality of elements is decidable
 and exact.  The ascending chain of finite bit-function groups computed by
 `iterated_centralizer_model` consists of the centralizer-chain levels of the
-subgroup generated by the finite block swaps together with f; each level is
-cut out of the previous one by a GF(2) linear system over one period block.
+subgroup generated by the finite block swaps together with f.  Level i+1 is
+the set of 2^(i+1)-periodic g with delta(g) in level i.  delta is linear with
+kernel the constant functions, so level i+1 is spanned by the constant 1 and
+one preimage of each basis vector of level i, and a two-term recurrence over
+one period block gives each preimage directly.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from itertools import product as _iterproduct
 from typing import Callable, Iterable
 
-from . import gf2
 from .perm import Permutation
 
 # --- the block index map ----------------------------------------------------
@@ -371,7 +373,9 @@ def bits_to_permutation(b: BitFn, degree: int | None = None) -> Permutation:
 class ModelBudgetError(RuntimeError):
     """The chain model grew past its memory budget.
 
-    `partial` holds the model up to the last level that fit."""
+    The budget counts the bits of the materialized members: level i has 2^i
+    members of 2^i bits each.  `partial` holds the model up to the last level
+    that fit."""
 
     def __init__(self, level_reached: int, cells: int, budget: int, partial: "IterChainModel"):
         super().__init__(
@@ -393,102 +397,123 @@ class DescentScanError(RuntimeError):
         self.exhausted = exhausted
 
 
+def _mask(bits: Iterable[int]) -> int:
+    """The int whose bit x is the x-th entry of `bits`."""
+    return int("".join(map(str, bits))[::-1] or "0", 2)
+
+
+def _from_mask(mask: int, period: int) -> BitFn:
+    """The purely periodic BitFn repeating the low `period` bits of `mask`."""
+    return BitFn.from_pattern(map(int, reversed(format(mask, f"0{period}b"))))
+
+
 class IterChainModel:
     """Ascending chain of finite bit-function groups C^1 < C^2 < ...
 
-    `level(i)` is C^i as a frozenset of canonical BitFns (level 0 is the
-    trivial group).  Every member of level i is purely periodic with period
-    dividing 2^i, and each level is a group under pointwise XOR.
+    Level i is kept as a GF(2) basis of int masks over one 2^i block (bit x is
+    the value at x).  `level(i)` is C^i as a frozenset of canonical BitFns,
+    built from the basis on first use and cached (level 0 is the trivial
+    group).  Every member of level i is purely periodic with period dividing
+    2^i, and each level is a group under pointwise XOR.
     """
 
-    def __init__(self, levels: list[frozenset[BitFn]]):
-        self._levels = list(levels)
+    def __init__(self, bases: list[list[int]]):
+        self._bases = bases
+        self._levels: dict[int, frozenset[BitFn]] = {}
 
     @property
     def depth(self) -> int:
-        return len(self._levels) - 1
+        return len(self._bases) - 1
 
     def level(self, i: int) -> frozenset[BitFn]:
         if not 0 <= i <= self.depth:
             raise IndexError(f"level {i} not computed (depth {self.depth})")
+        if i not in self._levels:
+            span = [0]
+            for b in self._bases[i]:
+                span += [s ^ b for s in span]
+            members = frozenset(_from_mask(m, 2 ** i) for m in span)
+            if len(members) != 1 << len(self._bases[i]):
+                raise RuntimeError(f"level {i} basis is not independent: internal bug")
+            if i and not self.level(i - 1) <= members:
+                raise RuntimeError(f"level {i} does not contain level {i - 1}: internal bug")
+            self._levels[i] = members
         return self._levels[i]
 
     @property
     def levels(self) -> tuple[frozenset[BitFn], ...]:
         """C^1, C^2, ... (without the trivial level)."""
-        return tuple(self._levels[1:])
+        return tuple(self.level(i) for i in range(1, self.depth + 1))
 
     def sizes(self) -> list[int]:
-        return [len(s) for s in self._levels[1:]]
+        return [len(s) for s in self.levels]
 
 
-def _solve_level_for(h: BitFn, period: int) -> list[BitFn]:
-    """All purely `period`-periodic g with delta(g) = h, by GF(2) elimination.
+def _preimage(h: int, period: int, parity: int) -> int:
+    """The `period`-periodic g with delta(g) = h and g(parity) = 0, as a mask.
 
-    Unknowns are one period block of g; the equations are the pointwise
-    commutation relations g(x) + g(f(x)) = h(x) folded onto the block: one per
-    even place, one per odd place (both with wraparound), plus the x = 1
-    relation that couples the parities.
+    `h` is the mask of a function whose period divides `period`.  On even
+    places delta(g) = h reads g(2a+2) = g(2a) ^ h(2a), on odd places
+    g(2a+3) = g(2a+1) ^ h(2a+3), and x = 1 couples the two: g(0) = g(1) ^ h(1).
+    Seeding g(parity) = 0 runs the two-term recurrence once around the block;
+    it closes up when h has even weight on each parity class, as every member
+    of a level below `period` does.
     """
     P = period
-    rows = []
-    rhs = []
-    for a in range(P // 2):
-        rows.append((1 << (2 * a)) ^ (1 << ((2 * a + 2) % P)))
-        rhs.append(h(2 * a))
-    for a in range(P // 2):
-        rows.append((1 << ((2 * a + 3) % P)) ^ (1 << (2 * a + 1)))
-        rhs.append(h(2 * a + 3))
-    rows.append((1 << 1) ^ (1 << 0))
-    rhs.append(h(1))
-    out = []
-    for mask in gf2.solutions(rows, rhs, P):
-        out.append(BitFn.from_pattern((mask >> i) & 1 for i in range(P)))
-    return out
+    hb = [(h >> x) & 1 for x in range(P)]
+    g = [0] * P
+    g[1 - parity] = hb[1]
+    for a in range(P // 2 - 1):
+        g[2 * a + 2] = g[2 * a] ^ hb[2 * a]
+        g[2 * a + 3] = g[2 * a + 1] ^ hb[2 * a + 3]
+    if g[P - 2] ^ hb[P - 2] != g[0] or g[P - 1] ^ hb[1] != g[1]:
+        raise RuntimeError("seeded recursion is not periodic: internal bug")
+    mask = _mask(g)
+    if delta(_from_mask(mask, P)) != _from_mask(h, P):
+        raise RuntimeError("seeded recursion does not solve its system: internal bug")
+    return mask
 
 
-def _xor_closed(level: frozenset[BitFn], period: int) -> bool:
-    """A set of period-dividing BitFns containing zero is XOR-closed iff its
-    size is 2^rank of its members as GF(2) vectors over one period block."""
+def xor_closed(members: frozenset[BitFn], period: int) -> bool:
+    """Whether `members` is a group under pointwise XOR.
+
+    Members purely periodic with period dividing `period` are GF(2) vectors
+    over one block, and a set S of such vectors equals its own span exactly
+    when |S| = 2^rank(S).  Any other member makes the answer False.
+    """
     basis: list[int] = []
-    for member in level:
-        vec = 0
-        for i in range(period):
-            vec |= member(i) << i
+    for m in members:
+        if not m.pure_periodic or period % m.period:
+            return False
+        vec = _mask(m.block * (period // m.period))
         for b in basis:
             vec = min(vec, vec ^ b)
         if vec:
             basis.append(vec)
-    return len(level) == 1 << len(basis)
+    return len(members) == 1 << len(basis)
 
 
 def iterated_centralizer_model(imax: int, budget: int = 1 << 26) -> IterChainModel:
-    """Compute levels C^1..C^imax of the chain model.
+    """Compute levels C^1..C^imax of the chain model, as bases.
 
-    Level i+1 is assembled by solving, for every h in level i, the GF(2)
-    system over one 2^(i+1)-block; each level is verified XOR-closed.  Raises
-    `ModelBudgetError` naming the last completed level if the stored bits
-    would exceed `budget`.
+    The basis of level i+1 is the constant 1 and the `_preimage` of each basis
+    vector of level i over one 2^(i+1) block; `IterChainModel.level` checks
+    that it is independent and that its span contains level i.  Raises
+    `ModelBudgetError` naming the last completed level if the bits of the
+    members would exceed `budget`.
     """
     if imax < 1:
         raise ValueError("imax must be >= 1")
-    levels = [frozenset({BitFn.zero()})]
+    bases: list[list[int]] = [[]]
     cells = 1
     for i in range(imax):
         P = 2 ** (i + 1)
-        nxt = set()
-        for h in levels[-1]:
-            nxt.update(_solve_level_for(h, P))
-        new_level = frozenset(nxt)
-        cells += len(new_level) * P
+        basis = [(1 << P) - 1] + [_preimage(b | b << (P // 2), P, 0) for b in bases[-1]]
+        cells += (1 << len(basis)) * P
         if cells > budget:
-            raise ModelBudgetError(i, cells, budget, IterChainModel(levels))
-        if not _xor_closed(new_level, P):
-            raise RuntimeError(f"level {i + 1} is not XOR-closed: internal bug")
-        if not levels[-1] <= new_level:
-            raise RuntimeError(f"level {i + 1} does not contain level {i}: internal bug")
-        levels.append(new_level)
-    return IterChainModel(levels)
+            raise ModelBudgetError(i, cells, budget, IterChainModel(bases))
+        bases.append(basis)
+    return IterChainModel(bases)
 
 
 def brute_force_level(i: int) -> frozenset[BitFn]:
@@ -523,7 +548,7 @@ def ascent_witness(i: int, model: IterChainModel) -> BitFn:
     within a parity class is maximal; solving the commutation relations with
     right side h, seeded at that parity, yields a g whose own first 1-place
     in that parity is larger still, so g cannot lie in level i.  The result
-    is cross-checked against the solver-computed levels.
+    is cross-checked against the model's levels.
     """
     if not 1 <= i < model.depth:
         raise ValueError(f"need 1 <= i < depth={model.depth}")
@@ -540,23 +565,9 @@ def ascent_witness(i: int, model: IterChainModel) -> BitFn:
     assert best is not None, "level i has no nontrivial member"
     x0, _, h = best
     P = 2 ** (i + 1)
-    vals = [0] * P
-    if x0 % 2 == 0:
-        vals[0] = 0
-        vals[1] = vals[0] ^ h(1)
-    else:
-        vals[1] = 0
-        vals[0] = vals[1] ^ h(1)
-    for a in range(P // 2 - 1):
-        vals[2 * a + 2] = vals[2 * a] ^ h(2 * a)
-        vals[2 * a + 3] = vals[2 * a + 1] ^ h(2 * a + 3)
-    if vals[P - 2] ^ h(P - 2) != vals[0] or vals[P - 1] ^ h(P + 1) != vals[1]:
-        raise RuntimeError("seeded recursion is not periodic: internal bug")
-    g = BitFn.from_pattern(vals)
-    if delta(g) != h:
-        raise RuntimeError("seeded recursion does not solve its system: internal bug")
+    g = _from_mask(_preimage(_mask(h.block * (P // h.period)), P, x0 % 2), P)
     if g in model.level(i) or g not in model.level(i + 1):
-        raise RuntimeError("witness disagrees with the solver levels: internal bug")
+        raise RuntimeError("witness disagrees with the model levels: internal bug")
     return g
 
 

@@ -108,7 +108,7 @@ def test_criterion_4_oracle_equivalence(model9):
     ]
     report(
         4,
-        "GF(2) solver equals brute-force enumeration",
+        "basis-form model equals brute-force enumeration",
         not mismatches,
         f"checked levels 1..3 (2+16+256 candidates), mismatches={mismatches}",
     )

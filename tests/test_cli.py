@@ -1,5 +1,6 @@
 """CLI contract: exit codes, report schema, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -22,6 +23,12 @@ def strip_timing_json(out: str) -> dict:
     doc = json.loads(out)
     doc.pop("timings", None)
     return doc
+
+
+def report_digest(out: str) -> str:
+    """SHA-256 of a json-like report without timings, serialized canonically."""
+    canon = json.dumps(strip_timing_json(out), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
 
 
 @pytest.fixture
@@ -175,3 +182,20 @@ def test_counterexample_deterministic(capsys):
 def test_counterexample_levels_bound(capsys):
     code, _ = run(capsys, "counterexample", "--levels", "1")
     assert code == 2
+
+
+# Digests recorded before the chain model moved to basis form; a change that
+# alters either report on purpose must say so and re-pin them.
+
+
+def test_counterexample_report_pinned(capsys):
+    code, out = run(capsys, "counterexample", "--levels", "8", "--scan-max", "12",
+                    "--format", "json-like")
+    assert code == 0
+    assert report_digest(out) == "718cf8b95433482d9ef82676e99a84d485e1e8d79ba9d9861590c7569f0ab72a"
+
+
+def test_verify_builtin_report_pinned(capsys):
+    code, out = run(capsys, "verify", "--kmax", "4", "--format", "json-like")
+    assert code == 0
+    assert report_digest(out) == "67b6a321db86f6ea8b89c40bf2b03debfb04517319800239ea7c9c6ce69d8215"

@@ -366,7 +366,53 @@ def test_brute_force_bounds():
 def test_model_budget_error_carries_partial():
     with pytest.raises(sn.ModelBudgetError) as exc:
         sn.iterated_centralizer_model(8, budget=100)
-    assert exc.value.partial.depth >= 1
+    assert str(exc.value) == "budget exceeded after level 3 (341 > 100 stored bits)"
+    assert exc.value.partial.depth == 3
+
+
+def test_model_depth_10_from_basis():
+    deep = sn.iterated_centralizer_model(10)
+    assert deep.sizes() == [2 ** i for i in range(1, 11)]
+    for i in range(1, 11):
+        for mask in deep._bases[i]:
+            assert sn.delta(sn._from_mask(mask, 2 ** i)) in deep.level(i - 1)
+
+
+def test_preimage_is_seeded_solution(model):
+    # the recurrence solves delta(g) = h over the doubled block, with g(parity) = 0
+    for i in range(1, 6):
+        P = 2 ** (i + 1)
+        for h in model.level(i):
+            for parity in (0, 1):
+                g = sn._from_mask(sn._preimage(sn._mask(h(x) for x in range(P)), P, parity), P)
+                assert g(parity) == 0
+                assert sn.delta(g) == h
+                assert g in model.level(i + 1)
+
+
+def _pairwise_xor_closed(members):
+    return all((a ^ b) in members for a in members for b in members)
+
+
+def test_xor_closed_matches_pairwise_scan(model):
+    for i in range(1, 6):
+        P = 2 ** i
+        lev = model.level(i)
+        foreign = next(
+            g for g in (sn.BitFn.from_pattern((m >> x) & 1 for x in range(P)) for m in range(1 << P))
+            if g not in lev
+        )
+        assert _pairwise_xor_closed(lev) and sn.xor_closed(lev, P)
+        # a perturbed level is closed only when it shrank to the trivial group
+        for members in (lev - {sn.BitFn.zero()}, lev - {max(lev)}, lev | {foreign}):
+            closed = members == {sn.BitFn.zero()}
+            assert _pairwise_xor_closed(members) == closed
+            assert sn.xor_closed(members, P) == closed
+
+
+def test_xor_closed_rejects_members_outside_the_period():
+    assert not sn.xor_closed(frozenset({sn.BitFn.zero(), sn.BitFn.from_pattern((1, 0, 0))}), 4)
+    assert not sn.xor_closed(frozenset({sn.BitFn.zero(), sn.BitFn((1,), (0,))}), 4)
 
 
 def test_levels_property_view(model):
