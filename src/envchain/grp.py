@@ -7,11 +7,16 @@ the sorted image-tuple order, which keeps every derived object deterministic.
 
 Internally a group indexes its elements 0..n-1 and small groups cache a
 multiplication table, so the chain computations in `chains` run on plain ints.
+The product, inverse and commutator tables are built lazily from the raw image
+tuples, with no `Permutation` per product; up to order 1024 (`_TABLE_LIMIT`)
+the product and commutator tables each hold n² ints, flat and row-major.
+Larger groups compose `Permutation`s per query instead.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .perm import (
@@ -24,6 +29,9 @@ from .perm import (
 )
 
 DEFAULT_CAP = 20000
+
+# Largest degree a group file may declare; a larger one is a GroupFileError.
+MAX_DEGREE = 10_000
 
 # Orders up to this bound get cached multiplication/commutator tables.
 _TABLE_LIMIT = 1024
@@ -53,15 +61,12 @@ class FiniteGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = tuple(sorted(elements))
+        self.order = len(self.elements)
         self.index_of = {g: i for i, g in enumerate(self.elements)}
         self.identity_idx = self.index_of[Permutation.identity(degree)]
         self._table: list[int] | None = None
         self._inv: list[int] | None = None
         self._comm: list[int] | None = None
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self.index_of
@@ -72,26 +77,21 @@ class FiniteGroup:
     # --- index arithmetic -------------------------------------------------
 
     def _build_tables(self):
-        n = self.order
-        els = self.elements
-        idx = self.index_of
-        table = [0] * (n * n)
-        for i, a in enumerate(els):
-            ai = a.images
-            row = i * n
-            for j, b in enumerate(els):
-                bi = b.images
-                table[row + j] = idx[Permutation(ai[bi[x]] for x in range(len(ai)))]
-        inv = [0] * n
-        e = self.identity_idx
-        for i in range(n):
-            row = i * n
-            for j in range(n):
-                if table[row + j] == e:
-                    inv[i] = j
-                    break
+        # Products straight from image tuples: (a*b)(x) = a[b[x]], so
+        # itemgetter(*b)(a) is the image tuple of a*b.  The dict lookup raises
+        # on a product outside the element set, so closure is still checked.
+        if self.degree == 1:
+            # itemgetter with one index returns a scalar; S_1 is trivial anyway
+            self._table, self._inv = [0], [0]
+            return
+        images = [g.images for g in self.elements]
+        idx = {t: i for i, t in enumerate(images)}
+        getters = [itemgetter(*b) for b in images]
+        table: list[int] = []
+        for a in images:
+            table.extend([idx[get_b(a)] for get_b in getters])
         self._table = table
-        self._inv = inv
+        self._inv = [idx[g.inverse().images] for g in self.elements]
 
     def mul_idx(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j] (j acts first)."""
@@ -116,16 +116,17 @@ class FiniteGroup:
             return self._comm[i * self.order + j]
         if self.order <= _TABLE_LIMIT:
             self.mul_idx(0, 0)  # force tables
+            # [g, h] = (hg)^-1 (gh): row g of the product table holds gh, column g holds hg
             n = self.order
             table = self._table
-            inv = self._inv
-            comm = [0] * (n * n)
-            for i2 in range(n):
-                gi = inv[i2]
-                for j2 in range(n):
-                    comm[i2 * n + j2] = table[table[table[gi * n + inv[j2]] * n + i2] * n + j2]
+            inv_row = [k * n for k in self._inv]
+            comm: list[int] = []
+            for g in range(n):
+                gh_row = table[g * n:(g + 1) * n]
+                hg_col = table[g::n]
+                comm.extend([table[inv_row[hg] + gh] for gh, hg in zip(gh_row, hg_col)])
             self._comm = comm
-            return comm[i * self.order + j]
+            return comm[i * n + j]
         gi = self.inv_idx(i)
         return self.mul_idx(self.mul_idx(self.mul_idx(gi, self.inv_idx(j)), i), j)
 
@@ -424,6 +425,8 @@ def parse_group_file(text: str, cap: int = DEFAULT_CAP) -> FiniteGroup:
                 raise GroupFileError(f"bad degree {body!r}", lineno) from None
             if degree <= 0:
                 raise GroupFileError(f"degree must be positive, got {degree}", lineno)
+            if degree > MAX_DEGREE:
+                raise GroupFileError(f"degree {degree} exceeds the limit {MAX_DEGREE}", lineno)
             continue
         try:
             gens.append(parse_cycles(line, degree))

@@ -95,6 +95,16 @@ def test_ekchain_parse_error_reports_line(capsys, tmp_path, s3_files):
     assert "line 2" in captured.err
 
 
+def test_ekchain_degree_over_bound_exit_2(capsys, tmp_path, s3_files):
+    g, _ = s3_files
+    wide = tmp_path / "wide.grp"
+    wide.write_text("degree: 2000000\n(0 1)\n")
+    code = main(["ekchain", str(wide), g])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "line 1" in captured.err
+
+
 def test_ekchain_cap_exceeded(capsys, s3_files):
     g, h = s3_files
     code, _ = run(capsys, "ekchain", g, h, "--cap", "3")

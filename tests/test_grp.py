@@ -4,7 +4,10 @@ import random
 
 import pytest
 
+from envchain.catalog import build_catalog
 from envchain.grp import (
+    _TABLE_LIMIT,
+    MAX_DEGREE,
     ClosureCapError,
     GroupFileError,
     centralizer,
@@ -15,7 +18,7 @@ from envchain.grp import (
     parse_group_file,
     upper_central_series,
 )
-from envchain.perm import Permutation, parse_cycles
+from envchain.perm import Permutation, commutator, compose, parse_cycles
 
 from naive import naive_centralizer, naive_center_series, naive_closure, naive_normalizer
 
@@ -153,7 +156,6 @@ def test_nilpotency_class_trivial():
 
 
 def test_center_is_first_series_term():
-    from envchain.catalog import build_catalog
     from envchain.grp import center
 
     for G in build_catalog().values():
@@ -170,6 +172,40 @@ def test_double_centralizer_of_abelian_is_abelian(d8, s3):
             if not is_abelian(H):
                 continue
             assert is_abelian(centralizer(G, centralizer(G, H)))
+
+
+def assert_tables_agree(G, pairs):
+    """mul_idx, inv_idx and comm_idx against composing the permutations."""
+    els = G.elements
+    for i, j in pairs:
+        a, b = els[i], els[j]
+        assert els[G.mul_idx(i, j)] == compose(a, b)
+        assert els[G.inv_idx(i)] == a.inverse()
+        assert els[G.comm_idx(i, j)] == commutator(a, b)
+
+
+def test_tables_match_permutation_arithmetic():
+    groups = list(build_catalog().values())
+    groups.append(make(["(0 1)", "(0 1 2 3 4)"], 5))
+    groups.append(closure([], degree=1))  # one-point itemgetter edge case
+    for G in groups:
+        assert_tables_agree(G, [(i, j) for i in range(G.order) for j in range(G.order)])
+        assert G._table is not None and G._comm is not None
+
+
+def test_tables_match_permutation_arithmetic_s6():
+    G = make(["(0 1)", "(0 1 2 3 4 5)"], 6)
+    assert G.order == 720
+    rng = random.Random(6)
+    assert_tables_agree(G, [(rng.randrange(720), rng.randrange(720)) for _ in range(20000)])
+
+
+def test_fallback_above_table_limit():
+    G = make(["(0 1)", "(0 1 2 3 4 5 6)"], 7)
+    assert G.order == 5040 > _TABLE_LIMIT
+    rng = random.Random(7)
+    assert_tables_agree(G, [(rng.randrange(5040), rng.randrange(5040)) for _ in range(2000)])
+    assert G._table is None
 
 
 def test_group_file_roundtrip():
@@ -189,3 +225,11 @@ def test_group_file_errors():
         parse_group_file("degree: x\n")
     with pytest.raises(GroupFileError):
         parse_group_file("# only comments\n")
+
+
+def test_group_file_degree_bound():
+    assert parse_group_file(f"degree: {MAX_DEGREE}\n(0 1)\n").order == 2
+    with pytest.raises(GroupFileError) as exc:
+        parse_group_file(f"# too wide\n\ndegree: {MAX_DEGREE + 1}\n(0 1)\n")
+    assert exc.value.line == 3
+    assert "exceeds the limit" in str(exc.value)
