@@ -8,7 +8,7 @@ time so the cycle strings never drift from the intended group.
 from __future__ import annotations
 
 from .grp import FiniteGroup, Subgroup, closure_indices, format_group_file, parse_group_file
-from .perm import Permutation
+from .perm import Permutation, format_cycles
 
 
 def _heisenberg3_generators() -> list[Permutation]:
@@ -91,25 +91,30 @@ def enumerate_subgroups(G: FiniteGroup) -> list[tuple[str, Subgroup]]:
     2-generated ones; labels use the lexicographically first generating seed
     that produced each subgroup.  Output is sorted by the subgroup's element
     index set, so it is deterministic.
+
+    For a fixed i the pair seed (i, j) is skipped when j lies in a double
+    coset <i> j' <i> of an earlier j': <i, a j b> = <i, j> for a, b in <i>,
+    so it repeats a subgroup an earlier seed already labelled.
     """
     seen: dict[frozenset[int], str] = {}
     n = G.order
     e = G.identity_idx
 
-    def label(seed: tuple[int, ...]) -> str:
-        from .perm import format_cycles
-
-        if not seed:
-            return "<>"
-        return "<" + ",".join(format_cycles(G.elements[i]) for i in seed) + ">"
-
-    seeds: list[tuple[int, ...]] = [()]
-    seeds.extend((i,) for i in range(n) if i != e)
-    seeds.extend((i, j) for i in range(n) for j in range(i + 1, n) if i != e and j != e)
-    for seed in seeds:
-        idxs = closure_indices(G, seed)
+    def add(seed: tuple[int, ...], idxs: frozenset[int]):
         if idxs not in seen:
-            seen[idxs] = label(seed)
+            seen[idxs] = "<" + ",".join(format_cycles(G.elements[i]) for i in seed) + ">"
+
+    seen[frozenset({e})] = "<>"
+    cyclic = {i: closure_indices(G, (i,)) for i in range(n) if i != e}
+    for i, idxs in cyclic.items():
+        add((i,), idxs)
+    for i, powers in cyclic.items():
+        covered: set[int] = set()
+        for j in range(i + 1, n):
+            if j == e or j in covered:
+                continue
+            add((i, j), closure_indices(G, (i, j)))
+            covered.update(G.mul_idx(G.mul_idx(a, j), b) for a in powers for b in powers)
     items = [(lab, Subgroup(G, idxs)) for idxs, lab in seen.items()]
     items.sort(key=lambda t: t[1].key())
     return items

@@ -12,6 +12,12 @@ with the inner chain recomputed from scratch inside each term, exactly as
 defined; identities that would let one reuse levels across terms are *checked*
 by the verifiers here, never assumed.
 
+Chain runs and envelope runs are memoized on the group.  The keys are the
+exact inputs (ambient set and target set; the subgroup H), so a run is only
+ever reused for the very same question, never across different terms, and
+every identity is still checked.  A run kept at a larger depth answers a
+smaller one by its prefix, with the same `truncated_at` a fresh run gives.
+
 Verifiers return lists of `CheckRecord`; failures carry witnesses instead of
 raising.
 """
@@ -25,6 +31,7 @@ from .grp import (
     FiniteGroup,
     Subgroup,
     central_series_indices,
+    generating_indices,
     is_abelian_indices,
     nilpotency_class,
     normalizer_indices,
@@ -111,21 +118,44 @@ def iterated_centralizer_levels(
     from the intersection of the normalizers of all lower levels.  Stops as
     soon as a level repeats (the chain is then stationary) and reports the
     index of the stationary level.
+
+    The commutator condition is tested on a generating set of the target only
+    at a level where the target is a verified subgroup lying in that
+    intersection (so it normalizes the previous level) and the previous level
+    is a verified subgroup: modulo a normal subgroup, commuting with the
+    generators of A is commuting with A.  Otherwise every target element is
+    tested.
     """
-    e = group.identity_idx
-    levels = [frozenset({e})]
-    norm_inter = within
-    for k in range(1, kmax + 1):
+    tset = frozenset(target)
+    key = (within, tset)
+    memo = group._levels.get(key)
+    if memo is None:
+        levels, norm_inter = [frozenset({group.identity_idx})], within
+    else:
+        stored, trunc, norm_inter = memo
+        if trunc is not None and kmax > trunc:
+            return list(stored), trunc
+        if kmax < len(stored):
+            return list(stored[:kmax + 1]), None
+        levels = list(stored)
+    tgens = generating_indices(group, tset)
+    trunc = None
+    for k in range(len(levels), kmax + 1):
         prev = levels[-1]
         norm_inter = norm_inter & normalizer_indices(group, within, prev)
+        xs = target
+        if tgens is not None and tset <= norm_inter and generating_indices(group, prev) is not None:
+            xs = tgens
         new = frozenset(
             x for x in norm_inter
-            if all(group.comm_idx(x, a) in prev for a in target)
+            if all(group.comm_idx(x, a) in prev for a in xs)
         )
         if new == prev:
-            return levels, k - 1
+            trunc = k - 1
+            break
         levels.append(new)
-    return levels, None
+    group._levels[key] = (tuple(levels), trunc, norm_inter)
+    return levels, trunc
 
 
 def ek_term_data(
@@ -136,24 +166,28 @@ def ek_term_data(
     """Envelope terms E_0..E_kmax plus the inner chain computed inside each.
 
     inner[k] is the level list of H inside E_k, computed to depth k+1 (or to
-    its stationary point).
+    its stationary point).  Neither depends on kmax, so a memoized run serves
+    any smaller kmax by its prefix and a larger one by carrying it on.
     """
+    memo = group._terms.get(h_indices)
+    if memo is None:
+        terms, inner = [frozenset(range(group.order))], []
+    else:
+        terms, inner = list(memo[0]), [list(l) for l in memo[1]]
     target = sorted(h_indices)
-    terms = [frozenset(range(group.order))]
-    inner: list[list[frozenset[int]]] = []
-    for k in range(kmax + 1):
-        ek = terms[k]
-        levels, _ = iterated_centralizer_levels(group, ek, target, kmax=k + 1)
+    for k in range(len(inner), kmax + 1):
+        if k == len(terms):
+            levels = inner[k - 1]
+            ck = series_level(levels, k - 1)
+            ck1 = series_level(levels, k)
+            terms.append(frozenset(
+                g for g in terms[k - 1] if all(group.comm_idx(g, c) in ck for c in ck1)
+            ))
+        levels, _ = iterated_centralizer_levels(group, terms[k], target, kmax=k + 1)
         inner.append(levels)
-        if k == kmax:
-            break
-        ck = series_level(levels, k)
-        ck1 = series_level(levels, k + 1)
-        nxt = frozenset(
-            g for g in ek if all(group.comm_idx(g, c) in ck for c in ck1)
-        )
-        terms.append(nxt)
-    return terms, inner
+    if memo is None or len(inner) > len(memo[1]):
+        group._terms[h_indices] = (tuple(terms), tuple(tuple(l) for l in inner))
+    return terms[:kmax + 1], inner[:kmax + 1]
 
 
 # --- public chain operations -------------------------------------------------
@@ -242,18 +276,6 @@ def _set_check(
     return CheckRecord(check_id, claim, FAIL, witness="; ".join(parts))
 
 
-def _is_subgroup_indices(group: FiniteGroup, s: frozenset[int]) -> bool:
-    if group.identity_idx not in s:
-        return False
-    for a in s:
-        if group.inv_idx(a) not in s:
-            return False
-        for b in s:
-            if group.mul_idx(a, b) not in s:
-                return False
-    return True
-
-
 def verify_bryant_lemma(G: FiniteGroup, H: Subgroup, kmax: int) -> list[CheckRecord]:
     """Check the basic laws of the iterated centralizer chain of H in G:
 
@@ -270,7 +292,8 @@ def verify_bryant_lemma(G: FiniteGroup, H: Subgroup, kmax: int) -> list[CheckRec
     out = []
     for k in range(kmax + 1):
         ck = chain.level(k).indices
-        if _is_subgroup_indices(G, ck):
+        # the closure of a greedy generating set equals ck iff ck is closed
+        if generating_indices(G, ck) is not None:
             out.append(CheckRecord(f"bryant-i-k{k}", "chain level is a subgroup", PASS))
         else:
             out.append(

@@ -27,6 +27,7 @@ from .grp import (
     DEFAULT_CAP,
     FiniteGroup,
     GroupFileError,
+    MAX_KMAX,
     Subgroup,
     default_kmax,
     nilpotency_class,
@@ -153,6 +154,13 @@ def _load_group_file(path: str, cap: int) -> FiniteGroup:
         raise _UsageError(f"{path}: {exc}") from exc
 
 
+def _check_kmax(kmax: int):
+    if kmax < 1:
+        raise _UsageError("kmax must be >= 1")
+    if kmax > MAX_KMAX:
+        raise _UsageError(f"kmax {kmax} exceeds the limit {MAX_KMAX}")
+
+
 def cmd_ekchain(args) -> dict:
     G = _load_group_file(args.group_file, args.cap)
     H_raw = _load_group_file(args.subgroup_file, args.cap)
@@ -168,8 +176,7 @@ def cmd_ekchain(args) -> dict:
     H = G.generated_subgroup(H_raw.generators)
     h_class = nilpotency_class(H)
     kmax = args.kmax if args.kmax is not None else default_kmax(G.order, h_class)
-    if kmax < 1:
-        raise _UsageError("kmax must be >= 1")
+    _check_kmax(kmax)
     report = _new_report("ekchain", {
         "group_file": args.group_file,
         "subgroup_file": args.subgroup_file,
@@ -232,8 +239,7 @@ def _run_suites(G: FiniteGroup, gname: str, H: Subgroup, label: str, suite: str,
 
 
 def cmd_verify(args) -> dict:
-    if args.kmax < 1:
-        raise _UsageError("kmax must be >= 1")
+    _check_kmax(args.kmax)
     if args.catalog_dir is None:
         catalog = build_catalog(cap=args.cap)
     else:

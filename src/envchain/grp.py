@@ -11,6 +11,12 @@ The product, inverse and commutator tables are built lazily from the raw image
 tuples, with no `Permutation` per product; up to order 1024 (`_TABLE_LIMIT`)
 the product and commutator tables each hold n² ints, flat and row-major.
 Larger groups compose `Permutation`s per query instead.
+
+Each group also memoizes, keyed by the exact index set asked about, a greedy
+generating set of each subgroup, each central series, and (for `chains`) each
+chain run and each envelope run.  Central series and normalizers filter over
+a generating set only once `generating_indices` has verified it generates the
+set; on any other set they run the literal filter over every member.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ DEFAULT_CAP = 20000
 
 # Largest degree a group file may declare; a larger one is a GroupFileError.
 MAX_DEGREE = 10_000
+
+# Largest chain depth the CLI accepts; every resolved default lies below it.
+MAX_KMAX = 64
 
 # Orders up to this bound get cached multiplication/commutator tables.
 _TABLE_LIMIT = 1024
@@ -67,6 +76,11 @@ class FiniteGroup:
         self._table: list[int] | None = None
         self._inv: list[int] | None = None
         self._comm: list[int] | None = None
+        # memos: exact input -> stored result (frozensets and tuples only)
+        self._gens: dict[frozenset[int], tuple[int, ...] | None] = {}
+        self._series: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
+        self._levels: dict = {}  # chains.iterated_centralizer_levels
+        self._terms: dict = {}  # chains.ek_term_data
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self.index_of
@@ -234,6 +248,24 @@ def closure_indices(group: FiniteGroup, seeds: Iterable[int]) -> frozenset[int]:
     return frozenset(els)
 
 
+def generating_indices(group: FiniteGroup, sub: frozenset[int]) -> tuple[int, ...] | None:
+    """A greedy generating set of `sub` drawn from sorted(sub), or None when
+    `sub` is not a subgroup (its closure is larger).  Memoized per group."""
+    try:
+        return group._gens[sub]
+    except KeyError:
+        pass
+    gens: list[int] = []
+    span = frozenset({group.identity_idx})
+    for g in sorted(sub):
+        if g not in span:
+            gens.append(g)
+            span = closure_indices(group, gens)
+    out = tuple(gens) if span == sub else None
+    group._gens[sub] = out
+    return out
+
+
 def centralizer_indices(group: FiniteGroup, members: frozenset[int], targets: Iterable[int]) -> frozenset[int]:
     """{g in members : g commutes with every target}."""
     e = group.identity_idx
@@ -244,9 +276,14 @@ def centralizer_indices(group: FiniteGroup, members: frozenset[int], targets: It
 
 
 def normalizer_indices(group: FiniteGroup, members: frozenset[int], sub: frozenset[int]) -> frozenset[int]:
-    """{g in members : g^-1 (sub) g == sub}."""
+    """{g in members : g^-1 (sub) g == sub}.
+
+    For a subgroup it is enough to conjugate a generating set into `sub`
+    (conjugation is a bijection of finite sets)."""
+    gens = generating_indices(group, sub)
+    xs = sub if gens is None else gens
     return frozenset(
-        g for g in members if all(group.conj_idx(s, g) in sub for s in sub)
+        g for g in members if all(group.conj_idx(s, g) in sub for s in xs)
     )
 
 
@@ -266,16 +303,22 @@ def central_series_indices(group: FiniteGroup, sub: frozenset[int]) -> list[froz
     """Upper central series of `sub` viewed as a group in its own right.
 
     Returns [Z_0, Z_1, ...] up to the first repeat, so the last entry is the
-    hypercenter of the subgroup.
+    hypercenter of the subgroup.  Z_i is normal in a subgroup S, so g is in
+    Z_(i+1) iff [g, x] is in Z_i for every x of a generating set of S.
     """
-    e = group.identity_idx
-    series = [frozenset({e})]
+    memo = group._series.get(sub)
+    if memo is not None:
+        return list(memo)
+    gens = generating_indices(group, sub)
+    xs = sub if gens is None else gens
+    series = [frozenset({group.identity_idx})]
     while True:
         prev = series[-1]
         nxt = frozenset(
-            g for g in sub if all(group.comm_idx(g, x) in prev for x in sub)
+            g for g in sub if all(group.comm_idx(g, x) in prev for x in xs)
         )
         if nxt == prev:
+            group._series[sub] = tuple(series)
             return series
         series.append(nxt)
 

@@ -76,3 +76,21 @@ def naive_ek_terms(
         ck1 = _at(levels, k + 1)
         terms.append(frozenset(g for g in ek if all(commutator(g, c) in ck for c in ck1)))
     return terms
+
+
+def naive_enumerate_subgroups(G) -> list[tuple[str, frozenset[int]]]:
+    """The unpruned seed loop: closure of (), every (i,) and every pair
+    (i, j), i < j, first seed labels.  Uses the package's `closure_indices`
+    (checked against `naive_closure` in test_grp) so S5 stays fast."""
+    from envchain.grp import closure_indices
+    from envchain.perm import format_cycles
+
+    n, e = G.order, G.identity_idx
+    seeds = [()] + [(i,) for i in range(n) if i != e]
+    seeds += [(i, j) for i in range(n) for j in range(i + 1, n) if e not in (i, j)]
+    seen: dict[frozenset[int], str] = {}
+    for seed in seeds:
+        idxs = closure_indices(G, seed)
+        if idxs not in seen:
+            seen[idxs] = "<" + ",".join(format_cycles(G.elements[i]) for i in seed) + ">"
+    return sorted(((lab, idxs) for idxs, lab in seen.items()), key=lambda t: sorted(t[1]))

@@ -1,22 +1,34 @@
 """Chain computations and the lemma verifiers, cross-checked against the
 naive oracle."""
 
-import pytest
+import itertools
 
-from envchain.catalog import build_catalog, enumerate_subgroups
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from envchain.catalog import CATALOG_FILES, build_catalog, enumerate_subgroups
 from envchain.chains import (
     ek_chain,
     ek_term_data,
+    iterated_centralizer_levels,
     iterated_centralizers,
     verify_abc_lemma,
     verify_bryant_lemma,
     verify_ek_structure,
     verify_nilpotent_envelope,
 )
-from envchain.grp import nilpotency_class
+from envchain.grp import closure, generating_indices, nilpotency_class, normalizer_indices, parse_group_file
 from envchain.perm import Permutation, parse_cycles
 
-from naive import naive_ek_terms, naive_iterated_levels, naive_nilpotency_class
+from naive import (
+    naive_ek_terms,
+    naive_enumerate_subgroups,
+    naive_iterated_levels,
+    naive_nilpotency_class,
+    naive_normalizer,
+)
+from strategies import DIFFERENTIAL, groups, perms, subgroups, subgroups_or_subsets
 
 
 @pytest.fixture(scope="module")
@@ -283,3 +295,154 @@ def test_nilpotency_class_matches_naive(catalog):
     for name, G in catalog.items():
         for _, H in enumerate_subgroups(G)[:4]:
             assert nilpotency_class(H) == naive_nilpotency_class(frozenset(H.elements))
+
+
+# --- subgroup enumeration --------------------------------------------------------
+
+
+def test_enumerate_subgroups_pruning_matches_full_pair_loop(catalog):
+    S5 = closure([parse_cycles("(0 1)", 5), parse_cycles("(0 1 2 3 4)", 5)])
+    D32 = closure([parse_cycles("(" + " ".join(map(str, range(16))) + ")", 16),
+                   parse_cycles("(1 15)(2 14)(3 13)(4 12)(5 11)(6 10)(7 9)", 16)])
+    assert (S5.order, D32.order) == (120, 32)
+    for G in [*catalog.values(), S5, D32]:
+        got = [(label, H.indices) for label, H in enumerate_subgroups(G)]
+        assert got == naive_enumerate_subgroups(G)
+
+
+# --- fast paths against the naive oracle ------------------------------------------
+
+
+def as_levels(G, levels):
+    return [perms(G, l) for l in levels]
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_iterated_levels_match_naive(data):
+    # ambient and target range over non-subgroups too, where the guard on the
+    # generator reduction has to fall back to the literal filter
+    G = data.draw(groups())
+    within = data.draw(subgroups_or_subsets(G))
+    target = data.draw(subgroups_or_subsets(G))
+    kmax = data.draw(st.integers(0, 4))
+    levels, trunc = iterated_centralizer_levels(G, within, sorted(target), kmax)
+    assert as_levels(G, levels) == naive_iterated_levels(perms(G, within), perms(G, target), kmax)
+    assert trunc is None or (trunc == len(levels) - 1 and trunc < kmax)
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_ek_term_data_matches_naive(data):
+    G = data.draw(groups())
+    h = data.draw(subgroups(G))
+    terms, inner = ek_term_data(G, h, 3)
+    whole, sub = frozenset(G.elements), perms(G, h)
+    assert [perms(G, t) for t in terms] == naive_ek_terms(whole, sub, 3)
+    for k, levels in enumerate(inner):
+        assert as_levels(G, levels) == naive_iterated_levels(perms(G, terms[k]), sub, k + 1)
+
+
+# Inputs found by search in S4 and S5 that reach each branch of the guard on
+# the generator reduction in `iterated_centralizer_levels`.
+
+
+def chain_case(degree, target_gens, within):
+    G = closure([parse_cycles("(0 1)", degree),
+                 parse_cycles("(" + " ".join(map(str, range(degree))) + ")", degree)])
+    A = G.generated_subgroup([parse_cycles(t, degree) for t in target_gens]).indices
+    W = frozenset(G.index_of[parse_cycles(t, degree)] for t in within)
+    levels, _ = iterated_centralizer_levels(G, W, sorted(A), 4)
+    assert as_levels(G, levels) == naive_iterated_levels(perms(G, W), perms(G, A), 4)
+    return G, A, W, levels
+
+
+def normalizes(G, A, level):
+    return perms(G, A) <= naive_normalizer(frozenset(G.elements), perms(G, level))
+
+
+def test_guard_target_not_normalizing_a_level():
+    G, A, W, levels = chain_case(5, ["(0 1 3)"], ["()", "(1 3)", "(0 1 3)", "(0 3 1)", "(0 3 1 2 4)"])
+    assert A <= W
+    assert [len(l) for l in levels] == [1, 3, 4, 2, 1]
+    assert not normalizes(G, A, levels[2]) and not normalizes(G, A, levels[3])
+
+
+def test_guard_target_outside_ambient():
+    # reducing to the generator (0 1 3 4 2) here would give levels of orders
+    # [1, 3, 4, 2, 1] instead of [1, 3]
+    G, A, W, levels = chain_case(
+        5, ["(0 1 3 4 2)"],
+        ["()", "(1 2)(3 4)", "(1 2 3 4)", "(1 3)", "(1 4 2 3)", "(0 3 2 1 4)", "(0 4 1 2 3)"],
+    )
+    assert not A <= W
+    assert [len(l) for l in levels] == [1, 3]
+
+
+def test_guard_previous_level_not_a_subgroup():
+    G, A, W, levels = chain_case(4, ["(0 3)(1 2)"], ["()", "(0 3)", "(0 3)(1 2)"])
+    # at level 2 the target is a subgroup inside every normalizer so far, but
+    # level 1 is not closed
+    assert generating_indices(G, A) is not None
+    assert A <= W & normalizer_indices(G, W, levels[0]) & normalizer_indices(G, W, levels[1])
+    assert generating_indices(G, levels[1]) is None
+
+
+def test_guard_target_not_a_subgroup(catalog):
+    G = catalog["S4"]
+    target = sorted(G.index_of[parse_cycles(t, 4)] for t in ("(0 1)", "(1 2 3)"))
+    assert generating_indices(G, frozenset(target)) is None
+    whole = frozenset(range(G.order))
+    levels, _ = iterated_centralizer_levels(G, whole, target, 4)
+    assert as_levels(G, levels) == naive_iterated_levels(frozenset(G.elements), perms(G, target), 4)
+
+
+# --- the per-group memo -----------------------------------------------------------
+
+
+def fresh(name):
+    return parse_group_file(CATALOG_FILES[name])
+
+
+@pytest.mark.parametrize("name", ["D16", "S4", "Heis3"])
+def test_level_memo_serves_any_depth_like_a_cold_run(name):
+    G0 = fresh(name)
+    whole = frozenset(range(G0.order))
+    truncations = set()
+    for _, H in enumerate_subgroups(G0):
+        target = sorted(H.indices)
+        cold = {k: iterated_centralizer_levels(fresh(name), whole, target, k) for k in range(6)}
+        truncations.update(t for _, t in cold.values())
+        for first, second in itertools.product(range(6), repeat=2):
+            G = fresh(name)
+            iterated_centralizer_levels(G, whole, target, first)
+            assert iterated_centralizer_levels(G, whole, target, second) == cold[second]
+    assert None in truncations and len(truncations) >= 3
+
+
+@pytest.mark.parametrize("name", ["D16", "S4"])
+def test_term_memo_serves_any_depth_like_a_cold_run(name):
+    for _, H in enumerate_subgroups(fresh(name)):
+        cold = {k: ek_term_data(fresh(name), H.indices, k) for k in (2, 5)}
+        for first, second in ((5, 2), (2, 5)):
+            G = fresh(name)
+            ek_term_data(G, H.indices, first)
+            assert ek_term_data(G, H.indices, second) == cold[second]
+
+
+def test_memo_returns_fresh_lists():
+    G = fresh("D16")
+    whole = frozenset(range(G.order))
+    H = subgroup(G, "(1 7)(2 6)(3 5)")
+    target = sorted(H.indices)
+    levels, trunc = iterated_centralizer_levels(G, whole, target, 4)
+    want = (list(levels), trunc)
+    levels.append(frozenset())
+    levels[0] = frozenset()
+    assert iterated_centralizer_levels(G, whole, target, 4) == want
+    terms, inner = ek_term_data(G, H.indices, 3)
+    want = (list(terms), [list(l) for l in inner])
+    terms.clear()
+    inner[0].append(frozenset())
+    inner.pop()
+    assert ek_term_data(G, H.indices, 3) == want

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from envchain.catalog import CATALOG_FILES
 from envchain.cli import main
+from envchain.grp import MAX_KMAX
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -105,6 +109,16 @@ def test_ekchain_degree_over_bound_exit_2(capsys, tmp_path, s3_files):
     assert "line 1" in captured.err
 
 
+def test_ekchain_kmax_over_bound_exit_2(capsys, s3_files):
+    g, h = s3_files
+    assert main(["ekchain", g, h, "--kmax", str(MAX_KMAX)]) == 0
+    capsys.readouterr()
+    code = main(["ekchain", g, h, "--kmax", "100000000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"exceeds the limit {MAX_KMAX}" in captured.err and captured.out == ""
+
+
 def test_ekchain_cap_exceeded(capsys, s3_files):
     g, h = s3_files
     code, _ = run(capsys, "ekchain", g, h, "--cap", "3")
@@ -151,6 +165,13 @@ def test_verify_json_deterministic_and_self_describing(capsys, tmp_path):
     doc = strip_timing_json(first)
     assert doc["tool_version"]
     assert all({"id", "claim", "status"} <= set(c) for c in doc["checks"])
+
+
+def test_verify_kmax_over_bound_exit_2(capsys):
+    code = main(["verify", "--suite", "structure", "--kmax", str(MAX_KMAX + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"exceeds the limit {MAX_KMAX}" in captured.err and captured.out == ""
 
 
 def test_verify_empty_catalog_dir(capsys, tmp_path):
@@ -209,3 +230,13 @@ def test_verify_builtin_report_pinned(capsys):
     code, out = run(capsys, "verify", "--kmax", "4", "--format", "json-like")
     assert code == 0
     assert report_digest(out) == "67b6a321db86f6ea8b89c40bf2b03debfb04517319800239ea7c9c6ce69d8215"
+
+
+def test_verify_order_128_report_pinned(capsys, monkeypatch):
+    # the Sylow 2-subgroup of S8; the digest was recorded before chain runs
+    # were memoized and filters moved to generating sets
+    monkeypatch.chdir(ROOT)
+    code, out = run(capsys, "verify", "--kmax", "4", "--catalog-dir", "tests/data",
+                    "--format", "json-like")
+    assert code == 0
+    assert report_digest(out) == "254a7c1ec6afd71095da22dda1e3e8a2aeb03736a19c85ec1001ad36f855a0d8"

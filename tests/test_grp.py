@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from envchain.catalog import build_catalog
 from envchain.grp import (
@@ -10,17 +12,22 @@ from envchain.grp import (
     MAX_DEGREE,
     ClosureCapError,
     GroupFileError,
+    central_series_indices,
     centralizer,
     closure,
+    closure_indices,
+    generating_indices,
     is_abelian,
     nilpotency_class,
     normalizer,
+    normalizer_indices,
     parse_group_file,
     upper_central_series,
 )
 from envchain.perm import Permutation, commutator, compose, parse_cycles
 
 from naive import naive_centralizer, naive_center_series, naive_closure, naive_normalizer
+from strategies import DIFFERENTIAL, groups, indices, perms, subgroups_or_subsets
 
 
 def make(texts, degree):
@@ -233,3 +240,73 @@ def test_group_file_degree_bound():
         parse_group_file(f"# too wide\n\ndegree: {MAX_DEGREE + 1}\n(0 1)\n")
     assert exc.value.line == 3
     assert "exceeds the limit" in str(exc.value)
+
+
+# --- generating sets and the filters that use them ---------------------------
+
+
+def cycles(G, *texts):
+    return frozenset(G.index_of[parse_cycles(t, G.degree)] for t in texts)
+
+
+def test_generating_indices_generates_and_is_memoized(d8):
+    whole = frozenset(range(d8.order))
+    gens = generating_indices(d8, whole)
+    assert closure_indices(d8, gens) == whole
+    assert list(gens) == sorted(gens) and len(gens) <= 3
+    assert generating_indices(d8, whole) is gens
+    assert generating_indices(d8, frozenset({d8.identity_idx})) == ()
+
+
+def test_generating_indices_none_for_non_subgroups(s3):
+    assert generating_indices(s3, cycles(s3, "()", "(0 1)", "(0 1 2)")) is None
+    assert generating_indices(s3, cycles(s3, "(0 1)")) is None  # no identity
+
+
+# Non-subgroups on which filtering over the greedy generators would go wrong,
+# found by search; the literal filter must run on them.
+S3_NOT_CLOSED = ("(1 2)", "(0 2 1)", "(0 2)")
+S4_NOT_CLOSED = ("(0 2 3 1)", "(0 2)(1 3)", "(0 3)", "(0 3)(1 2)")
+
+
+def test_normalizer_of_non_subgroup_is_literal(s3):
+    sub = cycles(s3, *S3_NOT_CLOSED)
+    assert generating_indices(s3, sub) is None
+    got = normalizer_indices(s3, frozenset(range(s3.order)), sub)
+    assert perms(s3, got) == naive_normalizer(frozenset(s3.elements), perms(s3, sub))
+
+
+def test_central_series_memo_returns_fresh_lists():
+    G = make(["(0 1 2 3)", "(1 3)"], 4)
+    whole = frozenset(range(G.order))
+    for _ in range(2):  # the computing call, then the memo hit
+        series = central_series_indices(G, whole)
+        assert [len(z) for z in series] == [1, 2, 8]
+        series.append(frozenset())
+
+
+def test_central_series_of_non_subgroup_is_literal():
+    S4 = make(["(0 1)", "(0 1 2 3)"], 4)
+    sub = cycles(S4, *S4_NOT_CLOSED)
+    assert generating_indices(S4, sub) is None
+    got = [perms(S4, z) for z in central_series_indices(S4, sub)]
+    assert got == naive_center_series(perms(S4, sub))
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_central_series_matches_naive(data):
+    G = data.draw(groups())
+    sub = data.draw(subgroups_or_subsets(G))
+    got = [perms(G, z) for z in central_series_indices(G, sub)]
+    assert got == naive_center_series(perms(G, sub))
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_normalizer_matches_naive(data):
+    G = data.draw(groups())
+    members = data.draw(subgroups_or_subsets(G))
+    sub = data.draw(subgroups_or_subsets(G))
+    got = normalizer_indices(G, members, sub)
+    assert got == indices(G, naive_normalizer(perms(G, members), perms(G, sub)))
