@@ -36,8 +36,16 @@ from .grp import (
 from .perm import format_cycles
 
 
+# Most checks one report may hold; `verify` grows as O(kmax^3) per subgroup.
+MAX_CHECKS = 500_000
+
+
 class _UsageError(Exception):
     pass
+
+
+class ReportLimitError(RuntimeError):
+    """A report grew past `MAX_CHECKS` checks."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,6 +105,8 @@ def _new_report(cmd: str, params: dict) -> dict:
 
 
 def _add_checks(report: dict, prefix: str, records: list[CheckRecord]):
+    if len(report["checks"]) + len(records) > MAX_CHECKS:
+        raise ReportLimitError(f"report exceeded the limit of {MAX_CHECKS} checks")
     for r in records:
         entry = {"id": prefix + r.id, "claim": r.claim, "status": r.status}
         if r.witness is not None:
@@ -393,7 +403,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"envchain: error: {exc}", file=sys.stderr)
         return 2
-    except (ClosureCapError, symnat.ModelBudgetError) as exc:
+    except (ClosureCapError, ReportLimitError, symnat.ModelBudgetError) as exc:
         print(f"envchain: resource limit: {exc}", file=sys.stderr)
         return 3
     report["timings"]["total_s"] = round(time.perf_counter() - start, 6)

@@ -5,12 +5,13 @@ every subgroup is an explicit element set, so all queries (centralizers,
 normalizers, central series) are exact set filters.  Element order is always
 the sorted image-tuple order, which keeps every derived object deterministic.
 
-Internally a group indexes its elements 0..n-1 and small groups cache a
-multiplication table, so the chain computations in `chains` run on plain ints.
-The product, inverse and commutator tables are built lazily from the raw image
-tuples, with no `Permutation` per product; up to order 1024 (`_TABLE_LIMIT`)
-the product and commutator tables each hold n² ints, flat and row-major.
-Larger groups compose `Permutation`s per query instead.
+Internally a group indexes its elements 0..n-1, so the chain computations in
+`chains` run on plain ints.  Every order uses one entry formula: a product is
+the index of an image tuple, computed with one `itemgetter` per element and
+no `Permutation` per product, and [g, h] = (hg)^-1 (gh).  Up to order 1024
+(`_TABLE_LIMIT`) the product and commutator tables hold n² ints, flat and
+row-major; they start as -1 and each entry is filled on its first read.
+Larger groups store no entries and recompute each one per read.
 
 Each group also memoizes, keyed by the exact index set asked about, a greedy
 generating set of each subgroup, each central series, and (for `chains`) each
@@ -42,7 +43,8 @@ MAX_DEGREE = 10_000
 # Largest chain depth the CLI accepts; every resolved default lies below it.
 MAX_KMAX = 64
 
-# Orders up to this bound get cached multiplication/commutator tables.
+# Orders up to this bound store each product and commutator entry once read;
+# above it every entry is recomputed on each read.
 _TABLE_LIMIT = 1024
 
 
@@ -73,8 +75,13 @@ class FiniteGroup:
         self.order = len(self.elements)
         self.index_of = {g: i for i, g in enumerate(self.elements)}
         self.identity_idx = self.index_of[Permutation.identity(degree)]
-        self._table: list[int] | None = None
+        # entry computation, built once on first use (see `_prepare`)
+        self._images: list[tuple[int, ...]] = []
+        self._idx: dict[tuple[int, ...], int] = {}
+        self._getters: list = []
         self._inv: list[int] | None = None
+        # product and commutator tables up to _TABLE_LIMIT, -1 = not yet read
+        self._table: list[int] | None = None
         self._comm: list[int] | None = None
         # memos: exact input -> stored result (frozensets and tuples only)
         self._gens: dict[frozenset[int], tuple[int, ...] | None] = {}
@@ -90,59 +97,59 @@ class FiniteGroup:
 
     # --- index arithmetic -------------------------------------------------
 
-    def _build_tables(self):
+    def _prepare(self):
         # Products straight from image tuples: (a*b)(x) = a[b[x]], so
         # itemgetter(*b)(a) is the image tuple of a*b.  The dict lookup raises
-        # on a product outside the element set, so closure is still checked.
-        if self.degree == 1:
-            # itemgetter with one index returns a scalar; S_1 is trivial anyway
-            self._table, self._inv = [0], [0]
-            return
+        # on a product outside the element set, so every entry read is checked;
+        # `closure` enumerates the whole set, so every product lies in it.
         images = [g.images for g in self.elements]
         idx = {t: i for i, t in enumerate(images)}
-        getters = [itemgetter(*b) for b in images]
-        table: list[int] = []
-        for a in images:
-            table.extend([idx[get_b(a)] for get_b in getters])
-        self._table = table
+        if self.degree == 1:
+            # itemgetter with one index returns a scalar; S_1 is trivial, a*b = a
+            getters = [tuple] * self.order
+        else:
+            getters = [itemgetter(*b) for b in images]
+        self._images, self._idx, self._getters = images, idx, getters
         self._inv = [idx[g.inverse().images] for g in self.elements]
+        if self.order <= _TABLE_LIMIT:
+            self._table = [-1] * (self.order * self.order)
+            self._comm = [-1] * (self.order * self.order)
+
+    def _mul_entry(self, i: int, j: int) -> int:
+        if self._inv is None:
+            self._prepare()
+        k = self._idx[self._getters[j](self._images[i])]
+        if self._table is not None:
+            self._table[i * self.order + j] = k
+        return k
+
+    def _comm_entry(self, i: int, j: int) -> int:
+        # [g, h] = (hg)^-1 (gh)
+        k = self.mul_idx(self.inv_idx(self.mul_idx(j, i)), self.mul_idx(i, j))
+        if self._comm is not None:
+            self._comm[i * self.order + j] = k
+        return k
 
     def mul_idx(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j] (j acts first)."""
-        if self._table is None:
-            if self.order <= _TABLE_LIMIT:
-                self._build_tables()
-            else:
-                return self.index_of[compose(self.elements[i], self.elements[j])]
-        return self._table[i * self.order + j]
+        if self._table is not None:
+            k = self._table[i * self.order + j]
+            if k >= 0:
+                return k
+        return self._mul_entry(i, j)
 
     def inv_idx(self, i: int) -> int:
         if self._inv is None:
-            if self.order <= _TABLE_LIMIT:
-                self._build_tables()
-            else:
-                return self.index_of[self.elements[i].inverse()]
+            self._prepare()
         return self._inv[i]
 
     def comm_idx(self, i: int, j: int) -> int:
         """Index of [elements[i], elements[j]]."""
         if self._comm is not None:
-            return self._comm[i * self.order + j]
-        if self.order <= _TABLE_LIMIT:
-            self.mul_idx(0, 0)  # force tables
-            # [g, h] = (hg)^-1 (gh): row g of the product table holds gh, column g holds hg
-            n = self.order
-            table = self._table
-            inv_row = [k * n for k in self._inv]
-            comm: list[int] = []
-            for g in range(n):
-                gh_row = table[g * n:(g + 1) * n]
-                hg_col = table[g::n]
-                comm.extend([table[inv_row[hg] + gh] for gh, hg in zip(gh_row, hg_col)])
-            self._comm = comm
-            return comm[i * n + j]
-        gi = self.inv_idx(i)
-        return self.mul_idx(self.mul_idx(self.mul_idx(gi, self.inv_idx(j)), i), j)
+            k = self._comm[i * self.order + j]
+            if k >= 0:
+                return k
+        return self._comm_entry(i, j)
 
     def conj_idx(self, h: int, g: int) -> int:
         """Index of g^-1 h g."""

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from envchain.catalog import CATALOG_FILES
+from envchain import cli
 from envchain.cli import main
 from envchain.grp import MAX_KMAX
 
@@ -172,6 +173,25 @@ def test_verify_kmax_over_bound_exit_2(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert f"exceeds the limit {MAX_KMAX}" in captured.err and captured.out == ""
+
+
+def test_verify_check_limit_exit_3(capsys, tmp_path, monkeypatch):
+    cdir = tmp_path / "cat"
+    cdir.mkdir()
+    (cdir / "S3.grp").write_text(CATALOG_FILES["S3"])
+    args = ("verify", "--suite", "all", "--kmax", "3", "--catalog-dir", str(cdir),
+            "--format", "json-like")
+    code, out = run(capsys, *args)
+    assert code == 0
+    n = len(json.loads(out)["checks"])
+    monkeypatch.setattr(cli, "MAX_CHECKS", n)
+    assert run(capsys, *args)[0] == 0
+    monkeypatch.setattr(cli, "MAX_CHECKS", n - 1)
+    code = main(list(args))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert f"resource limit: report exceeded the limit of {n - 1} checks" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_empty_catalog_dir(capsys, tmp_path):

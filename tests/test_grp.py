@@ -11,6 +11,7 @@ from envchain.grp import (
     _TABLE_LIMIT,
     MAX_DEGREE,
     ClosureCapError,
+    FiniteGroup,
     GroupFileError,
     central_series_indices,
     centralizer,
@@ -197,7 +198,7 @@ def test_tables_match_permutation_arithmetic():
     groups.append(closure([], degree=1))  # one-point itemgetter edge case
     for G in groups:
         assert_tables_agree(G, [(i, j) for i in range(G.order) for j in range(G.order)])
-        assert G._table is not None and G._comm is not None
+        assert -1 not in G._table and -1 not in G._comm
 
 
 def test_tables_match_permutation_arithmetic_s6():
@@ -213,6 +214,48 @@ def test_fallback_above_table_limit():
     rng = random.Random(7)
     assert_tables_agree(G, [(rng.randrange(5040), rng.randrange(5040)) for _ in range(2000)])
     assert G._table is None
+
+
+def test_tables_fill_one_entry_per_read():
+    G = make(["(0 1)", "(0 1 2 3 4 5)"], 6)
+    G.comm_idx(5, 700)
+    assert sum(k != -1 for k in G._comm) == 1
+    assert sum(k != -1 for k in G._table) <= 3  # gh, hg, (hg)^-1 (gh)
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_tables_fill_in_any_order(data):
+    G = data.draw(groups())
+    n, els = G.order, G.elements
+    reads = data.draw(st.lists(
+        st.tuples(st.sampled_from("mic"), st.integers(0, n - 1), st.integers(0, n - 1)),
+        min_size=1, max_size=300,
+    ))
+    for op, i, j in reads:
+        a, b = els[i], els[j]
+        if op == "m":
+            assert els[G.mul_idx(i, j)] == compose(a, b)
+        elif op == "i":
+            assert els[G.inv_idx(i)] == a.inverse()
+        else:
+            assert els[G.comm_idx(i, j)] == commutator(a, b)
+    for table, op in ((G._table, compose), (G._comm, commutator)):
+        for ij, k in enumerate(table):
+            if k != -1:
+                assert els[k] == op(els[ij // n], els[ij % n])
+
+
+def test_tables_check_products_against_the_element_set():
+    # closed under inverses, not under products: (0 1)(0 2) is a 3-cycle
+    e, t, u = (parse_cycles(x, 3) for x in ("()", "(0 1)", "(0 2)"))
+    G = FiniteGroup(3, [t, u], [e, t, u])
+    ti, ui = G.index_of[t], G.index_of[u]
+    assert G.mul_idx(ti, ti) == G.identity_idx
+    with pytest.raises(KeyError):
+        G.mul_idx(ti, ui)
+    with pytest.raises(KeyError):
+        G.comm_idx(ui, ti)
 
 
 def test_group_file_roundtrip():
