@@ -7,8 +7,12 @@ Three subcommands:
   counterexample  the infinite-descent chain model and its witnesses
 
 Reports are deterministic byte-for-byte apart from the timing fields, in both
-text and json-like form.  Exit codes: 0 all checks pass, 1 check failures,
-2 usage or file errors, 3 resource caps exceeded.
+text and json-like form.  A report holds each check as a tuple
+(id, claim, status, witness), witness None when there is none; json-like
+output is byte-for-byte `json.dumps(report, sort_keys=True, indent=2)` with
+each check as a dict, its checks written from a template (see `render`).
+Exit codes: 0 all checks pass, 1 check failures, 2 usage or file errors,
+3 resource caps exceeded.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__, chains, symnat
@@ -107,17 +112,13 @@ def _new_report(cmd: str, params: dict) -> dict:
 def _add_checks(report: dict, prefix: str, records: list[CheckRecord]):
     if len(report["checks"]) + len(records) > MAX_CHECKS:
         raise ReportLimitError(f"report exceeded the limit of {MAX_CHECKS} checks")
-    for r in records:
-        entry = {"id": prefix + r.id, "claim": r.claim, "status": r.status}
-        if r.witness is not None:
-            entry["witness"] = r.witness
-        report["checks"].append(entry)
+    report["checks"].extend((prefix + r.id, r.claim, r.status, r.witness) for r in records)
 
 
 def _summary(report: dict) -> dict:
     n = {"pass": 0, "fail": 0, "skipped": 0}
-    for c in report["checks"]:
-        n[c["status"]] += 1
+    for _, _, status, _ in report["checks"]:
+        n[status] += 1
     return n
 
 
@@ -126,10 +127,10 @@ def render_text(report: dict) -> str:
     cmd = report["command"]
     args = " ".join(f"{k}={v}" for k, v in cmd["args"].items())
     lines.append(f"command: {cmd['name']} {args}".rstrip())
-    for c in report["checks"]:
-        lines.append(f"[{c['status']}] {c['id']}")
-        if "witness" in c:
-            lines.append(f"    {c['witness']}")
+    for cid, _, status, witness in report["checks"]:
+        lines.append(f"[{status}] {cid}")
+        if witness is not None:
+            lines.append(f"    {witness}")
     for w in report["witnesses"]:
         kv = " ".join(f"{k}={w[k]}" for k in sorted(w) if k != "type")
         lines.append(f"witness {w['type']}: {kv}")
@@ -137,12 +138,56 @@ def render_text(report: dict) -> str:
     lines.append(f"summary: checks={sum(n.values())} pass={n['pass']} fail={n['fail']} skipped={n['skipped']}")
     if report["timings"]:
         lines.append(f"time: {report['timings'].get('total_s', 0.0)}s")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the trailing newline, without copying the joined text
+    return "\n".join(lines)
+
+
+# One check in the `indent=2` layout, keys sorted.  Each starts with the
+# separator from the previous check; the first one drops its comma.
+_CHECK = ',\n    {\n      "claim": %s,\n      "id": %s,\n      "status": %s\n    }'
+_CHECK_WITNESS = (
+    ',\n    {\n      "claim": %s,\n      "id": %s,\n      "status": %s,\n      "witness": %s\n    }'
+)
+
+
+def _render_json(report: dict) -> str:
+    """json-like report in one join.
+
+    "checks" sorts before every other report key, so the checks come first,
+    followed by the rest of the report as `json.dumps` writes it.
+    """
+    rest = json.dumps({k: v for k, v in report.items() if k != "checks"},
+                      sort_keys=True, indent=2)
+    if not report["checks"]:
+        return "".join(('{\n  "checks": [],\n', rest[2:], "\n"))
+    # claims and statuses repeat; encode each distinct one once
+    shared: dict[str, str] = {}
+    parts = ['{\n  "checks": [']
+    for cid, claim, status, witness in report["checks"]:
+        c = shared.get(claim)
+        if c is None:
+            c = shared[claim] = encode_basestring_ascii(claim)
+        s = shared.get(status)
+        if s is None:
+            s = shared[status] = encode_basestring_ascii(status)
+        if witness is None:
+            parts.append(_CHECK % (c, encode_basestring_ascii(cid), s))
+        else:
+            parts.append(_CHECK_WITNESS % (c, encode_basestring_ascii(cid), s,
+                                           encode_basestring_ascii(witness)))
+    parts[1] = parts[1][1:]
+    parts += ("\n  ],\n", rest[2:], "\n")
+    return "".join(parts)
 
 
 def render(report: dict, fmt: str) -> str:
+    """The whole report as text or json-like, trailing newline included.
+
+    json-like is byte-for-byte `json.dumps(report, sort_keys=True, indent=2)`
+    with each check tuple as its dict; the checks come from a template.
+    """
     if fmt == "json-like":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return _render_json(report)
     return render_text(report)
 
 
@@ -291,12 +336,9 @@ def cmd_counterexample(args) -> dict:
     except symnat.ModelBudgetError as exc:
         model = exc.partial
         partial = True
-        report["checks"].append({
-            "id": "model-budget",
-            "claim": "chain model fits the memory budget",
-            "status": "fail",
-            "witness": str(exc),
-        })
+        _add_checks(report, "", [CheckRecord(
+            "model-budget", "chain model fits the memory budget", "fail", str(exc),
+        )])
     checks: list[CheckRecord] = []
     zero, ones = symnat.BitFn.zero(), symnat.BitFn.ones()
     if model.depth >= 1:

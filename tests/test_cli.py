@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envchain.catalog import CATALOG_FILES
-from envchain import cli
+from envchain import cli, symnat
 from envchain.cli import main
 from envchain.grp import MAX_KMAX
 
@@ -260,3 +263,152 @@ def test_verify_order_128_report_pinned(capsys, monkeypatch):
                     "--format", "json-like")
     assert code == 0
     assert report_digest(out) == "254a7c1ec6afd71095da22dda1e3e8a2aeb03736a19c85ec1001ad36f855a0d8"
+
+
+def test_counterexample_model_budget_check(capsys, monkeypatch):
+    model = symnat.iterated_centralizer_model
+    monkeypatch.setattr(symnat, "iterated_centralizer_model",
+                        lambda imax: model(imax, budget=100))
+    code, out = run(capsys, "counterexample", "--levels", "5", "--format", "json-like")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["checks"][0] == {
+        "id": "model-budget",
+        "claim": "chain model fits the memory budget",
+        "status": "fail",
+        "witness": "budget exceeded after level 3 (341 > 100 stored bits)",
+    }
+    assert doc["partial"] is True
+    assert doc["witnesses"][0] == {"type": "levels", "sizes": [2, 4, 8]}
+
+
+# --- raw report bytes --------------------------------------------------------
+# SHA-256 and length of the stdout itself, with the total time set to 0 in
+# json-like and the `time: ` line dropped in text; recorded before checks were
+# held as tuples and written from a template.
+
+RAW_PINS = {
+    ("verify", "--kmax", "4", "--format", "text"):
+        ("9c284a1fef195eadbc545de094f92d76127f5c6e6557b63ab5c2b2552c914745", 1237215),
+    ("verify", "--kmax", "4", "--format", "json-like"):
+        ("92c71ae1cf71eab8a5246bcebe51a8f95b0d3a0c2aac9b3f14b441d56d67ea13", 3470562),
+    ("counterexample", "--levels", "8", "--scan-max", "12", "--format", "text"):
+        ("f82901150af2b5a8f0c340a2c89bef7890d5fb156d04e8380b843ccd0ad7f9cb", 1687),
+    ("counterexample", "--levels", "8", "--scan-max", "12", "--format", "json-like"):
+        ("ad0a89a97f4ee467e541967c4999cccae481f01a3f08433e1b2cc32fc8cad087", 6402),
+}
+
+
+@pytest.mark.parametrize("argv", list(RAW_PINS), ids=" ".join)
+def test_report_raw_bytes_pinned(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    if argv[-1] == "json-like":
+        out, n = re.subn(r'"total_s": [^,\n}]+', '"total_s": 0', out)
+        assert n == 1
+    else:
+        out = "".join(l for l in out.splitlines(keepends=True) if not l.startswith("time: "))
+    raw = out.encode()
+    assert (hashlib.sha256(raw).hexdigest(), len(raw)) == RAW_PINS[argv]
+
+
+# --- renderers against their dict-based forms -----------------------------------
+
+
+def as_dicts(report: dict) -> dict:
+    """The report with each check tuple as the dict it stands for."""
+    checks = []
+    for cid, claim, status, witness in report["checks"]:
+        c = {"id": cid, "claim": claim, "status": status}
+        if witness is not None:
+            c["witness"] = witness
+        checks.append(c)
+    return dict(report, checks=checks)
+
+
+def render_text_dicts(report: dict) -> str:
+    """The text renderer over dict checks, as it was before checks were tuples."""
+    lines = [f"envchain {report['tool_version']}"]
+    cmd = report["command"]
+    args = " ".join(f"{k}={v}" for k, v in cmd["args"].items())
+    lines.append(f"command: {cmd['name']} {args}".rstrip())
+    for c in report["checks"]:
+        lines.append(f"[{c['status']}] {c['id']}")
+        if "witness" in c:
+            lines.append(f"    {c['witness']}")
+    for w in report["witnesses"]:
+        kv = " ".join(f"{k}={w[k]}" for k in sorted(w) if k != "type")
+        lines.append(f"witness {w['type']}: {kv}")
+    n = {"pass": 0, "fail": 0, "skipped": 0}
+    for c in report["checks"]:
+        n[c["status"]] += 1
+    lines.append(f"summary: checks={sum(n.values())} pass={n['pass']} fail={n['fail']} skipped={n['skipped']}")
+    if report["timings"]:
+        lines.append(f"time: {report['timings'].get('total_s', 0.0)}s")
+    return "\n".join(lines) + "\n"
+
+
+def assert_renders_as_dicts(report: dict):
+    assert all(type(c) is tuple and len(c) == 4 for c in report["checks"])
+    dicts = as_dicts(report)
+    assert cli.render(report, "json-like") == json.dumps(dicts, sort_keys=True, indent=2) + "\n"
+    assert cli.render(report, "text") == render_text_dicts(dicts)
+
+
+# Strings that json escapes: quotes, backslashes, control and non-ASCII
+# characters, and a lone surrogate.
+tricky = st.text(st.one_of(st.characters(), st.sampled_from('"\\\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600\ud800')),
+                 max_size=12)
+scalars = st.one_of(st.integers(-10**6, 10**6), st.booleans(), tricky)
+values = st.one_of(scalars, st.lists(st.one_of(st.integers(0, 99), tricky), max_size=4))
+
+
+@st.composite
+def reports(draw) -> dict:
+    claims = draw(st.lists(tricky, min_size=1, max_size=4))
+    checks = draw(st.lists(
+        st.tuples(tricky, st.sampled_from(claims), st.sampled_from(["pass", "fail", "skipped"]),
+                  st.one_of(st.none(), tricky)),
+        max_size=8,
+    ))
+    report = {
+        "tool_version": draw(tricky),
+        "command": {"name": draw(tricky), "args": draw(st.dictionaries(tricky, scalars, max_size=4))},
+        "checks": checks,
+        "witnesses": draw(st.lists(
+            st.builds(lambda w, t: dict(w, type=t), st.dictionaries(tricky, values, max_size=4), tricky),
+            max_size=3,
+        )),
+        "timings": draw(st.one_of(st.just({}), st.builds(lambda t: {"total_s": t},
+                                                         st.floats(0, 100)))),
+    }
+    if draw(st.booleans()):
+        report["partial"] = True
+    return report
+
+
+@settings(max_examples=100, deadline=None)
+@given(reports())
+def test_render_matches_dict_form(report):
+    assert_renders_as_dicts(report)
+
+
+def test_render_empty_checks():
+    report = cli._new_report("verify", {"kmax": 1})
+    report["timings"]["total_s"] = 0.5
+    assert cli.render(report, "json-like").startswith('{\n  "checks": [],\n  "command": {')
+    assert_renders_as_dicts(report)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "all", "--kmax", "2"),
+    ("counterexample", "--levels", "5"),
+    ("ekchain", "S3", "H", "--kmax", "3"),
+])
+def test_render_real_reports_match_dict_form(s3_files, argv):
+    argv = [{"S3": s3_files[0], "H": s3_files[1]}.get(a, a) for a in argv]
+    args = cli.build_parser().parse_args(argv)
+    report = args.func(args)
+    report["timings"]["total_s"] = 1.25
+    assert report["checks"]
+    assert_renders_as_dicts(report)
