@@ -12,6 +12,10 @@ with the inner chain recomputed from scratch inside each term, exactly as
 defined; identities that would let one reuse levels across terms are *checked*
 by the verifiers here, never assumed.
 
+Every level and every envelope term is a commutator filter
+{x : [x, X] <= T}, computed by `grp.commutator_filter`; that function alone
+decides when a generating set of X is enough to test.
+
 Chain runs and envelope runs are memoized on the group.  The keys are the
 exact inputs (ambient set and target set; the subgroup H), so a run is only
 ever reused for the very same question, never across different terms, and
@@ -31,6 +35,7 @@ from .grp import (
     FiniteGroup,
     Subgroup,
     central_series_indices,
+    commutator_filter,
     generating_indices,
     is_abelian_indices,
     nilpotency_class,
@@ -118,13 +123,6 @@ def iterated_centralizer_levels(
     from the intersection of the normalizers of all lower levels.  Stops as
     soon as a level repeats (the chain is then stationary) and reports the
     index of the stationary level.
-
-    The commutator condition is tested on a generating set of the target only
-    at a level where the target is a verified subgroup lying in that
-    intersection (so it normalizes the previous level) and the previous level
-    is a verified subgroup: modulo a normal subgroup, commuting with the
-    generators of A is commuting with A.  Otherwise every target element is
-    tested.
     """
     tset = frozenset(target)
     key = (within, tset)
@@ -138,18 +136,11 @@ def iterated_centralizer_levels(
         if kmax < len(stored):
             return list(stored[:kmax + 1]), None
         levels = list(stored)
-    tgens = generating_indices(group, tset)
     trunc = None
     for k in range(len(levels), kmax + 1):
         prev = levels[-1]
-        norm_inter = norm_inter & normalizer_indices(group, within, prev)
-        xs = target
-        if tgens is not None and tset <= norm_inter and generating_indices(group, prev) is not None:
-            xs = tgens
-        new = frozenset(
-            x for x in norm_inter
-            if all(group.comm_idx(x, a) in prev for a in xs)
-        )
+        norm_inter = normalizer_indices(group, norm_inter, prev)
+        new = commutator_filter(group, norm_inter, tset, prev)
         if new == prev:
             trunc = k - 1
             break
@@ -178,10 +169,8 @@ def ek_term_data(
     for k in range(len(inner), kmax + 1):
         if k == len(terms):
             levels = inner[k - 1]
-            ck = series_level(levels, k - 1)
-            ck1 = series_level(levels, k)
-            terms.append(frozenset(
-                g for g in terms[k - 1] if all(group.comm_idx(g, c) in ck for c in ck1)
+            terms.append(commutator_filter(
+                group, terms[k - 1], series_level(levels, k), series_level(levels, k - 1)
             ))
         levels, _ = iterated_centralizer_levels(group, terms[k], target, kmax=k + 1)
         inner.append(levels)
@@ -478,6 +467,7 @@ def verify_ek_structure(G: FiniteGroup, H: Subgroup, kmax: int) -> list[CheckRec
             )
         for i in range(k + 1):
             zi = series_level(series[k], i)
+            # Literal on purpose: the independent side of this check.
             simplified = frozenset(
                 x for x in terms[k]
                 if all(G.comm_idx(x, a) in zi for a in target)

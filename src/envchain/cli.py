@@ -209,6 +209,11 @@ def _load_group_file(path: str, cap: int) -> FiniteGroup:
         raise _UsageError(f"{path}: {exc}") from exc
 
 
+def _check_cap(cap: int):
+    if cap < 1:
+        raise _UsageError("cap must be >= 1")
+
+
 def _check_kmax(kmax: int):
     if kmax < 1:
         raise _UsageError("kmax must be >= 1")
@@ -217,6 +222,7 @@ def _check_kmax(kmax: int):
 
 
 def cmd_ekchain(args) -> dict:
+    _check_cap(args.cap)
     G = _load_group_file(args.group_file, args.cap)
     H_raw = _load_group_file(args.subgroup_file, args.cap)
     if H_raw.degree != G.degree:
@@ -294,6 +300,7 @@ def _run_suites(G: FiniteGroup, gname: str, H: Subgroup, label: str, suite: str,
 
 
 def cmd_verify(args) -> dict:
+    _check_cap(args.cap)
     _check_kmax(args.kmax)
     if args.catalog_dir is None:
         catalog = build_catalog(cap=args.cap)

@@ -15,9 +15,11 @@ Larger groups store no entries and recompute each one per read.
 
 Each group also memoizes, keyed by the exact index set asked about, a greedy
 generating set of each subgroup, each central series, and (for `chains`) each
-chain run and each envelope run.  Central series and normalizers filter over
-a generating set only once `generating_indices` has verified it generates the
-set; on any other set they run the literal filter over every member.
+chain run and each envelope run.  Centralizers, central series, chain levels
+and envelope terms are all {g : [g, x] in T for every x in X}, and
+`commutator_filter` alone decides when a generating set of X may stand in
+for X (`normalizer_indices` decides it for conjugation).  Only sets that
+`generating_indices` verifies are reduced; all others are tested in full.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .perm import (
     CycleParseError,
     DegreeMismatchError,
     Permutation,
-    compose,
     format_cycles,
     parse_cycles,
 )
@@ -235,24 +236,31 @@ class Subgroup:
 # --- index-set algebra (used heavily by `chains`) --------------------------
 
 
-def closure_indices(group: FiniteGroup, seeds: Iterable[int]) -> frozenset[int]:
-    """Subgroup of `group` generated by the seed indices."""
-    e = group.identity_idx
-    els = {e}
-    frontier = sorted(set(seeds) - {e})
-    gens = list(frontier)
-    els.update(frontier)
+def _bfs(e, seeds, mul, cap: int) -> set:
+    """`e` and every product of seeds, breadth-first with `mul(seed, a)`;
+    raises `ClosureCapError` as soon as the set holds more than `cap`."""
+    gens = frontier = sorted(set(seeds) - {e})
+    els = {e, *gens}
+    if len(els) > cap:
+        raise ClosureCapError(cap, len(els))
     while frontier:
         new = []
         for a in frontier:
             for g in gens:
-                c = group.mul_idx(g, a)
+                c = mul(g, a)
                 if c not in els:
                     els.add(c)
                     new.append(c)
+                    if len(els) > cap:
+                        raise ClosureCapError(cap, len(els))
         frontier = new
     # finite order: the products of generators already contain all inverses
-    return frozenset(els)
+    return els
+
+
+def closure_indices(group: FiniteGroup, seeds: Iterable[int]) -> frozenset[int]:
+    """Subgroup of `group` generated by the seed indices."""
+    return frozenset(_bfs(group.identity_idx, seeds, group.mul_idx, group.order))
 
 
 def generating_indices(group: FiniteGroup, sub: frozenset[int]) -> tuple[int, ...] | None:
@@ -273,20 +281,36 @@ def generating_indices(group: FiniteGroup, sub: frozenset[int]) -> tuple[int, ..
     return out
 
 
-def centralizer_indices(group: FiniteGroup, members: frozenset[int], targets: Iterable[int]) -> frozenset[int]:
-    """{g in members : g commutes with every target}."""
-    e = group.identity_idx
-    out = members
-    for t in targets:
-        out = frozenset(g for g in out if group.comm_idx(g, t) == e)
-    return out
+def commutator_filter(
+    group: FiniteGroup, members: frozenset[int], xs: frozenset[int], into: frozenset[int]
+) -> frozenset[int]:
+    """{g in members : [g, x] in `into` for every x in `xs`}.
+
+    [g, x1 x2] = [g, x2] [g, x1]^x2 (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*), so when `into` is a subgroup normalized by
+    every x, the x with [g, x] in `into` are closed under products and a
+    generating set of `xs` stands for all of it.  Only generators are tested
+    when `xs` and `into` are verified subgroups and every generator of `xs`
+    conjugates every generator of `into` into `into` (so normalizes it);
+    otherwise every x is tested.
+    """
+    xgens = generating_indices(group, xs)
+    tgens = generating_indices(group, into)
+    if xgens is not None and tgens is not None and all(
+        group.conj_idx(t, x) in into for x in xgens for t in tgens
+    ):
+        xs = xgens
+    return frozenset(
+        g for g in members if all(group.comm_idx(g, x) in into for x in xs)
+    )
 
 
 def normalizer_indices(group: FiniteGroup, members: frozenset[int], sub: frozenset[int]) -> frozenset[int]:
     """{g in members : g^-1 (sub) g == sub}.
 
     For a subgroup it is enough to conjugate a generating set into `sub`
-    (conjugation is a bijection of finite sets)."""
+    (conjugation is a bijection of finite sets), a different fact from the
+    one behind `commutator_filter`."""
     gens = generating_indices(group, sub)
     xs = sub if gens is None else gens
     return frozenset(
@@ -295,6 +319,7 @@ def normalizer_indices(group: FiniteGroup, members: frozenset[int], sub: frozens
 
 
 def is_abelian_indices(group: FiniteGroup, indices: frozenset[int]) -> bool:
+    # Literal on purpose: the independent side of the envelope-abelian check.
     e = group.identity_idx
     idx = sorted(indices)
     for a in idx:
@@ -310,20 +335,15 @@ def central_series_indices(group: FiniteGroup, sub: frozenset[int]) -> list[froz
     """Upper central series of `sub` viewed as a group in its own right.
 
     Returns [Z_0, Z_1, ...] up to the first repeat, so the last entry is the
-    hypercenter of the subgroup.  Z_i is normal in a subgroup S, so g is in
-    Z_(i+1) iff [g, x] is in Z_i for every x of a generating set of S.
+    hypercenter of the subgroup.
     """
     memo = group._series.get(sub)
     if memo is not None:
         return list(memo)
-    gens = generating_indices(group, sub)
-    xs = sub if gens is None else gens
     series = [frozenset({group.identity_idx})]
     while True:
         prev = series[-1]
-        nxt = frozenset(
-            g for g in sub if all(group.comm_idx(g, x) in prev for x in xs)
-        )
+        nxt = commutator_filter(group, sub, sub, prev)
         if nxt == prev:
             group._series[sub] = tuple(series)
             return series
@@ -356,25 +376,10 @@ def closure(generators: Sequence[Permutation], cap: int = DEFAULT_CAP, degree: i
             raise DegreeMismatchError(f"generator degrees differ: {g.degree} != {deg}")
     if degree is not None and degree != deg:
         raise DegreeMismatchError(f"generators have degree {deg}, not {degree}")
-    e = Permutation.identity(deg)
-    els = {e}
-    gens = sorted(set(generators) - {e})
-    els.update(gens)
-    if len(els) > cap:
-        raise ClosureCapError(cap, len(els))
-    frontier = list(gens)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                c = compose(g, a)
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-                    if len(els) > cap:
-                        raise ClosureCapError(cap, len(els))
-        frontier = new
-    return FiniteGroup(deg, generators, els)
+    # (g a)(x) = g[a[x]] on image tuples; sorted tuples are sorted permutations
+    els = _bfs(tuple(range(deg)), [g.images for g in generators],
+               lambda g, a: tuple(map(g.__getitem__, a)), cap)
+    return FiniteGroup(deg, generators, [Permutation(t) for t in sorted(els)])
 
 
 def _as_index_view(ambient: Union[FiniteGroup, Subgroup]) -> tuple[FiniteGroup, frozenset[int]]:
@@ -383,21 +388,12 @@ def _as_index_view(ambient: Union[FiniteGroup, Subgroup]) -> tuple[FiniteGroup, 
     return ambient, frozenset(range(ambient.order))
 
 
-def _target_indices(group: FiniteGroup, targets) -> list[int]:
+def _target_indices(group: FiniteGroup, targets) -> frozenset[int]:
     if isinstance(targets, Subgroup):
         if targets.parent is not group:
             raise ValueError("target subgroup belongs to a different group")
-        return sorted(targets.indices)
-    out = []
-    for t in targets:
-        if isinstance(t, int):
-            out.append(t)
-        else:
-            i = group.index_of.get(t)
-            if i is None:
-                raise ValueError(f"element {format_cycles(t)} is not in the group")
-            out.append(i)
-    return sorted(set(out))
+        return targets.indices
+    return frozenset(group._index(t) for t in targets)
 
 
 def centralizer(ambient: Union[FiniteGroup, Subgroup], targets) -> Subgroup:
@@ -408,7 +404,8 @@ def centralizer(ambient: Union[FiniteGroup, Subgroup], targets) -> Subgroup:
     `Subgroup`.
     """
     group, members = _as_index_view(ambient)
-    return Subgroup(group, centralizer_indices(group, members, _target_indices(group, targets)))
+    trivial = frozenset({group.identity_idx})
+    return Subgroup(group, commutator_filter(group, members, _target_indices(group, targets), trivial))
 
 
 def normalizer(ambient: Union[FiniteGroup, Subgroup], sub: Subgroup) -> Subgroup:
@@ -422,8 +419,7 @@ def normalizer(ambient: Union[FiniteGroup, Subgroup], sub: Subgroup) -> Subgroup
 
 
 def center(ambient: Union[FiniteGroup, Subgroup]) -> Subgroup:
-    group, members = _as_index_view(ambient)
-    return Subgroup(group, centralizer_indices(group, members, sorted(members)))
+    return centralizer(ambient, _as_index_view(ambient)[1])
 
 
 def upper_central_series(ambient: Union[FiniteGroup, Subgroup]) -> list[Subgroup]:

@@ -23,6 +23,10 @@ def naive_centralizer(ambient: frozenset[Permutation], targets) -> frozenset[Per
     return frozenset(g for g in ambient if all(compose(g, t) == compose(t, g) for t in targets))
 
 
+def naive_commutator_filter(members, xs, into) -> frozenset[Permutation]:
+    return frozenset(g for g in members if all(commutator(g, x) in into for x in xs))
+
+
 def naive_normalizer(ambient: frozenset[Permutation], sub: frozenset[Permutation]) -> frozenset[Permutation]:
     return frozenset(g for g in ambient if {conjugate(s, g) for s in sub} == sub)
 

@@ -343,8 +343,8 @@ def test_ek_term_data_matches_naive(data):
         assert as_levels(G, levels) == naive_iterated_levels(perms(G, terms[k]), sub, k + 1)
 
 
-# Inputs found by search in S4 and S5 that reach each branch of the guard on
-# the generator reduction in `iterated_centralizer_levels`.
+# Inputs found by search in S4 and S5 that reach each branch of the generator
+# guard in `grp.commutator_filter` as `iterated_centralizer_levels` uses it.
 
 
 def chain_case(degree, target_gens, within):

@@ -129,6 +129,21 @@ def test_ekchain_cap_exceeded(capsys, s3_files):
     assert code == 3
 
 
+def test_ekchain_negative_cap_exit_2(capsys, s3_files):
+    g, h = s3_files
+    code = main(["ekchain", g, h, "--cap", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "envchain: error: cap must be >= 1\n" and captured.out == ""
+
+
+def test_verify_zero_cap_exit_2(capsys):
+    code = main(["verify", "--kmax", "1", "--cap", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "envchain: error: cap must be >= 1\n" and captured.out == ""
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])

@@ -17,6 +17,7 @@ from envchain.grp import (
     centralizer,
     closure,
     closure_indices,
+    commutator_filter,
     generating_indices,
     is_abelian,
     nilpotency_class,
@@ -27,7 +28,13 @@ from envchain.grp import (
 )
 from envchain.perm import Permutation, commutator, compose, parse_cycles
 
-from naive import naive_centralizer, naive_center_series, naive_closure, naive_normalizer
+from naive import (
+    naive_center_series,
+    naive_centralizer,
+    naive_closure,
+    naive_commutator_filter,
+    naive_normalizer,
+)
 from strategies import DIFFERENTIAL, groups, indices, perms, subgroups_or_subsets
 
 
@@ -67,7 +74,10 @@ def test_closure_cap(d8):
     with pytest.raises(ClosureCapError) as exc:
         closure(d8.generators, cap=5)
     assert exc.value.cap == 5
-    assert exc.value.reached > 5
+    assert exc.value.reached == 6
+    with pytest.raises(ClosureCapError) as exc:
+        closure(d8.generators, cap=1)  # the identity and both generators
+    assert exc.value.reached == 3
 
 
 def test_closure_deterministic_order(s3):
@@ -353,3 +363,27 @@ def test_normalizer_matches_naive(data):
     sub = data.draw(subgroups_or_subsets(G))
     got = normalizer_indices(G, members, sub)
     assert got == indices(G, naive_normalizer(perms(G, members), perms(G, sub)))
+
+
+def test_commutator_filter_needs_xs_to_normalize_into():
+    # xs = <(1 2), (2 3)> and into = <(0 1), (2 3)> are both subgroups, but
+    # xs does not normalize into; testing only the generators of xs would
+    # also keep (0 3)(1 2).
+    S4 = make(["(0 1)", "(0 1 2 3)"], 4)
+    xs = closure_indices(S4, cycles(S4, "(1 2)", "(2 3)"))
+    into = closure_indices(S4, cycles(S4, "(0 1)", "(2 3)"))
+    assert generating_indices(S4, xs) is not None
+    assert generating_indices(S4, into) is not None
+    got = commutator_filter(S4, frozenset(range(S4.order)), xs, into)
+    assert got == cycles(S4, "()")
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_commutator_filter_matches_naive(data):
+    G = data.draw(groups())
+    members = data.draw(subgroups_or_subsets(G))
+    xs = data.draw(subgroups_or_subsets(G))
+    into = data.draw(subgroups_or_subsets(G))
+    got = commutator_filter(G, members, xs, into)
+    assert got == indices(G, naive_commutator_filter(perms(G, members), perms(G, xs), perms(G, into)))
