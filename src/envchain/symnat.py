@@ -124,7 +124,8 @@ class BitFn:
     def __xor__(self, other: "BitFn") -> "BitFn":
         pre = max(len(self.prefix), len(other.prefix))
         per = math.lcm(self.period, other.period)
-        return BitFn.from_fn(lambda x: self(x) ^ other(x), pre, per, check=False)
+        return BitFn((self(x) ^ other(x) for x in range(pre)),
+                     (self(x) ^ other(x) for x in range(pre, pre + per)))
 
     def to_text(self) -> str:
         return "".join(map(str, self.prefix)) + "|" + "".join(map(str, self.block))
@@ -157,24 +158,23 @@ class BitFn:
         return cls((), tuple(bits))
 
     @classmethod
-    def from_fn(cls, fn: Callable[[int], int], prefix_len: int, period: int, check: bool = True) -> "BitFn":
+    def from_fn(cls, fn: Callable[[int], int], prefix_len: int, period: int) -> "BitFn":
         """Sample an eventually periodic function exactly.
 
         The caller asserts `fn` is periodic with period `period` from
-        `prefix_len` on.  With `check`, the claim is re-verified on a window
-        past the sampled one and a violation aborts loudly: a non-eventually-
-        periodic value can only come from an internal bug.
+        `prefix_len` on.  The claim is re-verified on a window past the
+        sampled one and a violation aborts loudly: a non-eventually-periodic
+        value can only come from an internal bug.
         """
         out = cls(
             (fn(x) for x in range(prefix_len)),
             (fn(prefix_len + i) for i in range(period)),
         )
-        if check:
-            for x in range(prefix_len, prefix_len + 2 * period):
-                if fn(x) != out(x):
-                    raise RuntimeError(
-                        f"function is not ({prefix_len}, {period}) eventually periodic at x={x}"
-                    )
+        for x in range(prefix_len, prefix_len + 2 * period):
+            if fn(x) != out(x):
+                raise RuntimeError(
+                    f"function is not ({prefix_len}, {period}) eventually periodic at x={x}"
+                )
         return out
 
 
@@ -373,7 +373,7 @@ def bits_to_permutation(b: BitFn, degree: int | None = None) -> Permutation:
 class ModelBudgetError(RuntimeError):
     """The chain model grew past its memory budget.
 
-    The budget counts the bits of the materialized members: level i has 2^i
+    The budget counts the bits of the members a level spans: level i has 2^i
     members of 2^i bits each.  `partial` holds the model up to the last level
     that fit."""
 
@@ -407,46 +407,64 @@ def _from_mask(mask: int, period: int) -> BitFn:
     return BitFn.from_pattern(map(int, reversed(format(mask, f"0{period}b"))))
 
 
+def _period(mask: int, width: int) -> int:
+    """Least period of `_from_mask(mask, width)`; `width` is a power of two,
+    so every period divides it and halving finds the least."""
+    while width > 1 and not (mask ^ mask >> (width >> 1)) & ((1 << (width >> 1)) - 1):
+        width >>= 1
+    return width
+
+
+def _scan_key(mask: int, width: int) -> tuple[int, str]:
+    """`_from_mask(mask, width).sort_key()` order: period, then block from x = 0."""
+    p = _period(mask, width)
+    return p, format(mask & ((1 << p) - 1), f"0{p}b")[::-1]
+
+
+def _rank(vectors: list[int]) -> int:
+    """GF(2) rank by elimination; the vectors kept have distinct leading bits."""
+    reduced: list[int] = []
+    for v in vectors:
+        for r in reduced:
+            v = min(v, v ^ r)
+        if v:
+            reduced.append(v)
+    return len(reduced)
+
+
 class IterChainModel:
     """Ascending chain of finite bit-function groups C^1 < C^2 < ...
 
-    Level i is kept as a GF(2) basis of int masks over one 2^i block (bit x is
-    the value at x).  `level(i)` is C^i as a frozenset of canonical BitFns,
-    built from the basis on first use and cached (level 0 is the trivial
-    group).  Every member of level i is purely periodic with period dividing
-    2^i, and each level is a group under pointwise XOR.
+    Level i is kept only as a GF(2) basis of int masks over one 2^i block
+    (bit x is the value at x); level 0 is the trivial group.  `span(i)` is C^i
+    as masks, and `level(i)` builds it as canonical BitFns on each call.
+    Every member of level i is purely periodic with period dividing 2^i, and
+    each level is a group under pointwise XOR.
     """
 
     def __init__(self, bases: list[list[int]]):
         self._bases = bases
-        self._levels: dict[int, frozenset[BitFn]] = {}
 
     @property
     def depth(self) -> int:
         return len(self._bases) - 1
 
-    def level(self, i: int) -> frozenset[BitFn]:
+    def basis(self, i: int) -> list[int]:
         if not 0 <= i <= self.depth:
             raise IndexError(f"level {i} not computed (depth {self.depth})")
-        if i not in self._levels:
-            span = [0]
-            for b in self._bases[i]:
-                span += [s ^ b for s in span]
-            members = frozenset(_from_mask(m, 2 ** i) for m in span)
-            if len(members) != 1 << len(self._bases[i]):
-                raise RuntimeError(f"level {i} basis is not independent: internal bug")
-            if i and not self.level(i - 1) <= members:
-                raise RuntimeError(f"level {i} does not contain level {i - 1}: internal bug")
-            self._levels[i] = members
-        return self._levels[i]
+        return self._bases[i]
 
-    @property
-    def levels(self) -> tuple[frozenset[BitFn], ...]:
-        """C^1, C^2, ... (without the trivial level)."""
-        return tuple(self.level(i) for i in range(1, self.depth + 1))
+    def span(self, i: int) -> list[int]:
+        span = [0]
+        for b in self.basis(i):
+            span += [s ^ b for s in span]
+        return span
+
+    def level(self, i: int) -> frozenset[BitFn]:
+        return frozenset(_from_mask(m, 2 ** i) for m in self.span(i))
 
     def sizes(self) -> list[int]:
-        return [len(s) for s in self.levels]
+        return [1 << len(b) for b in self._bases[1:]]
 
 
 def _preimage(h: int, period: int, parity: int) -> int:
@@ -474,33 +492,14 @@ def _preimage(h: int, period: int, parity: int) -> int:
     return mask
 
 
-def xor_closed(members: frozenset[BitFn], period: int) -> bool:
-    """Whether `members` is a group under pointwise XOR.
-
-    Members purely periodic with period dividing `period` are GF(2) vectors
-    over one block, and a set S of such vectors equals its own span exactly
-    when |S| = 2^rank(S).  Any other member makes the answer False.
-    """
-    basis: list[int] = []
-    for m in members:
-        if not m.pure_periodic or period % m.period:
-            return False
-        vec = _mask(m.block * (period // m.period))
-        for b in basis:
-            vec = min(vec, vec ^ b)
-        if vec:
-            basis.append(vec)
-    return len(members) == 1 << len(basis)
-
-
 def iterated_centralizer_model(imax: int, budget: int = 1 << 26) -> IterChainModel:
     """Compute levels C^1..C^imax of the chain model, as bases.
 
     The basis of level i+1 is the constant 1 and the `_preimage` of each basis
-    vector of level i over one 2^(i+1) block; `IterChainModel.level` checks
-    that it is independent and that its span contains level i.  Raises
-    `ModelBudgetError` naming the last completed level if the bits of the
-    members would exceed `budget`.
+    vector of level i, widened to one 2^(i+1) block.  Each new basis is
+    checked to be independent and to span the widened basis of level i.
+    Raises `ModelBudgetError` naming the last completed level if the bits of
+    the members would exceed `budget`.
     """
     if imax < 1:
         raise ValueError("imax must be >= 1")
@@ -508,10 +507,15 @@ def iterated_centralizer_model(imax: int, budget: int = 1 << 26) -> IterChainMod
     cells = 1
     for i in range(imax):
         P = 2 ** (i + 1)
-        basis = [(1 << P) - 1] + [_preimage(b | b << (P // 2), P, 0) for b in bases[-1]]
+        widened = [b | b << (P // 2) for b in bases[-1]]
+        basis = [(1 << P) - 1] + [_preimage(w, P, 0) for w in widened]
         cells += (1 << len(basis)) * P
         if cells > budget:
             raise ModelBudgetError(i, cells, budget, IterChainModel(bases))
+        if _rank(basis) < len(basis):
+            raise RuntimeError(f"level {i + 1} basis is not independent: internal bug")
+        if _rank(basis + widened) > len(basis):
+            raise RuntimeError(f"level {i + 1} does not contain level {i}: internal bug")
         bases.append(basis)
     return IterChainModel(bases)
 
@@ -610,46 +614,48 @@ def descent_witness(k: int, scan_max: int, model: IterChainModel) -> DescentWitn
 
     l is minimal with every member of level k+1 being 2^l-periodic; the
     witness is the block swap g of blocks x0 and x0 + 2^l for the first
-    (k', h, x0) in lexicographic scan order with h in level k'+1 and
+    (k', h, x0) in lexicographic scan order (h in level k'+1 by sort_key) with
     h(x0) != h(x0 + 2^l).  Both defining commutator properties are verified
     on the symbolic algebra before returning.
     """
     if k < 0 or k + 1 > model.depth:
         raise ValueError(f"need 0 <= k <= depth-1 = {model.depth - 1}")
-    lev = model.level(k + 1)
-    l = 0
-    for member in lev:
-        p = member.period
-        if p & (p - 1):
-            raise RuntimeError(f"level member has non-power-of-two period {p}")
-        l = max(l, p.bit_length() - 1)
-    step = 2 ** l
+    if k + 1 > scan_max:
+        raise DescentScanError(
+            f"no k' to scan for k={k}: the range {k + 1}..{scan_max} is empty",
+            exhausted=False,
+        )
+    # periods are powers of two and an XOR's divides their lcm: a basis has the largest
+    basis = model.basis(k + 1)
+    step = max(_period(b, 2 ** (k + 1)) for b in basis)
+    low = (1 << step) - 1
     limit = min(scan_max, model.depth - 1)
     for kp in range(k + 1, limit + 1):
-        for h in sorted(model.level(kp + 1), key=BitFn.sort_key):
-            for x0 in range(step):
-                if h(x0) == h(x0 + step):
-                    continue
-                g = SymElem.from_blocks(BlockPerm.swap(x0, x0 + step))
-                for hprime in sorted(lev, key=BitFn.sort_key):
-                    if not sym_commutator(g, SymElem.from_bits(hprime)).is_identity:
-                        raise RuntimeError(
-                            f"witness swap fails to centralize level {k + 1}: internal bug"
-                        )
-                comm = sym_commutator(g, SymElem.from_bits(h))
-                expected = BitFn.from_fn(
-                    lambda t: 1 if t in (x0, x0 + step) else 0, x0 + step + 1, 1
-                )
-                if not (comm.sigma.is_identity and comm.power == 0 and comm.bits == expected):
-                    raise RuntimeError("witness commutator has unexpected form: internal bug")
-                return DescentWitness(
-                    kprime=kp,
-                    l=l,
-                    x0=x0,
-                    g=g,
-                    h=h,
-                    commutator=bits_to_permutation(comm.bits),
-                )
+        # bit x0 of m ^ m >> step is h(x0) ^ h(x0 + step); x0 + step < 2^(kp+1)
+        hits = [m for m in model.span(kp + 1) if (m ^ m >> step) & low]
+        if not hits:
+            continue
+        m = min(hits, key=lambda m: _scan_key(m, 2 ** (kp + 1)))
+        diff = (m ^ m >> step) & low
+        x0 = (diff & -diff).bit_length() - 1
+        g = SymElem.from_blocks(BlockPerm.swap(x0, x0 + step))
+        # B(a) B(b) = B(a ^ b): commuting with a basis of level k+1 is commuting with its span
+        if not all(sym_commutator(g, SymElem.from_bits(_from_mask(b, 2 ** (k + 1)))).is_identity
+                   for b in basis):
+            raise RuntimeError(f"witness swap fails to centralize level {k + 1}: internal bug")
+        h = _from_mask(m, 2 ** (kp + 1))
+        comm = sym_commutator(g, SymElem.from_bits(h))
+        expected = BitFn([int(t in (x0, x0 + step)) for t in range(x0 + step + 1)])
+        if not (comm.sigma.is_identity and comm.power == 0 and comm.bits == expected):
+            raise RuntimeError("witness commutator has unexpected form: internal bug")
+        return DescentWitness(
+            kprime=kp,
+            l=step.bit_length() - 1,
+            x0=x0,
+            g=g,
+            h=h,
+            commutator=bits_to_permutation(comm.bits),
+        )
     if limit < scan_max:
         raise DescentScanError(
             f"no witness for k={k} with k' <= {limit}; model depth {model.depth} "

@@ -231,6 +231,8 @@ def test_counterexample_exhausted_scan_fails(capsys):
     code, out = run(capsys, "counterexample", "--levels", "5", "--scan-max", "3")
     assert code == 1
     assert "[fail] witness-k2" in out
+    # k = 3 would scan k' in 4..3, which is empty: nothing was tested
+    assert "[skipped] witness-k3\n    no k' to scan for k=3: the range 4..3 is empty\n" in out
 
 
 def test_counterexample_shallow_scan_skips(capsys):
@@ -253,6 +255,15 @@ def test_counterexample_levels_bound(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("scan_max", ["0", "-1"])
+def test_counterexample_scan_max_bound(capsys, scan_max):
+    code = main(["counterexample", "--levels", "3", "--scan-max", scan_max])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "envchain: error: scan-max must be >= 1\n"
+
+
 # Digests recorded before the chain model moved to basis form; a change that
 # alters either report on purpose must say so and re-pin them.
 
@@ -262,6 +273,14 @@ def test_counterexample_report_pinned(capsys):
                     "--format", "json-like")
     assert code == 0
     assert report_digest(out) == "718cf8b95433482d9ef82676e99a84d485e1e8d79ba9d9861590c7569f0ab72a"
+
+
+def test_counterexample_deep_report_pinned(capsys):
+    # recorded while every member of every level was still built as a BitFn
+    code, out = run(capsys, "counterexample", "--levels", "11", "--scan-max", "18",
+                    "--format", "json-like")
+    assert code == 0
+    assert report_digest(out) == "36032fe9ab781cb65889fb95ac4332200ee841063b65db2fe440c799aeb7bfc1"
 
 
 def test_verify_builtin_report_pinned(capsys):

@@ -106,6 +106,25 @@ def test_bitfn_xor_pointwise(a, b):
         assert jx(x) == ja(x) ^ jb(x)
 
 
+@given(
+    st.tuples(st.lists(st.integers(0, 1), max_size=8), st.lists(st.integers(0, 1), min_size=1, max_size=64)),
+    st.tuples(st.lists(st.integers(0, 1), max_size=8), st.lists(st.integers(0, 1), min_size=1, max_size=64)),
+)
+def test_bitfn_xor_pointwise_wide_periods(a, b):
+    # XOR builds its result from the prefix max(len) and the period lcm; check
+    # it pointwise past three full lcm periods
+    ja, jb = sn.BitFn(*a), sn.BitFn(*b)
+    jx = ja ^ jb
+    bound = max(len(a[0]), len(b[0])) + 3 * math.lcm(len(a[1]), len(b[1]))
+    for x in range(bound + 1):
+        assert jx(x) == ja(x) ^ jb(x)
+
+
+def test_from_fn_rejects_a_wrong_period():
+    with pytest.raises(RuntimeError, match="not \\(0, 2\\) eventually periodic"):
+        sn.BitFn.from_fn(lambda x: 1 if x % 3 == 0 else 0, 0, 2)
+
+
 def test_bitfn_text_roundtrip():
     for text in ("|0", "|1", "|0110", "11|10", "0|1"):
         assert sn.BitFn.from_text(text).to_text() == text
@@ -260,10 +279,11 @@ def test_random_periodic_bits_commute_with_every_level_member(model):
     # the whole product of block involutions is abelian, so any periodic bit
     # element passes the membership commutator test against every chain level
     rng = random.Random(53)
+    levels = [model.level(k + 1) for k in (0, 1, 2)]
     for _ in range(10):
         p = sn.BitFn((), tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 8))))
-        for k in (0, 1, 2):
-            for h in model.level(k + 1):
+        for lev in levels:
+            for h in lev:
                 assert sn.sym_commutator(
                     sn.SymElem.from_bits(p), sn.SymElem.from_bits(h)
                 ).is_identity
@@ -343,8 +363,9 @@ def test_levels_xor_closed(model):
 def test_membership_characterization(model):
     # level i+1 is exactly the 2^(i+1)-periodic functions with delta in level i
     for i in range(1, 4):
+        lev = model.level(i)
         for b in model.level(i + 1):
-            assert sn.delta(b) in model.level(i)
+            assert sn.delta(b) in lev
 
 
 def test_model_matches_brute_force(model):
@@ -374,50 +395,72 @@ def test_model_depth_10_from_basis():
     deep = sn.iterated_centralizer_model(10)
     assert deep.sizes() == [2 ** i for i in range(1, 11)]
     for i in range(1, 11):
-        for mask in deep._bases[i]:
-            assert sn.delta(sn._from_mask(mask, 2 ** i)) in deep.level(i - 1)
+        prev = deep.level(i - 1)
+        for mask in deep.basis(i):
+            assert sn.delta(sn._from_mask(mask, 2 ** i)) in prev
 
 
 def test_preimage_is_seeded_solution(model):
     # the recurrence solves delta(g) = h over the doubled block, with g(parity) = 0
     for i in range(1, 6):
         P = 2 ** (i + 1)
+        nxt = model.level(i + 1)
         for h in model.level(i):
             for parity in (0, 1):
                 g = sn._from_mask(sn._preimage(sn._mask(h(x) for x in range(P)), P, parity), P)
                 assert g(parity) == 0
                 assert sn.delta(g) == h
-                assert g in model.level(i + 1)
+                assert g in nxt
 
 
-def _pairwise_xor_closed(members):
-    return all((a ^ b) in members for a in members for b in members)
+def test_basis_and_span(model):
+    for i in range(model.depth + 1):
+        span = model.span(i)
+        assert len(set(span)) == 1 << len(model.basis(i))
+        assert model.level(i) == frozenset(sn._from_mask(m, 2 ** i) for m in span)
+    assert model.sizes() == [len(model.span(i)) for i in range(1, model.depth + 1)]
+    for bad in (-1, model.depth + 1):
+        for read in (model.basis, model.span, model.level):
+            with pytest.raises(IndexError, match=f"level {bad} not computed \\(depth 8\\)"):
+                read(bad)
 
 
-def test_xor_closed_matches_pairwise_scan(model):
-    for i in range(1, 6):
-        P = 2 ** i
-        lev = model.level(i)
-        foreign = next(
-            g for g in (sn.BitFn.from_pattern((m >> x) & 1 for x in range(P)) for m in range(1 << P))
-            if g not in lev
-        )
-        assert _pairwise_xor_closed(lev) and sn.xor_closed(lev, P)
-        # a perturbed level is closed only when it shrank to the trivial group
-        for members in (lev - {sn.BitFn.zero()}, lev - {max(lev)}, lev | {foreign}):
-            closed = members == {sn.BitFn.zero()}
-            assert _pairwise_xor_closed(members) == closed
-            assert sn.xor_closed(members, P) == closed
+def test_period_and_scan_key_match_bitfn(model):
+    # the mask scan order of descent_witness is exactly BitFn.sort_key order
+    for i in range(1, model.depth + 1):
+        W = 2 ** i
+        span = model.span(i)
+        for m in span:
+            assert sn._period(m, W) == sn._from_mask(m, W).period
+        scanned = [sn._from_mask(m, W) for m in sorted(span, key=lambda m: sn._scan_key(m, W))]
+        assert scanned == sorted(model.level(i), key=sn.BitFn.sort_key)
 
 
-def test_xor_closed_rejects_members_outside_the_period():
-    assert not sn.xor_closed(frozenset({sn.BitFn.zero(), sn.BitFn.from_pattern((1, 0, 0))}), 4)
-    assert not sn.xor_closed(frozenset({sn.BitFn.zero(), sn.BitFn((1,), (0,))}), 4)
+def test_period_and_scan_key_match_bitfn_off_the_model():
+    # model members read the same from either end of a period, so masks from
+    # outside the model are needed to pin the bit order of the key
+    rng = random.Random(59)
+    W = 16
+    masks = [m | m << 8 for m in range(256)] + [rng.getrandbits(W) for _ in range(300)]
+    for m in masks:
+        assert sn._period(m, W) == sn._from_mask(m, W).period
+    scanned = [sn._from_mask(m, W) for m in sorted(set(masks), key=lambda m: sn._scan_key(m, W))]
+    assert scanned == sorted({sn._from_mask(m, W) for m in masks}, key=sn.BitFn.sort_key)
 
 
-def test_levels_property_view(model):
-    assert model.levels[0] == model.level(1)
-    assert len(model.levels) == model.depth
+def test_model_rejects_a_dependent_basis(monkeypatch):
+    # every preimage the constant 1: level 2 gets the constant twice
+    monkeypatch.setattr(sn, "_preimage", lambda h, period, parity: (1 << period) - 1)
+    with pytest.raises(RuntimeError, match="level 2 basis is not independent: internal bug"):
+        sn.iterated_centralizer_model(3)
+
+
+def test_model_rejects_a_basis_missing_the_level_below(monkeypatch):
+    # shifted preimages stay independent, but level 3's span misses level 2's
+    # second basis vector, widened
+    monkeypatch.setattr(sn, "_preimage", lambda h, period, parity: (h << 1) & ((1 << period) - 1))
+    with pytest.raises(RuntimeError, match="level 3 does not contain level 2: internal bug"):
+        sn.iterated_centralizer_model(3)
 
 
 # --- witnesses ----------------------------------------------------------------------
@@ -502,3 +545,41 @@ def test_descent_witness_exhausted_scan(model):
     with pytest.raises(sn.DescentScanError) as exc:
         sn.descent_witness(2, 3, model)
     assert exc.value.exhausted
+
+
+def test_descent_witness_empty_range_is_not_exhausted(model):
+    # k' runs over k+1..scan_max; an empty range scans nothing and proves nothing
+    for k, scan_max in ((3, 3), (0, 0), (2, -1)):
+        with pytest.raises(sn.DescentScanError) as exc:
+            sn.descent_witness(k, scan_max, model)
+        assert not exc.value.exhausted
+        assert str(exc.value) == f"no k' to scan for k={k}: the range {k + 1}..{scan_max} is empty"
+
+
+def bitfn_descent_scan(k, scan_max, model):
+    """The descent scan over sorted BitFn levels, as it ran before the scan
+    read masks; returns (kprime, l, x0, h) or raises DescentScanError."""
+    lev = model.level(k + 1)
+    l = max(b.period for b in lev).bit_length() - 1
+    step = 2 ** l
+    limit = min(scan_max, model.depth - 1)
+    for kp in range(k + 1, limit + 1):
+        for h in sorted(model.level(kp + 1), key=sn.BitFn.sort_key):
+            for x0 in range(step):
+                if h(x0) != h(x0 + step):
+                    return kp, l, x0, h
+    raise sn.DescentScanError("", exhausted=limit == scan_max)
+
+
+def test_descent_witness_matches_bitfn_scan(model):
+    for k in range(7):
+        try:
+            expected = bitfn_descent_scan(k, 12, model)
+        except sn.DescentScanError as exc:
+            with pytest.raises(sn.DescentScanError) as got:
+                sn.descent_witness(k, 12, model)
+            assert got.value.exhausted == exc.exhausted
+            continue
+        w = sn.descent_witness(k, 12, model)
+        assert (w.kprime, w.l, w.x0, w.h) == expected
+        assert w.g.sigma == sn.BlockPerm.swap(w.x0, w.x0 + 2 ** w.l)
