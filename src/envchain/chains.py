@@ -28,8 +28,7 @@ raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .grp import (
     FiniteGroup,
@@ -49,20 +48,16 @@ FAIL = "fail"
 SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
+    """One check as the (id, claim, status, witness) tuple a report stores."""
+
     id: str
     claim: str
     status: str
     witness: str | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.status != FAIL
 
-
-@dataclass
-class IteratedCentralizerChain:
+class IteratedCentralizerChain(NamedTuple):
     """Levels C^0 <= C^1 <= ... of a target subgroup inside an ambient group.
 
     `truncated_at` is the least k at which the chain was seen stationary
@@ -83,8 +78,7 @@ class IteratedCentralizerChain:
         raise IndexError(f"level {k} not computed and chain not known stationary")
 
 
-@dataclass
-class EkChainReport:
+class EkChainReport(NamedTuple):
     """The descending envelope chain E_0 >= E_1 >= ... >= H with metadata.
 
     `stable_run` counts the trailing terms equal to the last computed term; it

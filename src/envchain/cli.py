@@ -13,6 +13,13 @@ output is byte-for-byte `json.dumps(report, sort_keys=True, indent=2)` with
 each check as a dict, its checks written from a template (see `render`).
 Exit codes: 0 all checks pass, 1 check failures, 2 usage or file errors,
 3 resource caps exceeded.
+
+Each subcommand imports only the engine it runs: `ekchain` imports `chains`,
+`verify` `chains` and `catalog`, `counterexample` `symnat`.  At module level
+this file imports only what they share (`argparse`, `json`, `grp`, `perm`).
+Every CLI run is a fresh process that pays for each import again, and
+compiles each module again where no bytecode is cached, so an engine loaded
+but never called costs as much as a short run's own work.
 """
 
 from __future__ import annotations
@@ -22,11 +29,8 @@ import json
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
-from . import __version__, chains, symnat
-from .catalog import build_catalog, enumerate_subgroups
-from .chains import CheckRecord
+from . import __version__
 from .grp import (
     ClosureCapError,
     DEFAULT_CAP,
@@ -109,10 +113,13 @@ def _new_report(cmd: str, params: dict) -> dict:
     }
 
 
-def _add_checks(report: dict, prefix: str, records: list[CheckRecord]):
+def _add_checks(report: dict, prefix: str, records: list[tuple]):
+    """Store (id, claim, status, witness) records, ids prefixed; a
+    `chains.CheckRecord` is such a tuple."""
     if len(report["checks"]) + len(records) > MAX_CHECKS:
         raise ReportLimitError(f"report exceeded the limit of {MAX_CHECKS} checks")
-    report["checks"].extend((prefix + r.id, r.claim, r.status, r.witness) for r in records)
+    report["checks"].extend((prefix + cid, claim, status, witness)
+                            for cid, claim, status, witness in records)
 
 
 def _summary(report: dict) -> dict:
@@ -200,7 +207,8 @@ def _exit_code(report: dict) -> int:
 
 def _load_group_file(path: str, cap: int) -> FiniteGroup:
     try:
-        text = Path(path).read_text()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     try:
@@ -222,6 +230,8 @@ def _check_kmax(kmax: int):
 
 
 def cmd_ekchain(args) -> dict:
+    from . import chains
+
     _check_cap(args.cap)
     G = _load_group_file(args.group_file, args.cap)
     H_raw = _load_group_file(args.subgroup_file, args.cap)
@@ -245,16 +255,16 @@ def cmd_ekchain(args) -> dict:
         "cap": args.cap,
     })
     rep = chains.ek_chain(G, H, kmax)
-    checks = []
     descending = all(rep.terms[k + 1] <= rep.terms[k] for k in range(kmax))
-    checks.append(CheckRecord("ekchain-descending", "terms form a descending chain",
-                              "pass" if descending else "fail"))
     contains = all(H.indices <= t.indices for t in rep.terms)
-    checks.append(CheckRecord("ekchain-contains-subgroup", "every term contains the subgroup",
-                              "pass" if contains else "fail"))
-    checks.append(CheckRecord("ekchain-first-term", "the chain starts at the whole group",
-                              "pass" if rep.terms[0].is_full() else "fail"))
-    _add_checks(report, "", checks)
+    _add_checks(report, "", [
+        ("ekchain-descending", "terms form a descending chain",
+         "pass" if descending else "fail", None),
+        ("ekchain-contains-subgroup", "every term contains the subgroup",
+         "pass" if contains else "fail", None),
+        ("ekchain-first-term", "the chain starts at the whole group",
+         "pass" if rep.terms[0].is_full() else "fail", None),
+    ])
     report["witnesses"].append({
         "type": "ekchain",
         "group_order": G.order,
@@ -274,6 +284,8 @@ def _abc_triples(G: FiniteGroup, H: Subgroup, kmax: int):
     The envelope terms give triples H <= E_(k+1) <= E_k whose hypothesis holds
     by the chain/center identity; degenerate triples cover the trivial cases.
     """
+    from . import chains
+
     terms, _ = chains.ek_term_data(G, H.indices, kmax)
     yield "abc(H,H,H)-", H, H, H, 1
     yield "abc(H,H,G)-", H, H, G.full_subgroup(), min(kmax, 2)
@@ -288,6 +300,8 @@ def _abc_triples(G: FiniteGroup, H: Subgroup, kmax: int):
 
 
 def _run_suites(G: FiniteGroup, gname: str, H: Subgroup, label: str, suite: str, kmax: int, report: dict):
+    from . import chains
+
     prefix = f"{gname}:{label}:"
     if suite in ("bryant", "all"):
         _add_checks(report, prefix, chains.verify_bryant_lemma(G, H, kmax))
@@ -300,6 +314,10 @@ def _run_suites(G: FiniteGroup, gname: str, H: Subgroup, label: str, suite: str,
 
 
 def cmd_verify(args) -> dict:
+    from pathlib import Path
+
+    from .catalog import build_catalog, enumerate_subgroups
+
     _check_cap(args.cap)
     _check_kmax(args.kmax)
     if args.catalog_dir is None:
@@ -330,6 +348,8 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_counterexample(args) -> dict:
+    from . import symnat
+
     if args.levels < 2:
         raise _UsageError("levels must be >= 2")
     if args.scan_max < 1:
@@ -345,14 +365,14 @@ def cmd_counterexample(args) -> dict:
     except symnat.ModelBudgetError as exc:
         model = exc.partial
         partial = True
-        _add_checks(report, "", [CheckRecord(
+        _add_checks(report, "", [(
             "model-budget", "chain model fits the memory budget", "fail", str(exc),
         )])
-    checks: list[CheckRecord] = []
+    checks: list[tuple] = []
     zero, ones = symnat.BitFn.zero(), symnat.BitFn.ones()
     if model.depth >= 1:
         ok = model.level(1) == frozenset({zero, ones})
-        checks.append(CheckRecord(
+        checks.append((
             "model-level1",
             "level 1 is exactly the constant functions",
             "pass" if ok else "fail",
@@ -360,7 +380,7 @@ def cmd_counterexample(args) -> dict:
         ))
     sizes = model.sizes()
     strict = all(a < b for a, b in zip(sizes, sizes[1:]))
-    checks.append(CheckRecord(
+    checks.append((
         "model-sizes-strict",
         "level sizes strictly increase",
         "pass" if strict else "fail",
@@ -376,7 +396,7 @@ def cmd_counterexample(args) -> dict:
             b for b in basis
             if not b.pure_periodic or window % b.period != 0
         ]
-        checks.append(CheckRecord(
+        checks.append((
             f"model-periodicity-i{i}",
             "members are purely periodic with period dividing 2^i",
             "pass" if not bad else "fail",
@@ -390,7 +410,7 @@ def cmd_counterexample(args) -> dict:
                 if not any(b(x) for x in range(start, start + window)):
                     bad2.append(b)
                     break
-        checks.append(CheckRecord(
+        checks.append((
             f"model-support-i{i}",
             "nontrivial members hit every period window (infinite support)",
             "pass" if not bad2 else "fail",
@@ -398,17 +418,19 @@ def cmd_counterexample(args) -> dict:
         ))
         span = model.span(i)
         closed = len(set(span)) == 1 << len(basis) and 0 in span
-        checks.append(CheckRecord(
+        checks.append((
             f"model-xor-closed-i{i}",
             "level is a group under pointwise XOR",
             "pass" if closed else "fail",
+            None,
         ))
     for i in range(1, min(args.oracle_depth, model.depth, 4) + 1):
         ok = symnat.brute_force_level(i) == model.level(i)
-        checks.append(CheckRecord(
+        checks.append((
             f"model-oracle-i{i}",
             "solver level equals brute-force enumeration",
             "pass" if ok else "fail",
+            None,
         ))
     for k in range(0, max(model.depth - 1, 0)):
         try:
@@ -416,7 +438,7 @@ def cmd_counterexample(args) -> dict:
         except symnat.DescentScanError as exc:
             # A shallow model leaves the scan undecided; only a scan that
             # genuinely reached scan_max counts as a failure.
-            checks.append(CheckRecord(
+            checks.append((
                 f"witness-k{k}",
                 "a strict-descent witness exists in the scanned range",
                 "fail" if exc.exhausted else "skipped",
@@ -427,7 +449,7 @@ def cmd_counterexample(args) -> dict:
             lambda t: 1 if t in (w.x0, w.x0 + 2 ** w.l) else 0, w.x0 + 2 ** w.l + 1, 1,
         ))
         ok = w.commutator == expected
-        checks.append(CheckRecord(
+        checks.append((
             f"witness-k{k}",
             "descent witness verified; commutator is the paired block swap",
             "pass" if ok else "fail",
@@ -459,7 +481,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"envchain: error: {exc}", file=sys.stderr)
         return 2
-    except (ClosureCapError, ReportLimitError, symnat.ModelBudgetError) as exc:
+    except (ClosureCapError, ReportLimitError) as exc:
         print(f"envchain: resource limit: {exc}", file=sys.stderr)
         return 3
     report["timings"]["total_s"] = round(time.perf_counter() - start, 6)

@@ -111,7 +111,15 @@ class FiniteGroup:
         else:
             getters = [itemgetter(*b) for b in images]
         self._images, self._idx, self._getters = images, idx, getters
-        self._inv = [idx[g.inverse().images] for g in self.elements]
+        # inverse image tuples as `Permutation.inverse` builds them, without
+        # a Permutation (and its bijection check) per element
+        inv = []
+        for t in images:
+            s = [0] * self.degree
+            for x, y in enumerate(t):
+                s[y] = x
+            inv.append(idx[tuple(s)])
+        self._inv = inv
         if self.order <= _TABLE_LIMIT:
             self._table = [-1] * (self.order * self.order)
             self._comm = [-1] * (self.order * self.order)

@@ -24,9 +24,8 @@ one period block gives each preimage directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product as _iterproduct
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .perm import Permutation
 
@@ -266,8 +265,7 @@ class BlockPerm:
 # --- model elements in normal form --------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymElem:
+class SymElem(NamedTuple):
     """B(bits) * P(sigma) * f^power, in unique normal form."""
 
     bits: BitFn
@@ -467,6 +465,23 @@ class IterChainModel:
         return [1 << len(b) for b in self._bases[1:]]
 
 
+def _delta_mask(g: int, period: int) -> int:
+    """`delta(_from_mask(g, period))` at x = 0..period+1, as a mask.
+
+    `period` is even.  From x = 2 on delta repeats with `period`, so these
+    places fix it: even x reads g(x+2) and odd x reads g(x-2), both mod
+    `period`, except at x = 1, where f_map(1) = 0 reads g(0) instead of
+    g(period-1).  x = period+1 is the block's value at odd place 1.
+    """
+    P = period
+    full = (1 << P) - 1
+    even = full // 3  # bits 0, 2, 4, ...
+    ahead = g >> 2 | g << (P - 2) & full  # x -> g(x+2 mod P)
+    behind = (g << 2 | g >> (P - 2)) & full  # x -> g(x-2 mod P)
+    d = (g ^ ahead) & even | (g ^ behind) & even << 1
+    return d & ~2 | ((g ^ g >> 1) & 1) << 1 | (d & 3) << P
+
+
 def _preimage(h: int, period: int, parity: int) -> int:
     """The `period`-periodic g with delta(g) = h and g(parity) = 0, as a mask.
 
@@ -487,7 +502,8 @@ def _preimage(h: int, period: int, parity: int) -> int:
     if g[P - 2] ^ hb[P - 2] != g[0] or g[P - 1] ^ hb[1] != g[1]:
         raise RuntimeError("seeded recursion is not periodic: internal bug")
     mask = _mask(g)
-    if delta(_from_mask(mask, P)) != _from_mask(h, P):
+    # delta(g) = h pointwise: the block of h, then h(1) again at x = P + 1
+    if _delta_mask(mask, P) != h | (h & 3) << P:
         raise RuntimeError("seeded recursion does not solve its system: internal bug")
     return mask
 
@@ -592,8 +608,7 @@ def gxl_generators(x: int, l: int, count: int) -> list[SymElem]:
     ]
 
 
-@dataclass(frozen=True)
-class DescentWitness:
+class DescentWitness(NamedTuple):
     """Evidence that the envelope chain drops strictly again after step k+1.
 
     `g` is a block swap lying in every normalizer-relevant set at step k+1

@@ -413,6 +413,33 @@ def test_preimage_is_seeded_solution(model):
                 assert g in nxt
 
 
+def _delta_bitfn(d: int, period: int) -> sn.BitFn:
+    """The function a `_delta_mask` result gives: x = 0, 1, then one block."""
+    bits = [(d >> x) & 1 for x in range(period + 2)]
+    return sn.BitFn(bits[:2], bits[2:])
+
+
+def test_delta_mask_matches_delta():
+    # the check inside `_preimage` must be delta itself, on every basis
+    # vector it meets and off the model
+    deep = sn.iterated_centralizer_model(10)
+    cases = [(b, 2 ** i) for i in range(1, 11) for b in deep.basis(i)]
+    rng = random.Random(61)
+    edges = []
+    for e in range(1, 9):
+        P = 2 ** e
+        cases += [(rng.getrandbits(P), P) for _ in range(40)]
+        # g(0) != g(P-1): f_map(1) = 0 takes x = 1 off the block's pattern,
+        # which x = P+1 keeps
+        top = 1 << (P - 1)
+        for _ in range(10):
+            m = rng.getrandbits(P)
+            edges += [((m | 1) & ~top, P), ((m | top) & ~1, P)]
+    for g, P in cases + edges:
+        assert _delta_bitfn(sn._delta_mask(g, P), P) == sn.delta(sn._from_mask(g, P))
+    assert all(sn.delta(sn._from_mask(g, P)).prefix for g, P in edges)
+
+
 def test_basis_and_span(model):
     for i in range(model.depth + 1):
         span = model.span(i)
