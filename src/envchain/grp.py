@@ -473,7 +473,10 @@ def parse_group_file(text: str, cap: int = DEFAULT_CAP) -> FiniteGroup:
             if not line.startswith("degree:"):
                 raise GroupFileError("expected 'degree: <n>' before generators", lineno)
             body = line[len("degree:"):].strip()
+            digits = body[1:] if body[:1] in ("+", "-") else body
             try:
+                if not (digits.isascii() and digits.isdigit()):  # int() also reads "1_0" and "٣"
+                    raise ValueError(body)
                 degree = int(body)
             except ValueError:
                 raise GroupFileError(f"bad degree {body!r}", lineno) from None

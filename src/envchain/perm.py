@@ -160,9 +160,9 @@ def _tokens(text: str) -> Iterator[tuple[str, int, str]]:
         elif c in "()":
             yield c, i, c
             i += 1
-        elif c.isdigit():
+        elif "0" <= c <= "9":  # ASCII only: int() would also read "١", and "²" not at all
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             yield "num", i, text[i:j]
             i = j
@@ -195,7 +195,10 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         else:
             if cycle is None:
                 raise CycleParseError("point outside a cycle", pos)
-            p = int(tok)
+            try:
+                p = int(tok)
+            except ValueError:  # more digits than int() converts
+                raise CycleParseError(f"point of {len(tok)} digits", pos) from None
             if p >= degree:
                 raise CycleParseError(f"point {p} >= degree {degree}", pos)
             if p in placed:

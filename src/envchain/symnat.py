@@ -401,7 +401,9 @@ def _mask(bits: Iterable[int]) -> int:
 
 
 def _from_mask(mask: int, period: int) -> BitFn:
-    """The purely periodic BitFn repeating the low `period` bits of `mask`."""
+    """The purely periodic BitFn repeating the bits of `mask` from x = 0,
+    padded with zeros to `period` places; a mask wider than `period` repeats
+    all its bits."""
     return BitFn.from_pattern(map(int, reversed(format(mask, f"0{period}b"))))
 
 
@@ -482,20 +484,20 @@ def _delta_mask(g: int, period: int) -> int:
     return d & ~2 | ((g ^ g >> 1) & 1) << 1 | (d & 3) << P
 
 
-def _preimage(h: int, period: int, parity: int) -> int:
-    """The `period`-periodic g with delta(g) = h and g(parity) = 0, as a mask.
+def _preimage(h: int, period: int) -> int:
+    """The `period`-periodic g with delta(g) = h and g(0) = 0, as a mask.
 
     `h` is the mask of a function whose period divides `period`.  On even
     places delta(g) = h reads g(2a+2) = g(2a) ^ h(2a), on odd places
     g(2a+3) = g(2a+1) ^ h(2a+3), and x = 1 couples the two: g(0) = g(1) ^ h(1).
-    Seeding g(parity) = 0 runs the two-term recurrence once around the block;
+    Seeding g(0) = 0 runs the two-term recurrence once around the block;
     it closes up when h has even weight on each parity class, as every member
     of a level below `period` does.
     """
     P = period
     hb = [(h >> x) & 1 for x in range(P)]
     g = [0] * P
-    g[1 - parity] = hb[1]
+    g[1] = hb[1]
     for a in range(P // 2 - 1):
         g[2 * a + 2] = g[2 * a] ^ hb[2 * a]
         g[2 * a + 3] = g[2 * a + 1] ^ hb[2 * a + 3]
@@ -524,7 +526,7 @@ def iterated_centralizer_model(imax: int, budget: int = 1 << 26) -> IterChainMod
     for i in range(imax):
         P = 2 ** (i + 1)
         widened = [b | b << (P // 2) for b in bases[-1]]
-        basis = [(1 << P) - 1] + [_preimage(w, P, 0) for w in widened]
+        basis = [(1 << P) - 1] + [_preimage(w, P) for w in widened]
         cells += (1 << len(basis)) * P
         if cells > budget:
             raise ModelBudgetError(i, cells, budget, IterChainModel(bases))
@@ -550,45 +552,6 @@ def brute_force_level(i: int) -> frozenset[BitFn]:
         if delta(g) in prev:
             out.add(g)
     return frozenset(out)
-
-
-def _first_one_at_parity(h: BitFn, parity: int) -> int | None:
-    """Least x of the given parity with h(x) = 1, or None; h purely periodic."""
-    window = max(h.period, 2)
-    for x in range(parity, parity + window, 2):
-        if h(x):
-            return x
-    return None
-
-
-def ascent_witness(i: int, model: IterChainModel) -> BitFn:
-    """A member of level i+1 outside level i, built by seeded recursion.
-
-    Among the nontrivial members of level i, fix the h whose first 1-place
-    within a parity class is maximal; solving the commutation relations with
-    right side h, seeded at that parity, yields a g whose own first 1-place
-    in that parity is larger still, so g cannot lie in level i.  The result
-    is cross-checked against the model's levels.
-    """
-    if not 1 <= i < model.depth:
-        raise ValueError(f"need 1 <= i < depth={model.depth}")
-    best: tuple[int, tuple, BitFn] | None = None
-    for h in sorted(model.level(i), key=BitFn.sort_key):
-        if h.is_zero:
-            continue
-        for parity in (0, 1):
-            x0 = _first_one_at_parity(h, parity)
-            if x0 is None:
-                continue
-            if best is None or x0 > best[0] or (x0 == best[0] and h.sort_key() < best[1]):
-                best = (x0, h.sort_key(), h)
-    assert best is not None, "level i has no nontrivial member"
-    x0, _, h = best
-    P = 2 ** (i + 1)
-    g = _from_mask(_preimage(_mask(h.block * (P // h.period)), P, x0 % 2), P)
-    if g in model.level(i) or g not in model.level(i + 1):
-        raise RuntimeError("witness disagrees with the model levels: internal bug")
-    return g
 
 
 def gxl_generators(x: int, l: int, count: int) -> list[SymElem]:

@@ -1,7 +1,9 @@
 """CLI contract: exit codes, report schema, determinism."""
 
+import argparse
 import hashlib
 import json
+import random
 import re
 from pathlib import Path
 
@@ -101,6 +103,24 @@ def test_ekchain_parse_error_reports_line(capsys, tmp_path, s3_files):
     captured = capsys.readouterr()
     assert code == 2
     assert "line 2" in captured.err
+
+
+@pytest.mark.parametrize("content", [
+    b"degree: 3\n(0 1)  # \xff\n",  # not UTF-8
+    "degree: 3\n(0 \u00b2)\n".encode(),  # int() raises on a superscript two
+    "degree: 3\n(0 \u0661)\n".encode(),  # int() reads an Arabic-Indic one as 1
+    b"degree: 1_0\n(0 1)\n",  # int() reads 10
+])
+def test_ekchain_unreadable_group_file_exit_2(capsys, tmp_path, s3_files, content):
+    g, _ = s3_files
+    bad = tmp_path / "bad.grp"
+    bad.write_bytes(content)
+    code = main(["ekchain", g, str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"envchain: error: {bad}: ") or \
+        captured.err.startswith(f"envchain: error: cannot read {bad}: ")
 
 
 def test_ekchain_degree_over_bound_exit_2(capsys, tmp_path, s3_files):
@@ -212,6 +232,35 @@ def test_verify_check_limit_exit_3(capsys, tmp_path, monkeypatch):
     assert captured.out == ""
 
 
+def test_verify_catalog_entry_that_is_a_directory_exit_2(capsys, tmp_path):
+    (tmp_path / "S3.grp").write_text(CATALOG_FILES["S3"])
+    (tmp_path / "x.grp").mkdir()
+    code = main(["verify", "--kmax", "1", "--catalog-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"envchain: error: cannot read {tmp_path / 'x.grp'}: ")
+
+
+def test_verify_catalog_entry_not_utf8_exit_2(capsys, tmp_path):
+    (tmp_path / "S3.grp").write_text(CATALOG_FILES["S3"])
+    (tmp_path / "bad.grp").write_bytes(b"# caf\xe9\ndegree: 2\n(0 1)\n")
+    code = main(["verify", "--kmax", "1", "--catalog-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"envchain: error: cannot read {tmp_path / 'bad.grp'}: ")
+
+
+def test_verify_catalog_parse_error_names_the_file(capsys, tmp_path):
+    (tmp_path / "bad.grp").write_text("degree: 3\n(0 9)\n")
+    code = main(["verify", "--kmax", "1", "--catalog-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (f"envchain: error: {tmp_path / 'bad.grp'}: line 2: "
+                            "point 9 >= degree 3 (at offset 3)\n")
+
+
 def test_verify_empty_catalog_dir(capsys, tmp_path):
     code, _ = run(capsys, "verify", "--catalog-dir", str(tmp_path))
     assert code == 2
@@ -314,6 +363,150 @@ def test_counterexample_model_budget_check(capsys, monkeypatch):
     }
     assert doc["partial"] is True
     assert doc["witnesses"][0] == {"type": "levels", "sizes": [2, 4, 8]}
+
+
+# --- model checks on the basis masks ---------------------------------------------
+# The CLI checks each level of the chain model on its basis masks.  These
+# tests run it on given bases and compare its verdicts with the checks it
+# made before, on the BitFn of each mask, copied here.
+
+
+def bitfn_periodicity_bad(basis, W):
+    bad = [b for b in (symnat._from_mask(m, W) for m in basis)
+           if not b.pure_periodic or W % b.period != 0]
+    return f"e.g. {sorted(bad)[0].to_text()}" if bad else None
+
+
+def bitfn_support_bad(basis, W):
+    bad = []
+    for b in (symnat._from_mask(m, W) for m in basis):
+        if not b.is_zero and any(not any(b(x) for x in range(s, s + W))
+                                 for s in range(0, 4 * W, W)):
+            bad.append(b)
+    return f"e.g. {sorted(bad)[0].to_text()}" if bad else None
+
+
+def bitfn_xor_closed(basis):
+    span = [0]
+    for b in basis:
+        span += [s ^ b for s in span]
+    return len(set(span)) == 1 << len(basis) and 0 in span
+
+
+def model_verdicts(monkeypatch, bases):
+    """{check id: (status, witness)} of `counterexample` on a model whose
+    levels 1.. have the given bases; the descent scan is stubbed out."""
+    model = symnat.IterChainModel([[]] + bases)
+    monkeypatch.setattr(symnat, "iterated_centralizer_model", lambda levels: model)
+
+    def no_scan(k, scan_max, model):
+        raise symnat.DescentScanError("not scanned", exhausted=False)
+
+    monkeypatch.setattr(symnat, "descent_witness", no_scan)
+    args = argparse.Namespace(levels=max(len(bases), 2), scan_max=1, oracle_depth=0)
+    return {cid: (status, witness) for cid, _, status, witness in
+            cli.cmd_counterexample(args)["checks"]}
+
+
+def bitfn_verdicts(bases):
+    """The same checks as the CLI made them on BitFns, level 1 excepted."""
+    out = {}
+    for i, basis in enumerate(bases, start=1):
+        W = 2 ** i
+        for cid, witness in (("periodicity", bitfn_periodicity_bad(basis, W)),
+                             ("support", bitfn_support_bad(basis, W))):
+            out[f"model-{cid}-i{i}"] = ("fail" if witness else "pass", witness)
+        out[f"model-xor-closed-i{i}"] = ("pass" if bitfn_xor_closed(basis) else "fail", None)
+    return out
+
+
+def assert_same_model_checks(monkeypatch, bases):
+    got = model_verdicts(monkeypatch, bases)
+    for cid, verdict in bitfn_verdicts(bases).items():
+        assert got[cid] == verdict, (cid, bases)
+
+
+def test_model_checks_on_masks_match_bitfn_checks_on_the_model(monkeypatch):
+    model = symnat.iterated_centralizer_model(12)
+    bases = [model.basis(i) for i in range(1, 13)]
+    got = model_verdicts(monkeypatch, bases)
+    assert got["model-level1"] == ("pass", None)
+    assert_same_model_checks(monkeypatch, bases)
+    assert all(status == "pass" for cid, (status, _) in got.items() if cid.startswith("model-"))
+
+
+def test_model_checks_on_masks_match_bitfn_checks_on_random_masks(monkeypatch):
+    # masks within one block, as the model builds them; small levels draw
+    # dependent bases and the zero mask often
+    rng = random.Random(20)
+    for _ in range(40):
+        bases = [[rng.getrandbits(2 ** i) for _ in range(rng.randint(1, i + 2))]
+                 for i in range(1, 6)]
+        assert_same_model_checks(monkeypatch, bases)
+
+
+@pytest.mark.parametrize("bases", [
+    [[1 << 2]],
+    [[(1 << 2) | 1]],
+    [[0b11], [1 << 4]],
+    [[0b11], [(1 << 4) | 1, 0b0110]],
+    [[0b11], [0b1111, 0b0101, 0b1010]],  # dependent
+    [[0b11], [0b0110, 0b0110]],  # repeated
+    [[0b11], [0, 0b0110]],  # holds zero
+    [[0b11], [0b0011, 1 << 4, (1 << 4) | 0b0011], [1 << 9, 1 << 8 | 1 << 9]],
+], ids=str)
+def test_model_checks_on_masks_match_bitfn_checks_on_malformed_bases(monkeypatch, bases):
+    assert_same_model_checks(monkeypatch, bases)
+
+
+def test_model_checks_on_masks_never_pass_what_bitfn_checks_fail(monkeypatch):
+    # A mask wider than its 2^i block is malformed, and the mask periodicity
+    # check fails every one.  The BitFn check read all its bits as one block,
+    # and passed the mask when that block repeats with a period dividing 2^i.
+    # The mask support check reads only the first block; it fails only masks
+    # the BitFn support check failed too.
+    rng = random.Random(21)
+    for _ in range(300):
+        i = rng.randint(1, 4)
+        W = 2 ** i
+        m = rng.getrandbits(rng.randint(W + 1, 4 * W)) | 1 << W
+        got = model_verdicts(monkeypatch, [[0b11]] * (i - 1) + [[m]])
+        assert got[f"model-periodicity-i{i}"][0] == "fail"
+        if got[f"model-support-i{i}"][0] == "fail":
+            assert bitfn_support_bad([m], W) is not None
+    # a wide mask repeating its block: only the BitFn check passed it
+    got = model_verdicts(monkeypatch, [[0b11], [0b1001_1001]])
+    assert got["model-periodicity-i2"] == ("fail", "e.g. |1001")
+    assert bitfn_periodicity_bad([0b1001_1001], 4) is None
+
+
+def test_counterexample_malformed_model_reports(capsys, monkeypatch):
+    # the text the BitFn checks wrote for this model
+    model = symnat.IterChainModel([[], [0b11], [0b0011, 1 << 4, (1 << 4) | 0b0011]])
+    monkeypatch.setattr(symnat, "iterated_centralizer_model", lambda levels: model)
+    code, out = run(capsys, "counterexample", "--levels", "2", "--oracle-depth", "0")
+    assert code == 1
+    assert strip_timing_text(out).split("\n")[2:] == [
+        "[pass] model-level1",
+        "[pass] model-sizes-strict",
+        "[pass] model-periodicity-i1",
+        "[pass] model-support-i1",
+        "[pass] model-xor-closed-i1",
+        "[fail] model-periodicity-i2",
+        "    e.g. |00001",
+        "[fail] model-support-i2",
+        "    e.g. |00001",
+        "[fail] model-xor-closed-i2",
+        "[skipped] witness-k0",
+        "    no witness for k=0 with k' <= 1; model depth 2 is too shallow to scan to 12",
+        "witness levels: sizes=[2, 8]",
+        "summary: checks=9 pass=5 fail=3 skipped=1",
+    ]
+    monkeypatch.setattr(symnat, "iterated_centralizer_model",
+                        lambda levels: symnat.IterChainModel([[], [0b01]]))
+    code, out = run(capsys, "counterexample", "--levels", "2")
+    assert code == 1
+    assert "[fail] model-level1\n    level 1 = {|0, |10}\n" in out
 
 
 # --- raw report bytes --------------------------------------------------------

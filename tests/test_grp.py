@@ -287,6 +287,20 @@ def test_group_file_errors():
         parse_group_file("# only comments\n")
 
 
+@pytest.mark.parametrize("body", ["1_0", "\u0663", "\uff14", "4\u00b2", "+-4", "+", "", "9" * 5000])
+def test_group_file_degree_ascii_digits_only(body):
+    # int() alone reads "1_0" as 10 and U+0663 as 3
+    with pytest.raises(GroupFileError, match="bad degree") as exc:
+        parse_group_file(f"degree: {body}\n")
+    assert exc.value.line == 1
+
+
+def test_group_file_degree_sign():
+    assert parse_group_file("degree: +4\n(0 1)\n").degree == 4
+    with pytest.raises(GroupFileError, match="degree must be positive, got -3"):
+        parse_group_file("degree: -3\n")
+
+
 def test_group_file_degree_bound():
     assert parse_group_file(f"degree: {MAX_DEGREE}\n(0 1)\n").order == 2
     with pytest.raises(GroupFileError) as exc:

@@ -84,6 +84,19 @@ def test_parse_cycles_errors_carry_position():
         parse_cycles("(0 x)", 3)
 
 
+@pytest.mark.parametrize("text", ["(0 \u00b2)", "(0 \u0661)", "(\uff11 0)", "(0 1\u00b2)"])
+def test_parse_cycles_accepts_only_ascii_digits(text):
+    # int() reads U+0661 as 1 and fails on U+00B2; both are just characters here
+    with pytest.raises(CycleParseError, match="unexpected character"):
+        parse_cycles(text, 3)
+
+
+def test_parse_cycles_point_past_the_int_digit_limit():
+    with pytest.raises(CycleParseError, match="point of 5000 digits"):
+        parse_cycles("(0 " + "9" * 5000 + ")", 3)
+    assert parse_cycles("(0 01)", 3) == parse_cycles("(0 1)", 3)
+
+
 def test_degree_mismatch():
     with pytest.raises(DegreeMismatchError):
         compose(Permutation.identity(3), Permutation.identity(4))

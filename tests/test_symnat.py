@@ -401,16 +401,15 @@ def test_model_depth_10_from_basis():
 
 
 def test_preimage_is_seeded_solution(model):
-    # the recurrence solves delta(g) = h over the doubled block, with g(parity) = 0
+    # the recurrence solves delta(g) = h over the doubled block, with g(0) = 0
     for i in range(1, 6):
         P = 2 ** (i + 1)
         nxt = model.level(i + 1)
         for h in model.level(i):
-            for parity in (0, 1):
-                g = sn._from_mask(sn._preimage(sn._mask(h(x) for x in range(P)), P, parity), P)
-                assert g(parity) == 0
-                assert sn.delta(g) == h
-                assert g in nxt
+            g = sn._from_mask(sn._preimage(sn._mask(h(x) for x in range(P)), P), P)
+            assert g(0) == 0
+            assert sn.delta(g) == h
+            assert g in nxt
 
 
 def _delta_bitfn(d: int, period: int) -> sn.BitFn:
@@ -477,7 +476,7 @@ def test_period_and_scan_key_match_bitfn_off_the_model():
 
 def test_model_rejects_a_dependent_basis(monkeypatch):
     # every preimage the constant 1: level 2 gets the constant twice
-    monkeypatch.setattr(sn, "_preimage", lambda h, period, parity: (1 << period) - 1)
+    monkeypatch.setattr(sn, "_preimage", lambda h, period: (1 << period) - 1)
     with pytest.raises(RuntimeError, match="level 2 basis is not independent: internal bug"):
         sn.iterated_centralizer_model(3)
 
@@ -485,28 +484,12 @@ def test_model_rejects_a_dependent_basis(monkeypatch):
 def test_model_rejects_a_basis_missing_the_level_below(monkeypatch):
     # shifted preimages stay independent, but level 3's span misses level 2's
     # second basis vector, widened
-    monkeypatch.setattr(sn, "_preimage", lambda h, period, parity: (h << 1) & ((1 << period) - 1))
+    monkeypatch.setattr(sn, "_preimage", lambda h, period: (h << 1) & ((1 << period) - 1))
     with pytest.raises(RuntimeError, match="level 3 does not contain level 2: internal bug"):
         sn.iterated_centralizer_model(3)
 
 
 # --- witnesses ----------------------------------------------------------------------
-
-
-def test_ascent_witness_level_one(model):
-    g = sn.ascent_witness(1, model)
-    assert g in (
-        sn.BitFn.from_pattern((0, 1, 1, 0)),
-        sn.BitFn.from_pattern((1, 0, 0, 1)),
-    )
-
-
-def test_ascent_witness_defining_properties(model):
-    for i in range(1, 6):
-        g = sn.ascent_witness(i, model)
-        assert g in model.level(i + 1)
-        assert g not in model.level(i)
-        assert sn.delta(g) in model.level(i)
 
 
 def test_gxl_first_generator():
