@@ -114,7 +114,9 @@ def enumerate_subgroups(G: FiniteGroup) -> list[tuple[str, Subgroup]]:
             if j == e or j in covered:
                 continue
             add((i, j), closure_indices(G, (i, j)))
-            covered.update(G.mul_idx(G.mul_idx(a, j), b) for a in powers for b in powers)
+            aj = list(map(G.row(j).__getitem__, powers))  # a·j for a in <i>
+            for b in powers:
+                covered.update(map(G.row(b).__getitem__, aj))
     items = [(lab, Subgroup(G, idxs)) for idxs, lab in seen.items()]
     items.sort(key=lambda t: t[1].key())
     return items

@@ -16,7 +16,8 @@ Exit codes: 0 all checks pass, 1 check failures, 2 usage or file errors,
 
 Each subcommand imports only the engine it runs: `ekchain` imports `chains`,
 `verify` `chains` and `catalog`, `counterexample` `symnat`.  At module level
-this file imports only what they share (`argparse`, `json`, `grp`, `perm`).
+this file imports only what they share (`argparse`, `json`, `grp`, `perm`,
+and `os` and `stat`, which the interpreter's start-up has already loaded).
 Every CLI run is a fresh process that pays for each import again, and
 compiles each module again where no bytecode is cached, so an engine loaded
 but never called costs as much as a short run's own work.
@@ -26,6 +27,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -207,6 +210,9 @@ def _exit_code(report: dict) -> int:
 
 def _load_group_file(path: str, cap: int) -> FiniteGroup:
     try:
+        # before `open`: opening a FIFO for reading waits for a writer
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise _UsageError(f"cannot read {path}: not a regular file")
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:

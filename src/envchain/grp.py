@@ -9,23 +9,40 @@ Internally a group indexes its elements 0..n-1, so the chain computations in
 `chains` run on plain ints.  Every order uses one entry formula: a product is
 the index of an image tuple, computed with one `itemgetter` per element and
 no `Permutation` per product, and [g, h] = (hg)^-1 (gh).  Up to order 1024
-(`_TABLE_LIMIT`) the product and commutator tables hold n² ints, flat and
-row-major; they start as -1 and each entry is filled on its first read.
-Larger groups store no entries and recompute each one per read.
+(`_TABLE_LIMIT`) products are stored as rows, row(j)[i] = i·j, each built in
+one C-level pass on first use, and the n² commutator table is allocated on
+the first commutator read and fills one entry per read.  Larger groups store
+neither and recompute each entry per read.
 
 Each group also memoizes, keyed by the exact index set asked about, a greedy
-generating set of each subgroup, each central series, and (for `chains`) each
-chain run and each envelope run.  Centralizers, central series, chain levels
-and envelope terms are all {g : [g, x] in T for every x in X}, and
-`commutator_filter` alone decides when a generating set of X may stand in
-for X (`normalizer_indices` decides it for conjugation).  Only sets that
-`generating_indices` verifies are reduced; all others are tested in full.
+generating set of each subgroup, each central series, the left-coset labels
+of each subgroup a filter targets, and (for `chains`) each chain run and each
+envelope run.  Centralizers, central series, chain levels and envelope terms
+are all {g : [g, x] in T for every x in X}, and `commutator_filter` alone
+decides when a generating set of X may stand in for X (`normalizer_indices`
+decides it for conjugation).  Only sets that `generating_indices` verifies
+are reduced; all others are tested in full.
+
+Up to `_TABLE_LIMIT`, when `generating_indices` verifies the target T (or S),
+membership is an equality of coset labels, by two facts:
+
+- [g, x] = (xg)^-1 (gx) lies in T iff gxT = xgT;
+- g^-1 s g lies in S iff sgS = gS.
+
+gx is read off the row of x, and xg is inv ∘ row(x^-1) ∘ inv, so each x is
+one `compress`/`map`/`eq` pass over the remaining candidates with no
+bytecode per element.  An unverified target, or an order above the limit,
+falls back to one `comm_idx` or `conj_idx` call per pair.  `closure_indices`
+grows a closure a whole frontier per generator row and stops at the whole
+group once it holds more than n/2 elements (Lagrange's theorem).
 """
 
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from array import array
+from itertools import compress
+from operator import eq, itemgetter
 from typing import Iterable, Sequence, Union
 
 from .perm import (
@@ -44,8 +61,9 @@ MAX_DEGREE = 10_000
 # Largest chain depth the CLI accepts; every resolved default lies below it.
 MAX_KMAX = 64
 
-# Orders up to this bound store each product and commutator entry once read;
-# above it every entry is recomputed on each read.
+# Orders up to this bound store product rows and commutator entries once read
+# and filter by coset labels (2-byte ints); above it every entry is recomputed
+# on each read.
 _TABLE_LIMIT = 1024
 
 
@@ -81,12 +99,14 @@ class FiniteGroup:
         self._idx: dict[tuple[int, ...], int] = {}
         self._getters: list = []
         self._inv: list[int] | None = None
-        # product and commutator tables up to _TABLE_LIMIT, -1 = not yet read
-        self._table: list[int] | None = None
+        # up to _TABLE_LIMIT: product rows (None = not yet built) and the
+        # commutator table (allocated on the first read, -1 = not yet read)
+        self._rows: list[list[int] | None] | None = None
         self._comm: list[int] | None = None
         # memos: exact input -> stored result (frozensets and tuples only)
         self._gens: dict[frozenset[int], tuple[int, ...] | None] = {}
         self._series: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
+        self._labels: dict[frozenset[int], array] = {}  # `_coset_labels`
         self._levels: dict = {}  # chains.iterated_centralizer_levels
         self._terms: dict = {}  # chains.ek_term_data
 
@@ -121,31 +141,35 @@ class FiniteGroup:
             inv.append(idx[tuple(s)])
         self._inv = inv
         if self.order <= _TABLE_LIMIT:
-            self._table = [-1] * (self.order * self.order)
-            self._comm = [-1] * (self.order * self.order)
+            self._rows = [None] * self.order
 
-    def _mul_entry(self, i: int, j: int) -> int:
+    def row(self, j: int) -> list[int]:
+        """Index of elements[i] * elements[j] for every i, as one list.
+
+        Built on first use in one C-level pass; stored up to `_TABLE_LIMIT`,
+        rebuilt on every call above it."""
         if self._inv is None:
             self._prepare()
-        k = self._idx[self._getters[j](self._images[i])]
-        if self._table is not None:
-            self._table[i * self.order + j] = k
-        return k
-
-    def _comm_entry(self, i: int, j: int) -> int:
-        # [g, h] = (hg)^-1 (gh)
-        k = self.mul_idx(self.inv_idx(self.mul_idx(j, i)), self.mul_idx(i, j))
-        if self._comm is not None:
-            self._comm[i * self.order + j] = k
-        return k
+        rows = self._rows
+        r = None if rows is None else rows[j]
+        if r is None:
+            r = list(map(self._idx.__getitem__, map(self._getters[j], self._images)))
+            if rows is not None:
+                rows[j] = r
+        return r
 
     def mul_idx(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j] (j acts first)."""
-        if self._table is not None:
-            k = self._table[i * self.order + j]
-            if k >= 0:
-                return k
-        return self._mul_entry(i, j)
+        rows = self._rows
+        if rows is not None:
+            r = rows[j]
+            if r is not None:
+                return r[i]
+        if self._inv is None:
+            self._prepare()
+        if self._rows is not None:
+            return self.row(j)[i]
+        return self._idx[self._getters[j](self._images[i])]
 
     def inv_idx(self, i: int) -> int:
         if self._inv is None:
@@ -154,11 +178,18 @@ class FiniteGroup:
 
     def comm_idx(self, i: int, j: int) -> int:
         """Index of [elements[i], elements[j]]."""
-        if self._comm is not None:
-            k = self._comm[i * self.order + j]
+        comm = self._comm
+        if comm is not None:
+            k = comm[i * self.order + j]
             if k >= 0:
                 return k
-        return self._comm_entry(i, j)
+        # [g, h] = (hg)^-1 (gh)
+        k = self.mul_idx(self.inv_idx(self.mul_idx(j, i)), self.mul_idx(i, j))
+        if comm is None and self.order <= _TABLE_LIMIT:
+            comm = self._comm = [-1] * (self.order * self.order)
+        if comm is not None:
+            comm[i * self.order + j] = k
+        return k
 
     def conj_idx(self, h: int, g: int) -> int:
         """Index of g^-1 h g."""
@@ -267,8 +298,28 @@ def _bfs(e, seeds, mul, cap: int) -> set:
 
 
 def closure_indices(group: FiniteGroup, seeds: Iterable[int]) -> frozenset[int]:
-    """Subgroup of `group` generated by the seed indices."""
-    return frozenset(_bfs(group.identity_idx, seeds, group.mul_idx, group.order))
+    """Subgroup of `group` generated by the seed indices.
+
+    Up to `_TABLE_LIMIT` each frontier is multiplied by each seed in one
+    C-level pass over the seed's row, and a set holding more than half the
+    group is the whole group: by Lagrange's theorem a subgroup's order
+    divides the group's.  Larger groups use the breadth-first `_bfs`."""
+    n, e = group.order, group.identity_idx
+    if n > _TABLE_LIMIT:
+        return frozenset(_bfs(e, seeds, group.mul_idx, n))
+    frontier = sorted(set(seeds) - {e})
+    rows = [group.row(g) for g in frontier]
+    els = {e, *frontier}
+    while frontier:
+        if 2 * len(els) > n:
+            return frozenset(range(n))
+        new = set()
+        for r in rows:
+            new.update(map(r.__getitem__, frontier))
+        new -= els
+        els |= new
+        frontier = new
+    return frozenset(els)
 
 
 def generating_indices(group: FiniteGroup, sub: frozenset[int]) -> tuple[int, ...] | None:
@@ -289,6 +340,40 @@ def generating_indices(group: FiniteGroup, sub: frozenset[int]) -> tuple[int, ..
     return out
 
 
+def _coset_labels(group: FiniteGroup, sub: frozenset[int], gens: Sequence[int]) -> array:
+    """lab[g] = the least index in the left coset g·sub, for a subgroup `sub`
+    generated by `gens` (each coset is the orbit of its least element under
+    right multiplication by the generators).  Memoized per group.
+
+    Stored as 2-byte ints (every index is below `_TABLE_LIMIT`): a list of n
+    pointers is a C-heap block that lives as long as the group, and on the
+    order-128 `verify` these blocks kept 11 MB of freed heap from going back
+    to the system before the report was rendered."""
+    lab = group._labels.get(sub)
+    if lab is None:
+        rows = [group.row(t) for t in gens]
+        lab = [-1] * group.order
+        for g in range(group.order):
+            if lab[g] < 0:
+                lab[g] = g
+                coset = [g]
+                for a in coset:
+                    for r in rows:
+                        b = r[a]
+                        if lab[b] < 0:
+                            lab[b] = g
+                            coset.append(b)
+        lab = group._labels[sub] = array("H", lab)
+    return lab
+
+
+def _left_products(group: FiniteGroup, x: int, gs: Iterable[int]):
+    """x·g for each g in `gs`, read off the row of x^-1: (x·g)^-1 = g^-1 x^-1."""
+    row = group.row(group.inv_idx(x))
+    inv = group._inv
+    return map(inv.__getitem__, map(row.__getitem__, map(inv.__getitem__, gs)))
+
+
 def commutator_filter(
     group: FiniteGroup, members: frozenset[int], xs: frozenset[int], into: frozenset[int]
 ) -> frozenset[int]:
@@ -301,6 +386,10 @@ def commutator_filter(
     when `xs` and `into` are verified subgroups and every generator of `xs`
     conjugates every generator of `into` into `into` (so normalizes it);
     otherwise every x is tested.
+
+    For a verified subgroup T = `into`, [g, x] = (xg)^-1 (gx) lies in T iff
+    gxT = xgT, so up to `_TABLE_LIMIT` each x is one pass comparing the coset
+    labels of gx (the row of x) and xg over the remaining members.
     """
     xgens = generating_indices(group, xs)
     tgens = generating_indices(group, into)
@@ -308,9 +397,18 @@ def commutator_filter(
         group.conj_idx(t, x) in into for x in xgens for t in tgens
     ):
         xs = xgens
-    return frozenset(
-        g for g in members if all(group.comm_idx(g, x) in into for x in xs)
-    )
+    if tgens is None or group.order > _TABLE_LIMIT:
+        return frozenset(
+            g for g in members if all(group.comm_idx(g, x) in into for x in xs)
+        )
+    lab = _coset_labels(group, into, tgens).__getitem__
+    keep = list(members)
+    for x in xs:
+        right = group.row(x).__getitem__
+        keep = list(compress(keep, map(
+            eq, map(lab, map(right, keep)), map(lab, _left_products(group, x, keep))
+        )))
+    return frozenset(keep)
 
 
 def normalizer_indices(group: FiniteGroup, members: frozenset[int], sub: frozenset[int]) -> frozenset[int]:
@@ -318,12 +416,22 @@ def normalizer_indices(group: FiniteGroup, members: frozenset[int], sub: frozens
 
     For a subgroup it is enough to conjugate a generating set into `sub`
     (conjugation is a bijection of finite sets), a different fact from the
-    one behind `commutator_filter`."""
+    one behind `commutator_filter`.  For a verified subgroup S, g^-1 s g lies
+    in S iff sgS = gS, so up to `_TABLE_LIMIT` each generator s is one pass
+    comparing the coset labels of sg and g."""
     gens = generating_indices(group, sub)
-    xs = sub if gens is None else gens
-    return frozenset(
-        g for g in members if all(group.conj_idx(s, g) in sub for s in xs)
-    )
+    if gens is None or group.order > _TABLE_LIMIT:
+        xs = sub if gens is None else gens
+        return frozenset(
+            g for g in members if all(group.conj_idx(s, g) in sub for s in xs)
+        )
+    lab = _coset_labels(group, sub, gens).__getitem__
+    keep = list(members)
+    for s in gens:
+        keep = list(compress(keep, map(
+            eq, map(lab, _left_products(group, s, keep)), map(lab, keep)
+        )))
+    return frozenset(keep)
 
 
 def is_abelian_indices(group: FiniteGroup, indices: frozenset[int]) -> bool:

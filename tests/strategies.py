@@ -4,11 +4,13 @@ raw permutation sets the naive oracle works on."""
 
 from __future__ import annotations
 
+from functools import cache
+
 from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
-from envchain.grp import FiniteGroup, closure, closure_indices
-from envchain.perm import Permutation
+from envchain.grp import _TABLE_LIMIT, FiniteGroup, closure, closure_indices
+from envchain.perm import Permutation, parse_cycles
 
 # Orders up to this keep every naive filter well under a second.
 MAX_ORDER = 120
@@ -30,20 +32,51 @@ def groups(draw) -> FiniteGroup:
     return G
 
 
-def subgroups(G: FiniteGroup):
-    """Subgroups generated by one or two random elements."""
-    return st.lists(st.integers(0, G.order - 1), min_size=1, max_size=2).map(
+@cache
+def big_group() -> tuple[FiniteGroup, list[int]]:
+    """S7, whose order 5040 lies above `_TABLE_LIMIT`, and the indices of its
+    subgroup S4 x C3 (order 72) to draw index sets from, so that the naive
+    oracle stays quick.  Built once."""
+    G = closure([parse_cycles(c, 7) for c in ("(0 1)", "(0 1 2 3 4 5 6)")])
+    assert G.order > _TABLE_LIMIT
+    gens = [G.index_of[parse_cycles(c, 7)] for c in ("(0 1)", "(0 1 2 3)", "(4 5 6)")]
+    pool = closure_indices(G, gens)
+    return G, sorted(pool)
+
+
+@st.composite
+def groups_and_pools(draw) -> tuple[FiniteGroup, list[int] | None]:
+    """A small group from `groups` with no pool (any element may be drawn),
+    or, one time in three, `big_group` with its pool: both sides of the
+    `_TABLE_LIMIT` guards."""
+    if draw(st.integers(0, 2)) == 0:
+        return big_group()
+    return draw(groups()), None
+
+
+def _elements(G: FiniteGroup, pool):
+    return st.integers(0, G.order - 1) if pool is None else st.sampled_from(pool)
+
+
+def subgroups(G: FiniteGroup, pool=None):
+    """Subgroups generated by at most two random elements (of `pool`)."""
+    return st.lists(_elements(G, pool), max_size=2).map(
         lambda seeds: closure_indices(G, seeds)
     )
 
 
-def subsets(G: FiniteGroup):
-    """Arbitrary non-empty index sets, usually not subgroups."""
-    return st.frozensets(st.integers(0, G.order - 1), min_size=1)
+def subsets(G: FiniteGroup, pool=None):
+    """Arbitrary non-empty index sets (inside `pool`), usually not subgroups."""
+    return st.frozensets(_elements(G, pool), min_size=1)
 
 
-def subgroups_or_subsets(G: FiniteGroup):
-    return st.one_of(subgroups(G), subsets(G))
+def subgroups_or_subsets(G: FiniteGroup, pool=None):
+    return st.one_of(subgroups(G, pool), subsets(G, pool))
+
+
+def whole(G: FiniteGroup, pool=None) -> frozenset[int]:
+    """All of G, or all of the pool: what most filters run over."""
+    return frozenset(range(G.order) if pool is None else pool)
 
 
 def perms(G: FiniteGroup, indices) -> frozenset[Permutation]:

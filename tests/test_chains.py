@@ -13,6 +13,7 @@ from envchain.chains import (
     ek_term_data,
     iterated_centralizer_levels,
     iterated_centralizers,
+    one_step_levels,
     verify_abc_lemma,
     verify_bryant_lemma,
     verify_ek_structure,
@@ -446,3 +447,34 @@ def test_memo_returns_fresh_lists():
     inner[0].append(frozenset())
     inner.pop()
     assert ek_term_data(G, H.indices, 3) == want
+
+
+def per_level_filter(G, members, target, zs):
+    """The one-step check as it was written before `one_step_levels`: one
+    full filter of `members` for each z."""
+    return [
+        frozenset(x for x in members if all(G.comm_idx(x, a) in z for a in target))
+        for z in zs
+    ]
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_one_step_levels_match_the_per_level_filter(data):
+    # the zs need not be nested, nor subgroups, nor contain the identity
+    G = data.draw(groups())
+    members = data.draw(subgroups_or_subsets(G))
+    target = sorted(data.draw(subgroups_or_subsets(G)))
+    zs = data.draw(st.lists(subgroups_or_subsets(G), min_size=1, max_size=5))
+    assert one_step_levels(G, members, target, zs) == per_level_filter(G, members, target, zs)
+
+
+def test_ek_chain_in_s6_reads_no_commutator():
+    # every filter on the way compares coset labels, so the n^2 commutator
+    # table of S6 is never allocated
+    G = closure([parse_cycles(c, 6) for c in ("(0 1)", "(0 1 2 3 4 5)")])
+    for gens in (["(0 1 2 3 4 5)"], ["(0 1)", "(0 2)"], ["(0 1 2 3)", "(0 2)", "(4 5)"]):
+        H = subgroup(G, *gens)
+        ek_chain(G, H, 4)
+        nilpotency_class(H)
+    assert G._comm is None

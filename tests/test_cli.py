@@ -3,8 +3,11 @@
 import argparse
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -240,6 +243,33 @@ def test_verify_catalog_entry_that_is_a_directory_exit_2(capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"envchain: error: cannot read {tmp_path / 'x.grp'}: ")
+
+
+def run_with_timeout(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process, killed after 60 s, so a read that blocks
+    fails the test instead of hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "envchain.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_ekchain_fifo_group_file_exit_2(tmp_path):
+    (tmp_path / "S3.grp").write_text(CATALOG_FILES["S3"])
+    fifo = tmp_path / "sub.grp"
+    os.mkfifo(fifo)
+    proc = run_with_timeout("ekchain", str(tmp_path / "S3.grp"), str(fifo))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"envchain: error: cannot read {fifo}: not a regular file\n"
+
+
+def test_verify_catalog_entry_that_is_a_fifo_exit_2(tmp_path):
+    (tmp_path / "S3.grp").write_text(CATALOG_FILES["S3"])
+    os.mkfifo(tmp_path / "x.grp")
+    proc = run_with_timeout("verify", "--kmax", "1", "--catalog-dir", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"envchain: error: cannot read {tmp_path / 'x.grp'}: not a regular file\n"
 
 
 def test_verify_catalog_entry_not_utf8_exit_2(capsys, tmp_path):

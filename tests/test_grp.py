@@ -35,7 +35,9 @@ from naive import (
     naive_commutator_filter,
     naive_normalizer,
 )
-from strategies import DIFFERENTIAL, groups, indices, perms, subgroups_or_subsets
+from strategies import (
+    DIFFERENTIAL, groups, groups_and_pools, indices, perms, subgroups_or_subsets, whole,
+)
 
 
 def make(texts, degree):
@@ -202,13 +204,26 @@ def assert_tables_agree(G, pairs):
         assert els[G.comm_idx(i, j)] == commutator(a, b)
 
 
+def assert_stored_entries_agree(G):
+    """Every built product row and every filled commutator entry against
+    composing the permutations."""
+    n, els = G.order, G.elements
+    for j, r in enumerate(G._rows):
+        if r is not None:
+            assert [els[k] for k in r] == [compose(a, els[j]) for a in els]
+    for ij, k in enumerate(G._comm or ()):
+        if k != -1:
+            assert els[k] == commutator(els[ij // n], els[ij % n])
+
+
 def test_tables_match_permutation_arithmetic():
     groups = list(build_catalog().values())
     groups.append(make(["(0 1)", "(0 1 2 3 4)"], 5))
     groups.append(closure([], degree=1))  # one-point itemgetter edge case
     for G in groups:
         assert_tables_agree(G, [(i, j) for i in range(G.order) for j in range(G.order)])
-        assert -1 not in G._table and -1 not in G._comm
+        assert None not in G._rows and -1 not in G._comm
+        assert_stored_entries_agree(G)
 
 
 def test_tables_match_permutation_arithmetic_s6():
@@ -223,14 +238,20 @@ def test_fallback_above_table_limit():
     assert G.order == 5040 > _TABLE_LIMIT
     rng = random.Random(7)
     assert_tables_agree(G, [(rng.randrange(5040), rng.randrange(5040)) for _ in range(2000)])
-    assert G._table is None
+    assert G._rows is None and G._comm is None
+    j = rng.randrange(5040)
+    assert G.row(j) == [G.mul_idx(i, j) for i in range(5040)]
 
 
 def test_tables_fill_one_entry_per_read():
     G = make(["(0 1)", "(0 1 2 3 4 5)"], 6)
+    G.mul_idx(5, 700)
+    assert [j for j, r in enumerate(G._rows) if r is not None] == [700]
+    assert G._comm is None  # allocated on the first commutator read
     G.comm_idx(5, 700)
     assert sum(k != -1 for k in G._comm) == 1
-    assert sum(k != -1 for k in G._table) <= 3  # gh, hg, (hg)^-1 (gh)
+    assert sum(r is not None for r in G._rows) <= 3  # rows of h, g and gh
+    assert_stored_entries_agree(G)
 
 
 @DIFFERENTIAL
@@ -239,33 +260,39 @@ def test_tables_fill_in_any_order(data):
     G = data.draw(groups())
     n, els = G.order, G.elements
     reads = data.draw(st.lists(
-        st.tuples(st.sampled_from("mic"), st.integers(0, n - 1), st.integers(0, n - 1)),
+        st.tuples(st.sampled_from("mric"), st.integers(0, n - 1), st.integers(0, n - 1)),
         min_size=1, max_size=300,
     ))
     for op, i, j in reads:
         a, b = els[i], els[j]
         if op == "m":
             assert els[G.mul_idx(i, j)] == compose(a, b)
+        elif op == "r":
+            assert els[G.row(j)[i]] == compose(a, b)
         elif op == "i":
             assert els[G.inv_idx(i)] == a.inverse()
         else:
             assert els[G.comm_idx(i, j)] == commutator(a, b)
-    for table, op in ((G._table, compose), (G._comm, commutator)):
-        for ij, k in enumerate(table):
-            if k != -1:
-                assert els[k] == op(els[ij // n], els[ij % n])
+    assert_stored_entries_agree(G)
 
 
 def test_tables_check_products_against_the_element_set():
-    # closed under inverses, not under products: (0 1)(0 2) is a 3-cycle
+    # closed under inverses, not under products: (0 2)(0 1) is a 3-cycle, and
+    # the rows of t and u hold u·t and t·u, so whichever product a fresh
+    # group reads first raises
     e, t, u = (parse_cycles(x, 3) for x in ("()", "(0 1)", "(0 2)"))
-    G = FiniteGroup(3, [t, u], [e, t, u])
-    ti, ui = G.index_of[t], G.index_of[u]
-    assert G.mul_idx(ti, ti) == G.identity_idx
-    with pytest.raises(KeyError):
-        G.mul_idx(ti, ui)
-    with pytest.raises(KeyError):
-        G.comm_idx(ui, ti)
+    reads = (
+        lambda G, t, u: G.mul_idx(t, t),
+        lambda G, t, u: G.mul_idx(t, u),
+        lambda G, t, u: G.row(t),
+        lambda G, t, u: G.comm_idx(u, t),
+    )
+    for read in reads:
+        G = FiniteGroup(3, [t, u], [e, t, u])
+        for _ in range(2):  # a row that raised is not stored
+            with pytest.raises(KeyError):
+                read(G, G.index_of[t], G.index_of[u])
+        assert G._rows == [None] * 3
 
 
 def test_group_file_roundtrip():
@@ -363,8 +390,8 @@ def test_central_series_of_non_subgroup_is_literal():
 @DIFFERENTIAL
 @given(st.data())
 def test_central_series_matches_naive(data):
-    G = data.draw(groups())
-    sub = data.draw(subgroups_or_subsets(G))
+    G, pool = data.draw(groups_and_pools())
+    sub = data.draw(subgroups_or_subsets(G, pool))
     got = [perms(G, z) for z in central_series_indices(G, sub)]
     assert got == naive_center_series(perms(G, sub))
 
@@ -372,11 +399,13 @@ def test_central_series_matches_naive(data):
 @DIFFERENTIAL
 @given(st.data())
 def test_normalizer_matches_naive(data):
-    G = data.draw(groups())
-    members = data.draw(subgroups_or_subsets(G))
-    sub = data.draw(subgroups_or_subsets(G))
-    got = normalizer_indices(G, members, sub)
-    assert got == indices(G, naive_normalizer(perms(G, members), perms(G, sub)))
+    # besides the drawn sets: a cyclic subgroup, which is seldom normal
+    G, pool = data.draw(groups_and_pools())
+    g = data.draw(st.sampled_from(pool or range(G.order)))
+    for sub in (data.draw(subgroups_or_subsets(G, pool)), closure_indices(G, [g])):
+        for among in (data.draw(subgroups_or_subsets(G, pool)), whole(G, pool)):
+            got = normalizer_indices(G, among, sub)
+            assert got == indices(G, naive_normalizer(perms(G, among), perms(G, sub)))
 
 
 def test_commutator_filter_needs_xs_to_normalize_into():
@@ -395,9 +424,41 @@ def test_commutator_filter_needs_xs_to_normalize_into():
 @DIFFERENTIAL
 @given(st.data())
 def test_commutator_filter_matches_naive(data):
-    G = data.draw(groups())
-    members = data.draw(subgroups_or_subsets(G))
-    xs = data.draw(subgroups_or_subsets(G))
-    into = data.draw(subgroups_or_subsets(G))
-    got = commutator_filter(G, members, xs, into)
-    assert got == indices(G, naive_commutator_filter(perms(G, members), perms(G, xs), perms(G, into)))
+    # besides the drawn sets: the trivial target (a centralizer) and the
+    # whole target, whose coset labels are all equal
+    G, pool = data.draw(groups_and_pools())
+    xs = data.draw(subgroups_or_subsets(G, pool))
+    trivial = frozenset({G.identity_idx})
+    for into in (data.draw(subgroups_or_subsets(G, pool)), trivial, whole(G, pool)):
+        for among in (data.draw(subgroups_or_subsets(G, pool)), whole(G, pool)):
+            got = commutator_filter(G, among, xs, into)
+            want = naive_commutator_filter(perms(G, among), perms(G, xs), perms(G, into))
+            assert got == indices(G, want)
+
+
+def test_commutator_filter_into_non_subgroup_is_literal(s3):
+    # {(), (0 1 2)} is not closed; coset labels of the subgroup its greedy
+    # generators span (A3) would keep all of S3, since [S3, S3] = A3
+    whole = frozenset(range(s3.order))
+    into = cycles(s3, "()", "(0 1 2)")
+    assert generating_indices(s3, into) is None
+    got = commutator_filter(s3, whole, whole, into)
+    assert got == cycles(s3, "()", "(0 1 2)")
+    els = frozenset(s3.elements)
+    assert perms(s3, got) == naive_commutator_filter(els, els, perms(s3, into))
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_closure_indices_matches_naive(data):
+    G, pool = data.draw(groups_and_pools())
+    drawn = data.draw(st.lists(st.sampled_from(pool or range(G.order)), max_size=3))
+    cases = [drawn]
+    if pool is None:
+        # the generators give the whole group, past the half-order stop; the
+        # words of even length in them give a subgroup of index 1 or 2, the
+        # sharpest case for that stop
+        gens = [G.index_of[g] for g in G.generators]
+        cases += [gens, [G.mul_idx(a, b) for a in gens for b in gens]]
+    for seeds in cases:
+        assert perms(G, closure_indices(G, seeds)) == naive_closure(perms(G, seeds), G.degree)
