@@ -14,13 +14,17 @@ each check as a dict, its checks written from a template (see `render`).
 Exit codes: 0 all checks pass, 1 check failures, 2 usage or file errors,
 3 resource caps exceeded.
 
-Each subcommand imports only the engine it runs: `ekchain` imports `chains`,
-`verify` `chains` and `catalog`, `counterexample` `symnat`.  At module level
-this file imports only what they share (`argparse`, `json`, `grp`, `perm`,
-and `os` and `stat`, which the interpreter's start-up has already loaded).
-Every CLI run is a fresh process that pays for each import again, and
-compiles each module again where no bytecode is cached, so an engine loaded
-but never called costs as much as a short run's own work.
+Each subcommand imports only the engine it runs: `ekchain` imports `grp` and
+`chains`, `verify` `grp`, `chains` and `catalog`, `counterexample` `symnat`.
+At module level this file imports only what they share (`argparse`, `json`,
+`perm`, and `os` and `stat`, which the interpreter's start-up has already
+loaded); the option defaults come from the package itself.  Every CLI run is
+a fresh process that pays for each import again, and compiles each module
+again where no bytecode is cached, so an engine loaded but never called costs
+as much as a short run's own work.
+
+A json-like report is written in chunks of `_CHUNK` checks, so the whole
+text is never held at once; `render` joins the same chunks.
 """
 
 from __future__ import annotations
@@ -32,31 +36,31 @@ import stat
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
-from . import __version__
-from .grp import (
-    ClosureCapError,
-    DEFAULT_CAP,
-    FiniteGroup,
-    GroupFileError,
-    MAX_KMAX,
-    Subgroup,
-    default_kmax,
-    nilpotency_class,
-    parse_group_file,
-)
+from . import DEFAULT_CAP, MAX_KMAX, __version__
 from .perm import format_cycles
+
+if TYPE_CHECKING:
+    from .grp import FiniteGroup, Subgroup
 
 
 # Most checks one report may hold; `verify` grows as O(kmax^3) per subgroup.
 MAX_CHECKS = 500_000
+
+# Checks per chunk of a json-like report as `main` writes it.
+_CHUNK = 4096
 
 
 class _UsageError(Exception):
     pass
 
 
-class ReportLimitError(RuntimeError):
+class _LimitError(RuntimeError):
+    """A resource cap was exceeded (exit 3)."""
+
+
+class ReportLimitError(_LimitError):
     """A report grew past `MAX_CHECKS` checks."""
 
 
@@ -160,34 +164,35 @@ _CHECK_WITNESS = (
 )
 
 
-def _render_json(report: dict) -> str:
-    """json-like report in one join.
+def _json_chunks(report: dict):
+    """The json-like report in pieces of `_CHUNK` checks, then the rest.
 
     "checks" sorts before every other report key, so the checks come first,
     followed by the rest of the report as `json.dumps` writes it.
     """
-    rest = json.dumps({k: v for k, v in report.items() if k != "checks"},
-                      sort_keys=True, indent=2)
-    if not report["checks"]:
-        return "".join(('{\n  "checks": [],\n', rest[2:], "\n"))
+    checks = report["checks"]
     # claims and statuses repeat; encode each distinct one once
     shared: dict[str, str] = {}
-    parts = ['{\n  "checks": [']
-    for cid, claim, status, witness in report["checks"]:
-        c = shared.get(claim)
-        if c is None:
-            c = shared[claim] = encode_basestring_ascii(claim)
-        s = shared.get(status)
-        if s is None:
-            s = shared[status] = encode_basestring_ascii(status)
-        if witness is None:
-            parts.append(_CHECK % (c, encode_basestring_ascii(cid), s))
-        else:
-            parts.append(_CHECK_WITNESS % (c, encode_basestring_ascii(cid), s,
-                                           encode_basestring_ascii(witness)))
-    parts[1] = parts[1][1:]
-    parts += ("\n  ],\n", rest[2:], "\n")
-    return "".join(parts)
+    for start in range(0, len(checks), _CHUNK):
+        parts = ['{\n  "checks": ['] if start == 0 else []
+        for cid, claim, status, witness in checks[start:start + _CHUNK]:
+            c = shared.get(claim)
+            if c is None:
+                c = shared[claim] = encode_basestring_ascii(claim)
+            s = shared.get(status)
+            if s is None:
+                s = shared[status] = encode_basestring_ascii(status)
+            if witness is None:
+                parts.append(_CHECK % (c, encode_basestring_ascii(cid), s))
+            else:
+                parts.append(_CHECK_WITNESS % (c, encode_basestring_ascii(cid), s,
+                                               encode_basestring_ascii(witness)))
+        if start == 0:
+            parts[1] = parts[1][1:]
+        yield "".join(parts)
+    rest = json.dumps({k: v for k, v in report.items() if k != "checks"},
+                      sort_keys=True, indent=2)
+    yield "".join(("\n  ],\n" if checks else '{\n  "checks": [],\n', rest[2:], "\n"))
 
 
 def render(report: dict, fmt: str) -> str:
@@ -197,7 +202,7 @@ def render(report: dict, fmt: str) -> str:
     with each check tuple as its dict; the checks come from a template.
     """
     if fmt == "json-like":
-        return _render_json(report)
+        return "".join(_json_chunks(report))
     return render_text(report)
 
 
@@ -209,6 +214,8 @@ def _exit_code(report: dict) -> int:
 
 
 def _load_group_file(path: str, cap: int) -> FiniteGroup:
+    from .grp import ClosureCapError, GroupFileError, parse_group_file
+
     try:
         # before `open`: opening a FIFO for reading waits for a writer
         if not stat.S_ISREG(os.stat(path).st_mode):
@@ -221,6 +228,8 @@ def _load_group_file(path: str, cap: int) -> FiniteGroup:
         return parse_group_file(text, cap=cap)
     except GroupFileError as exc:
         raise _UsageError(f"{path}: {exc}") from exc
+    except ClosureCapError as exc:
+        raise _LimitError(str(exc)) from exc
 
 
 def _check_cap(cap: int):
@@ -237,6 +246,7 @@ def _check_kmax(kmax: int):
 
 def cmd_ekchain(args) -> dict:
     from . import chains
+    from .grp import default_kmax, nilpotency_class
 
     _check_cap(args.cap)
     G = _load_group_file(args.group_file, args.cap)
@@ -291,6 +301,7 @@ def _abc_triples(G: FiniteGroup, H: Subgroup, kmax: int):
     by the chain/center identity; degenerate triples cover the trivial cases.
     """
     from . import chains
+    from .grp import Subgroup
 
     terms, _ = chains.ek_term_data(G, H.indices, kmax)
     yield "abc(H,H,H)-", H, H, H, 1
@@ -323,11 +334,15 @@ def cmd_verify(args) -> dict:
     from pathlib import Path
 
     from .catalog import build_catalog, enumerate_subgroups
+    from .grp import ClosureCapError
 
     _check_cap(args.cap)
     _check_kmax(args.kmax)
     if args.catalog_dir is None:
-        catalog = build_catalog(cap=args.cap)
+        try:
+            catalog = build_catalog(cap=args.cap)
+        except ClosureCapError as exc:
+            raise _LimitError(str(exc)) from exc
     else:
         catalog = {}
         root = Path(args.catalog_dir)
@@ -474,11 +489,14 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"envchain: error: {exc}", file=sys.stderr)
         return 2
-    except (ClosureCapError, ReportLimitError) as exc:
+    except _LimitError as exc:
         print(f"envchain: resource limit: {exc}", file=sys.stderr)
         return 3
     report["timings"]["total_s"] = round(time.perf_counter() - start, 6)
-    sys.stdout.write(render(report, args.format))
+    if args.format == "json-like":
+        sys.stdout.writelines(_json_chunks(report))
+    else:
+        sys.stdout.write(render_text(report))
     if report.get("partial"):
         return 3
     return _exit_code(report)

@@ -45,6 +45,7 @@ from itertools import compress
 from operator import eq, itemgetter
 from typing import Iterable, Sequence, Union
 
+from . import DEFAULT_CAP, MAX_KMAX  # defined there so the CLI need not import grp
 from .perm import (
     CycleParseError,
     DegreeMismatchError,
@@ -53,13 +54,8 @@ from .perm import (
     parse_cycles,
 )
 
-DEFAULT_CAP = 20000
-
 # Largest degree a group file may declare; a larger one is a GroupFileError.
 MAX_DEGREE = 10_000
-
-# Largest chain depth the CLI accepts; every resolved default lies below it.
-MAX_KMAX = 64
 
 # Orders up to this bound store product rows and commutator entries once read
 # and filter by coset labels (2-byte ints); above it every entry is recomputed

@@ -24,7 +24,8 @@ one period block gives each preimage directly.
 from __future__ import annotations
 
 import math
-from itertools import product as _iterproduct
+from functools import lru_cache
+from operator import xor
 from typing import Callable, Iterable, NamedTuple
 
 from .perm import Permutation
@@ -67,22 +68,22 @@ class BitFn:
     __slots__ = ("prefix", "block")
 
     def __init__(self, prefix: Iterable[int] = (), block: Iterable[int] = (0,)):
-        pre = [int(b) for b in prefix]
-        blk = [int(b) for b in block]
+        pre = tuple(map(int, prefix))
+        blk = tuple(map(int, block))
         if not blk:
             raise ValueError("period block must be nonempty")
-        if any(b not in (0, 1) for b in pre + blk):
+        if not {*pre, *blk} <= {0, 1}:
             raise ValueError("bits must be 0 or 1")
         p = len(blk)
         for d in range(1, p + 1):
-            if p % d == 0 and all(blk[i] == blk[i % d] for i in range(p)):
+            if p % d == 0 and blk[:d] * (p // d) == blk:
                 blk = blk[:d]
                 break
         while pre and pre[-1] == blk[-1]:
-            blk.insert(0, blk.pop())
-            pre.pop()
-        object.__setattr__(self, "prefix", tuple(pre))
-        object.__setattr__(self, "block", tuple(blk))
+            blk = blk[-1:] + blk[:-1]
+            pre = pre[:-1]
+        object.__setattr__(self, "prefix", pre)
+        object.__setattr__(self, "block", blk)
 
     def __setattr__(self, name, value):
         raise AttributeError("BitFn is immutable")
@@ -104,6 +105,11 @@ class BitFn:
             return self.prefix[x]
         return self.block[(x - len(self.prefix)) % len(self.block)]
 
+    def values(self, n: int) -> tuple[int, ...]:
+        """The values at x = 0..n-1."""
+        reps = -((len(self.prefix) - n) // len(self.block))
+        return (self.prefix + self.block * max(reps, 0))[:n]
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitFn)
@@ -122,9 +128,9 @@ class BitFn:
 
     def __xor__(self, other: "BitFn") -> "BitFn":
         pre = max(len(self.prefix), len(other.prefix))
-        per = math.lcm(self.period, other.period)
-        return BitFn((self(x) ^ other(x) for x in range(pre)),
-                     (self(x) ^ other(x) for x in range(pre, pre + per)))
+        n = pre + math.lcm(self.period, other.period)
+        a, b = self.values(n), other.values(n)
+        return BitFn(map(xor, a[:pre], b[:pre]), map(xor, a[pre:], b[pre:]))
 
     def to_text(self) -> str:
         return "".join(map(str, self.prefix)) + "|" + "".join(map(str, self.block))
@@ -163,17 +169,17 @@ class BitFn:
         The caller asserts `fn` is periodic with period `period` from
         `prefix_len` on.  The claim is re-verified on a window past the
         sampled one and a violation aborts loudly: a non-eventually-periodic
-        value can only come from an internal bug.
+        value can only come from an internal bug.  Each point of the prefix
+        and of two periods is sampled once.
         """
-        out = cls(
-            (fn(x) for x in range(prefix_len)),
-            (fn(prefix_len + i) for i in range(period)),
-        )
-        for x in range(prefix_len, prefix_len + 2 * period):
-            if fn(x) != out(x):
-                raise RuntimeError(
-                    f"function is not ({prefix_len}, {period}) eventually periodic at x={x}"
-                )
+        head = prefix_len + period
+        vals = list(map(fn, range(head + period)))
+        out = cls(vals[:prefix_len], vals[prefix_len:head])
+        if vals[head:] != vals[prefix_len:head]:
+            x = next(x for x in range(head, head + period) if vals[x] != vals[x - period])
+            raise RuntimeError(
+                f"function is not ({prefix_len}, {period}) eventually periodic at x={x}"
+            )
         return out
 
 
@@ -317,6 +323,8 @@ def _pull_bits(b: BitFn, first: BlockPerm, m: int) -> BitFn:
         1,
     )
     period = math.lcm(b.period, 2)
+    if m == 0:  # f^0 is the identity
+        return BitFn.from_fn(lambda x: b(first(x)), prefix_len, period)
     return BitFn.from_fn(lambda x: b(f_pow(first(x), m)), prefix_len, period)
 
 
@@ -393,11 +401,6 @@ class DescentScanError(RuntimeError):
     def __init__(self, message: str, exhausted: bool):
         super().__init__(message)
         self.exhausted = exhausted
-
-
-def _mask(bits: Iterable[int]) -> int:
-    """The int whose bit x is the x-th entry of `bits`."""
-    return int("".join(map(str, bits))[::-1] or "0", 2)
 
 
 def _from_mask(mask: int, period: int) -> BitFn:
@@ -493,21 +496,27 @@ def _preimage(h: int, period: int) -> int:
     Seeding g(0) = 0 runs the two-term recurrence once around the block;
     it closes up when h has even weight on each parity class, as every member
     of a level below `period` does.
+
+    Solved, g(2a) is the XOR of h(0), h(2), ..., h(2a-2) and g(2a+1) that of
+    h(1), h(3), ..., h(2a+1): prefix XORs along each parity class, which the
+    shifts by 2, 4, 8, ... below form for both classes at once.
     """
     P = period
-    hb = [(h >> x) & 1 for x in range(P)]
-    g = [0] * P
-    g[1] = hb[1]
-    for a in range(P // 2 - 1):
-        g[2 * a + 2] = g[2 * a] ^ hb[2 * a]
-        g[2 * a + 3] = g[2 * a + 1] ^ hb[2 * a + 3]
-    if g[P - 2] ^ hb[P - 2] != g[0] or g[P - 1] ^ hb[1] != g[1]:
+    full = (1 << P) - 1
+    even = full // 3  # bits 0, 2, 4, ...
+    y = h & full
+    shift = 2
+    while shift < P:
+        y ^= y << shift
+        shift <<= 1
+    g = ((y & even) << 2 | y & ~even) & full
+    # the recurrence closes up: g(P-2) ^ h(P-2) is g(0), g(P-1) ^ h(1) is g(1)
+    if ((g ^ h) >> (P - 2)) & 1 != g & 1 or ((g >> (P - 1)) ^ (h >> 1)) & 1 != (g >> 1) & 1:
         raise RuntimeError("seeded recursion is not periodic: internal bug")
-    mask = _mask(g)
     # delta(g) = h pointwise: the block of h, then h(1) again at x = P + 1
-    if _delta_mask(mask, P) != h | (h & 3) << P:
+    if _delta_mask(g, P) != h | (h & 3) << P:
         raise RuntimeError("seeded recursion does not solve its system: internal bug")
-    return mask
+    return g
 
 
 def iterated_centralizer_model(imax: int, budget: int = 1 << 26) -> IterChainModel:
@@ -540,35 +549,47 @@ def iterated_centralizer_model(imax: int, budget: int = 1 << 26) -> IterChainMod
 
 def brute_force_level(i: int) -> frozenset[BitFn]:
     """Independent oracle: enumerate all period-2^i patterns and keep those
-    whose delta lies in the brute-forced previous level."""
+    whose delta lies in the enumerated previous level.
+
+    Reads neither `_preimage` nor `_delta_mask`; the hits are built as
+    canonical BitFns from their bits."""
     if i < 1:
         raise ValueError("i must be >= 1")
     if i > 4:
         raise ValueError(f"enumeration of 2^{2 ** i} candidates is infeasible (i={i} > 4)")
-    prev = frozenset({BitFn.zero()}) if i == 1 else brute_force_level(i - 1)
-    out = set()
-    for bits in _iterproduct((0, 1), repeat=2 ** i):
-        g = BitFn.from_pattern(bits)
-        if delta(g) in prev:
-            out.add(g)
-    return frozenset(out)
+    P = 2 ** i
+    return frozenset(BitFn.from_pattern([(g >> x) & 1 for x in range(P)])
+                     for g in _enumerated_level(i))
 
 
-def gxl_generators(x: int, l: int, count: int) -> list[SymElem]:
-    """The first `count` residue-class block swaps for residue x mod 2^l.
+@lru_cache(maxsize=None)
+def _enumerated_level(i: int) -> frozenset[int]:
+    """Level i of `brute_force_level` as int masks over one P = 2^i block.
 
-    Generator (i, i') swaps blocks x + 2^l i and x + 2^l i'; pairs i < i' are
-    taken in lexicographic order, so the first `count` all have i = 0.
+    Every candidate's delta is sampled point by point from `f_map` on
+    x = 0..P+1.  That window decides membership: a P-periodic g's delta
+    repeats with period P from x = 2 on, and level i-1's members are purely
+    periodic with period dividing P/2, so two such functions are equal
+    exactly when they agree on x = 0..P+1.  Each level is enumerated once
+    per process and serves every deeper one.
     """
-    if l < 0 or not 0 <= x < 2 ** l:
-        raise ValueError(f"need 0 <= x < 2^l, got x={x}, l={l}")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    step = 2 ** l
-    return [
-        SymElem.from_blocks(BlockPerm.swap(x, x + step * ip))
-        for ip in range(1, count + 1)
-    ]
+    if i == 0:
+        return frozenset({0})
+    P = 2 ** i
+    targets = set()
+    for m in _enumerated_level(i - 1):
+        w = m | m << (P // 2)
+        targets.add(w | (w & 3) << P)
+    # x -> (x mod P, f_map(x) mod P): the places of g that delta(g)(x) reads
+    places = [(x % P, f_map(x) % P) for x in range(P + 2)]
+    hits = []
+    for g in range(1 << P):
+        d = 0
+        for x, (a, b) in enumerate(places):
+            d |= ((g >> a ^ g >> b) & 1) << x
+        if d in targets:
+            hits.append(g)
+    return frozenset(hits)
 
 
 class DescentWitness(NamedTuple):

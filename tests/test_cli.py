@@ -152,6 +152,23 @@ def test_ekchain_cap_exceeded(capsys, s3_files):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["ekchain", "S3", "H", "--cap", "3"],
+    ["verify", "--kmax", "1", "--cap", "3"],
+    ["verify", "--kmax", "1", "--cap", "3", "--catalog-dir", "DIR"],
+])
+def test_cap_overflow_exit_3(capsys, s3_files, argv):
+    # the closure BFS holds the identity and the two generators of S3 (or
+    # of A4, the first built-in group), then a fourth element
+    cdir = Path(s3_files[0]).parent
+    argv = [{"S3": s3_files[0], "H": s3_files[1], "DIR": str(cdir)}.get(a, a) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "envchain: resource limit: closure exceeded cap 3 (at least 4 elements)\n"
+    assert captured.out == ""
+
+
 def test_ekchain_negative_cap_exit_2(capsys, s3_files):
     g, h = s3_files
     code = main(["ekchain", g, h, "--cap", "-1"])
@@ -648,6 +665,37 @@ def reports(draw) -> dict:
 @given(reports())
 def test_render_matches_dict_form(report):
     assert_renders_as_dicts(report)
+
+
+@settings(max_examples=40, deadline=None)
+@given(reports(), st.integers(1, 3))
+def test_render_in_small_chunks_matches_dict_form(report, chunk):
+    # reports of up to 8 checks cross several chunk boundaries
+    cli._CHUNK, saved = chunk, cli._CHUNK
+    try:
+        assert_renders_as_dicts(report)
+    finally:
+        cli._CHUNK = saved
+
+
+def test_main_writes_the_rendered_bytes_in_chunks(capsys, monkeypatch, s3_files):
+    reports, chunks = [], []
+    chunked = cli._json_chunks
+
+    def spy(report):
+        reports.append(report)
+        for chunk in chunked(report):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(cli, "_json_chunks", spy)
+    monkeypatch.setattr(cli, "_CHUNK", 7)
+    code, out = run(capsys, "verify", "--suite", "bryant", "--kmax", "2", "--catalog-dir",
+                    str(Path(s3_files[0]).parent), "--format", "json-like")
+    assert code == 0
+    n = len(reports[0]["checks"])
+    assert n > 14 and len(chunks) == -(-n // 7) + 1
+    assert out == "".join(chunks) == cli.render(reports[0], "json-like")
 
 
 def test_render_empty_checks():

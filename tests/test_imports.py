@@ -42,13 +42,15 @@ def run_main(argv: list[str]) -> str:
 def test_cli_import_leaves_the_engines_out(tmp_path):
     mods = loaded("import envchain.cli", tmp_path)
     assert "envchain.cli" in mods
-    for name in ("envchain.chains", "envchain.catalog", "envchain.symnat", "dataclasses"):
+    for name in ("envchain.grp", "envchain.chains", "envchain.catalog", "envchain.symnat",
+                 "dataclasses"):
         assert name not in mods
 
 
 def test_counterexample_loads_no_finite_engine(tmp_path):
     mods = loaded(run_main(["counterexample", "--levels", "3", "--scan-max", "2"]), tmp_path)
     assert "envchain.symnat" in mods
+    assert "envchain.grp" not in mods
     assert "envchain.chains" not in mods
     assert "envchain.catalog" not in mods
     assert "dataclasses" not in mods

@@ -1,6 +1,7 @@
 """The symbolic block-permutation model: bit functions, the normal-form
 algebra, chain levels, and the strict-descent witnesses."""
 
+import itertools
 import math
 import random
 
@@ -123,6 +124,130 @@ def test_bitfn_xor_pointwise_wide_periods(a, b):
 def test_from_fn_rejects_a_wrong_period():
     with pytest.raises(RuntimeError, match="not \\(0, 2\\) eventually periodic"):
         sn.BitFn.from_fn(lambda x: 1 if x % 3 == 0 else 0, 0, 2)
+
+
+# The kernels as they were before they sampled each point once: test-local
+# oracles for `BitFn.__init__`, `__xor__`, `from_fn` and `_pull_bits`.
+
+
+def old_canonical(prefix, block) -> tuple[tuple, tuple]:
+    pre = [int(b) for b in prefix]
+    blk = [int(b) for b in block]
+    p = len(blk)
+    for d in range(1, p + 1):
+        if p % d == 0 and all(blk[i] == blk[i % d] for i in range(p)):
+            blk = blk[:d]
+            break
+    while pre and pre[-1] == blk[-1]:
+        blk.insert(0, blk.pop())
+        pre.pop()
+    return tuple(pre), tuple(blk)
+
+
+def old_xor(a: sn.BitFn, b: sn.BitFn) -> tuple[tuple, tuple]:
+    pre = max(len(a.prefix), len(b.prefix))
+    per = math.lcm(a.period, b.period)
+    return old_canonical([a(x) ^ b(x) for x in range(pre)],
+                         [a(x) ^ b(x) for x in range(pre, pre + per)])
+
+
+def old_from_fn(fn, prefix_len: int, period: int) -> tuple[tuple, tuple]:
+    pre, blk = old_canonical([fn(x) for x in range(prefix_len)],
+                             [fn(prefix_len + i) for i in range(period)])
+    out = sn.BitFn(pre, blk)
+    for x in range(prefix_len, prefix_len + 2 * period):
+        if fn(x) != out(x):
+            raise RuntimeError(
+                f"function is not ({prefix_len}, {period}) eventually periodic at x={x}"
+            )
+    return pre, blk
+
+
+def old_pull_bits(b: sn.BitFn, first: sn.BlockPerm, m: int) -> tuple[tuple, tuple]:
+    shift = 2 * abs(m)
+    prefix_len = max(len(b.prefix) + shift, shift + 2, max(first.support, default=-1) + 1, 1)
+    return old_from_fn(lambda x: b(sn.f_pow(first(x), m)), prefix_len, math.lcm(b.period, 2))
+
+
+def random_raw(rng: random.Random, max_pre: int = 8, max_blk: int = 24) -> tuple[list, list]:
+    """A prefix and a block; one time in three the block repeats a shorter
+    one and the prefix ends like the block, so both reductions run."""
+    blk = [rng.randint(0, 1) for _ in range(rng.randint(1, max_blk))]
+    pre = [rng.randint(0, 1) for _ in range(rng.randint(0, max_pre))]
+    if rng.randrange(3) == 0:
+        d = rng.randint(1, 4)
+        blk = blk[:d] * rng.randint(1, 6)
+        pre += blk[-rng.randint(0, len(blk)):] if rng.randrange(2) else []
+    return pre, blk
+
+
+def random_blockperm(rng: random.Random) -> sn.BlockPerm:
+    pts = rng.sample(range(12), rng.randint(0, 5))
+    shuffled = pts[:]
+    rng.shuffle(shuffled)
+    return sn.BlockPerm(dict(zip(pts, shuffled)))
+
+
+def test_bitfn_init_matches_the_per_point_canonical_form():
+    rng = random.Random(71)
+    for _ in range(3000):
+        pre, blk = random_raw(rng)
+        b = sn.BitFn(pre, blk)
+        assert (b.prefix, b.block) == old_canonical(pre, blk)
+        assert type(b.prefix) is tuple and type(b.block) is tuple
+    for bad in (((2,), (0,)), ((), (0, 1, -1)), ((), ())):
+        with pytest.raises(ValueError):
+            sn.BitFn(*bad)
+
+
+def test_bitfn_values_and_xor_match_the_per_point_forms():
+    rng = random.Random(73)
+    for _ in range(2000):
+        a, b = sn.BitFn(*random_raw(rng)), sn.BitFn(*random_raw(rng))
+        x = a ^ b
+        assert (x.prefix, x.block) == old_xor(a, b)
+        n = rng.randint(0, 40)
+        assert a.values(n) == tuple(a(t) for t in range(n))
+
+
+def test_from_fn_matches_the_two_pass_sampler():
+    rng = random.Random(79)
+    outcomes = set()
+    for _ in range(2000):
+        prefix_len, period = rng.randint(0, 6), rng.randint(1, 12)
+        if rng.randrange(2):
+            # eventually periodic as claimed, possibly with a shorter period
+            j = sn.BitFn(*random_raw(rng, max_pre=prefix_len, max_blk=4))
+            period = j.period * rng.randint(1, 3)
+            fn = j
+        else:
+            # arbitrary bits over the sampled window: mostly not periodic
+            bits = [rng.randint(0, 1) for _ in range(prefix_len + 2 * period)]
+            if rng.randrange(2):
+                bits[prefix_len + period:] = bits[prefix_len:prefix_len + period]
+                bits[rng.randrange(prefix_len + period, len(bits))] ^= 1
+            fn = bits.__getitem__
+        try:
+            expected = old_from_fn(fn, prefix_len, period)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError) as got:
+                sn.BitFn.from_fn(fn, prefix_len, period)
+            assert str(got.value) == str(exc)
+            outcomes.add("raise")
+            continue
+        out = sn.BitFn.from_fn(fn, prefix_len, period)
+        assert (out.prefix, out.block) == expected
+        outcomes.add("sample")
+    assert outcomes == {"raise", "sample"}
+
+
+def test_pull_bits_matches_the_per_point_sampler():
+    rng = random.Random(83)
+    for _ in range(600):
+        b = sn.BitFn(*random_raw(rng, max_blk=8))
+        first, m = random_blockperm(rng), rng.randint(-4, 4)
+        out = sn._pull_bits(b, first, m)
+        assert (out.prefix, out.block) == old_pull_bits(b, first, m)
 
 
 def test_bitfn_text_roundtrip():
@@ -373,6 +498,22 @@ def test_model_matches_brute_force(model):
         assert sn.brute_force_level(i) == model.level(i)
 
 
+def old_brute_force_level(i: int) -> frozenset:
+    """`brute_force_level` as it was: every pattern as a BitFn, delta by BitFn."""
+    prev = frozenset({sn.BitFn.zero()}) if i == 1 else old_brute_force_level(i - 1)
+    out = set()
+    for bits in itertools.product((0, 1), repeat=2 ** i):
+        g = sn.BitFn.from_pattern(bits)
+        if sn.delta(g) in prev:
+            out.add(g)
+    return frozenset(out)
+
+
+def test_mask_oracle_matches_the_bitfn_enumeration():
+    for i in (1, 2, 3):
+        assert sn.brute_force_level(i) == old_brute_force_level(i)
+
+
 def test_brute_force_level_4_matches_solver(model):
     assert sn.brute_force_level(4) == model.level(4)
 
@@ -406,10 +547,67 @@ def test_preimage_is_seeded_solution(model):
         P = 2 ** (i + 1)
         nxt = model.level(i + 1)
         for h in model.level(i):
-            g = sn._from_mask(sn._preimage(sn._mask(h(x) for x in range(P)), P), P)
+            g = sn._from_mask(sn._preimage(sum(h(x) << x for x in range(P)), P), P)
             assert g(0) == 0
             assert sn.delta(g) == h
             assert g in nxt
+
+
+def old_preimage(h: int, P: int) -> int:
+    """`_preimage` as it was: the recurrence run one place at a time."""
+    hb = [(h >> x) & 1 for x in range(P)]
+    g = [0] * P
+    g[1] = hb[1]
+    for a in range(P // 2 - 1):
+        g[2 * a + 2] = g[2 * a] ^ hb[2 * a]
+        g[2 * a + 3] = g[2 * a + 1] ^ hb[2 * a + 3]
+    if g[P - 2] ^ hb[P - 2] != g[0] or g[P - 1] ^ hb[1] != g[1]:
+        raise RuntimeError("seeded recursion is not periodic: internal bug")
+    mask = sum(bit << x for x, bit in enumerate(g))
+    if sn._delta_mask(mask, P) != h | (h & 3) << P:
+        raise RuntimeError("seeded recursion does not solve its system: internal bug")
+    return mask
+
+
+def test_preimage_matches_the_recurrence_loop(monkeypatch):
+    # every input the depth-12 build gives `_preimage`
+    fast, inputs = sn._preimage, []
+
+    def spy(h, period):
+        inputs.append((h, period))
+        return fast(h, period)
+
+    monkeypatch.setattr(sn, "_preimage", spy)
+    sn.iterated_centralizer_model(12)
+    assert len(inputs) == sum(range(12))
+    for h, P in inputs:
+        assert fast(h, P) == old_preimage(h, P)
+
+
+def test_preimage_off_the_model_fails_as_the_loop_does():
+    # random h mostly have odd weight on a parity class, where the recurrence
+    # does not close up; the rest are solved like the loop solves them
+    rng = random.Random(67)
+    outcomes = set()
+    for e in range(1, 8):
+        P = 2 ** e
+        for _ in range(60):
+            h = rng.getrandbits(P)
+            if rng.randrange(2):
+                # even weight on each parity class: fix it at x = 0 and x = 1
+                even = ((1 << P) - 1) // 3
+                h ^= (h & even).bit_count() & 1 | ((h & even << 1).bit_count() & 1) << 1
+            try:
+                expected = old_preimage(h, P)
+            except RuntimeError as exc:
+                with pytest.raises(RuntimeError) as got:
+                    sn._preimage(h, P)
+                assert str(got.value) == str(exc)
+                outcomes.add("raise")
+                continue
+            assert sn._preimage(h, P) == expected
+            outcomes.add("solve")
+    assert outcomes == {"raise", "solve"}
 
 
 def _delta_bitfn(d: int, period: int) -> sn.BitFn:
@@ -492,16 +690,14 @@ def test_model_rejects_a_basis_missing_the_level_below(monkeypatch):
 # --- witnesses ----------------------------------------------------------------------
 
 
-def test_gxl_first_generator():
-    gens = sn.gxl_generators(0, 0, 3)
-    assert len(gens) == 3
-    assert gens[0].sigma == sn.BlockPerm.swap(0, 1)
-    # as a point permutation: (0 2)(1 3)
-    assert [sn.sym_apply(gens[0], x) for x in range(4)] == [2, 3, 0, 1]
+def residue_swap(x: int, l: int, i: int) -> sn.SymElem:
+    """The block swap of x and x + 2^l i, two places of one residue class."""
+    return sn.SymElem.from_blocks(sn.BlockPerm.swap(x, x + 2 ** l * i))
 
 
 def test_gxl_generators_are_involutions():
-    for g in sn.gxl_generators(1, 1, 4):
+    for i in range(1, 5):
+        g = residue_swap(1, 1, i)
         assert sn.sym_mul(g, g).is_identity
 
 
@@ -511,16 +707,10 @@ def test_gxl_generators_commute_with_coarser_periodic_bits(model):
         lev = model.level(k + 1)
         l = max((b.period for b in lev), default=1).bit_length() - 1
         for x in range(2 ** l):
-            for g in sn.gxl_generators(x, l, 2):
+            for i in (1, 2):
+                g = residue_swap(x, l, i)
                 for h in lev:
                     assert sn.sym_commutator(g, sn.SymElem.from_bits(h)).is_identity
-
-
-def test_gxl_bounds():
-    with pytest.raises(ValueError):
-        sn.gxl_generators(2, 1, 1)
-    with pytest.raises(ValueError):
-        sn.gxl_generators(0, 0, 0)
 
 
 def test_descent_witness_k0(model):
