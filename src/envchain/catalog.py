@@ -88,13 +88,21 @@ def enumerate_subgroups(G: FiniteGroup) -> list[tuple[str, Subgroup]]:
     """Every subgroup generated by at most two elements, deduplicated.
 
     This covers the trivial subgroup, all cyclic subgroups, and all
-    2-generated ones; labels use the lexicographically first generating seed
-    that produced each subgroup.  Output is sorted by the subgroup's element
-    index set, so it is deterministic.
+    2-generated ones; labels use the first seed, in the order (), then (i,)
+    and then pairs (i, j) with i < j, each by index, that produced each
+    subgroup.  Output is sorted by the subgroup's element index set, so it
+    is deterministic.
 
-    For a fixed i the pair seed (i, j) is skipped when j lies in a double
-    coset <i> j' <i> of an earlier j': <i, a j b> = <i, j> for a, b in <i>,
-    so it repeats a subgroup an earlier seed already labelled.
+    A pair seed (i, j) is skipped only when an earlier seed generates the
+    same subgroup, so the first seed of every subgroup is still scanned:
+
+    - i is not the least generator i0 of <i>: <i, j> = <i0, j>;
+    - j lies in <i>: <i, j> = <i>;
+    - j lies in a double coset <i> j' <i> of an earlier j', or of a
+      generator of <j'>: <i, a j b> = <i, j> for a, b in <i>, and
+      <i, j'^m> = <i, j'> for m prime to the order of j';
+    - the least generator j0 of <j> is below i: <i, j> = <j0, i>, which was
+      scanned from j0's side.
     """
     seen: dict[frozenset[int], str] = {}
     n = G.order
@@ -106,17 +114,24 @@ def enumerate_subgroups(G: FiniteGroup) -> list[tuple[str, Subgroup]]:
 
     seen[frozenset({e})] = "<>"
     cyclic = {i: closure_indices(G, (i,)) for i in range(n) if i != e}
+    generators: dict[frozenset[int], list[int]] = {}  # of each cyclic subgroup, ascending
     for i, idxs in cyclic.items():
         add((i,), idxs)
-    for i, powers in cyclic.items():
-        covered: set[int] = set()
+        generators.setdefault(idxs, []).append(i)
+    for powers, gens in generators.items():
+        i = gens[0]
+        covered = set(powers)
+        right = [G.row(b).__getitem__ for b in powers]  # x ↦ x·b for b in <i>
         for j in range(i + 1, n):
-            if j == e or j in covered:
+            if j in covered:
+                continue
+            jgens = generators[cyclic[j]]
+            if jgens[0] < i:
                 continue
             add((i, j), closure_indices(G, (i, j)))
-            aj = list(map(G.row(j).__getitem__, powers))  # a·j for a in <i>
-            for b in powers:
-                covered.update(map(G.row(b).__getitem__, aj))
+            ag = {a for g in jgens for a in map(G.row(g).__getitem__, powers)}  # a·g
+            for r in right:
+                covered.update(map(r, ag))
     items = [(lab, Subgroup(G, idxs)) for idxs, lab in seen.items()]
     items.sort(key=lambda t: t[1].key())
     return items

@@ -22,6 +22,14 @@ ever reused for the very same question, never across different terms, and
 every identity is still checked.  A run kept at a larger depth answers a
 smaller one by its prefix, with the same `truncated_at` a fresh run gives.
 
+The verifiers keep the same rule: one run per distinct input, written under
+every check id that asks it.  `verify_ek_structure` makes one literal
+one-step pass per distinct envelope term, and `abc_lemma_by_k` returns its
+checks per k, so a caller runs each distinct (A, B, C) once, at the deepest
+k it needs, and reads smaller k as a prefix.  Inputs count as the same only
+when their index sets are equal; no identity of the paper is used to find
+them.
+
 Verifiers return lists of `CheckRecord`; failures carry witnesses instead of
 raising.
 """
@@ -340,17 +348,20 @@ def verify_bryant_lemma(G: FiniteGroup, H: Subgroup, kmax: int) -> list[CheckRec
     return out
 
 
-def verify_abc_lemma(A: Subgroup, B: Subgroup, C: Subgroup, kmax: int) -> list[CheckRecord]:
-    """For nested A <= B <= C, under the hypothesis that the chain of A in C
-    agrees with the upper central series of C up to level k, check that
+_ABC_HYPOTHESIS = "chain of A in C matches the central series of C up to k"
+_ABC_I = "chain of B in C matches the central series of C"
+_ABC_II = "chain of A in B is the series of B and the series of C cut to B"
+_ABC_II_CUT = "central series of B is the central series of C cut to B"
 
-    (i)   the chains of A and of B in C agree with that series up to k,
-    (ii)  the chain of A in B is the series of B, which is the series of C cut
-          down to B, up to k,
-    (iii) level k+1 of A in B is level k+1 of A in C cut down to B.
 
-    When the hypothesis fails at some k the conclusions for that k are
-    recorded as skipped.
+def abc_lemma_by_k(A: Subgroup, B: Subgroup, C: Subgroup, kmax: int) -> list[list[CheckRecord]]:
+    """The checks of `verify_abc_lemma`, as one list per k = 0..kmax.
+
+    The list for k does not depend on kmax: chain runs answer a smaller
+    depth by their prefix.  So a deeper call on the same (A, B, C) holds a
+    shallower one as its leading lists.  The conclusions at (k, j) compare
+    the same sets for every k, so each is compared once per j; a failure
+    still gets its own witness text for each k.
     """
     group = A.parent
     if B.parent is not group or C.parent is not group:
@@ -362,64 +373,40 @@ def verify_abc_lemma(A: Subgroup, B: Subgroup, C: Subgroup, kmax: int) -> list[C
     a_in_b, _ = iterated_centralizer_levels(group, B.indices, sorted(A.indices), kmax + 1)
     c_series = central_series_indices(group, C.indices)
     b_series = central_series_indices(group, B.indices)
+    # the first j at which the hypothesis fails; it fails for every k >= j
+    hyp_break = next(
+        (j for j in range(kmax + 1) if series_level(a_in_c, j) != series_level(c_series, j)),
+        kmax + 1,
+    )
+    conclusions = []  # per j: (id stem, claim, got, want, got == want)
+    for j in range(hyp_break):
+        zc = series_level(c_series, j)
+        zb = series_level(b_series, j)
+        conclusions.append([
+            (stem, claim, got, want, got == want)
+            for stem, claim, got, want in (
+                ("abc-i", _ABC_I, series_level(b_in_c, j), zc),
+                ("abc-ii", _ABC_II, series_level(a_in_b, j), zb),
+                ("abc-ii-cut", _ABC_II_CUT, zb, zc & B.indices),
+            )
+        ])
     out = []
     for k in range(kmax + 1):
-        hyp_break = None
-        for j in range(k + 1):
-            if series_level(a_in_c, j) != series_level(c_series, j):
-                hyp_break = j
-                break
-        if hyp_break is not None:
-            out.append(
-                CheckRecord(
-                    f"abc-hypothesis-k{k}",
-                    "chain of A in C matches the central series of C up to k",
-                    SKIPPED,
-                    witness=f"hypothesis not met at j={hyp_break}",
-                )
-            )
+        if k >= hyp_break:
+            out.append([CheckRecord(
+                f"abc-hypothesis-k{k}", _ABC_HYPOTHESIS, SKIPPED,
+                witness=f"hypothesis not met at j={hyp_break}",
+            )])
             continue
-        out.append(
-            CheckRecord(
-                f"abc-hypothesis-k{k}",
-                "chain of A in C matches the central series of C up to k",
-                PASS,
-            )
-        )
+        records = [CheckRecord(f"abc-hypothesis-k{k}", _ABC_HYPOTHESIS, PASS)]
         for j in range(k + 1):
-            zc = series_level(c_series, j)
-            out.append(
-                _set_check(
-                    group,
-                    f"abc-i-k{k}-j{j}",
-                    "chain of B in C matches the central series of C",
-                    series_level(b_in_c, j),
-                    zc,
-                    f"k={k} j={j}",
+            for stem, claim, got, want, ok in conclusions[j]:
+                check_id = f"{stem}-k{k}-j{j}"
+                records.append(
+                    CheckRecord(check_id, claim, PASS) if ok
+                    else _set_check(group, check_id, claim, got, want, f"k={k} j={j}")
                 )
-            )
-            zb = series_level(b_series, j)
-            out.append(
-                _set_check(
-                    group,
-                    f"abc-ii-k{k}-j{j}",
-                    "chain of A in B is the series of B and the series of C cut to B",
-                    series_level(a_in_b, j),
-                    zb,
-                    f"k={k} j={j}",
-                )
-            )
-            out.append(
-                _set_check(
-                    group,
-                    f"abc-ii-cut-k{k}-j{j}",
-                    "central series of B is the central series of C cut to B",
-                    zb,
-                    zc & B.indices,
-                    f"k={k} j={j}",
-                )
-            )
-        out.append(
+        records.append(
             _set_check(
                 group,
                 f"abc-iii-k{k}",
@@ -429,7 +416,23 @@ def verify_abc_lemma(A: Subgroup, B: Subgroup, C: Subgroup, kmax: int) -> list[C
                 f"k={k}",
             )
         )
+        out.append(records)
     return out
+
+
+def verify_abc_lemma(A: Subgroup, B: Subgroup, C: Subgroup, kmax: int) -> list[CheckRecord]:
+    """For nested A <= B <= C, under the hypothesis that the chain of A in C
+    agrees with the upper central series of C up to level k, check that
+
+    (i)   the chains of A and of B in C agree with that series up to k,
+    (ii)  the chain of A in B is the series of B, which is the series of C cut
+          down to B, up to k,
+    (iii) level k+1 of A in B is level k+1 of A in C cut down to B.
+
+    When the hypothesis fails at some k the conclusions for that k are
+    recorded as skipped.  The records of `abc_lemma_by_k`, in order.
+    """
+    return [r for records in abc_lemma_by_k(A, B, C, kmax) for r in records]
 
 
 def one_step_levels(
@@ -472,6 +475,14 @@ def verify_ek_structure(G: FiniteGroup, H: Subgroup, kmax: int) -> list[CheckRec
     terms, inner = ek_term_data(G, H.indices, kmax)
     target = sorted(H.indices)
     series = [central_series_indices(G, t) for t in terms]
+    # simplified[k][i] depends only on E_k, H and Z_i(E_k): one literal pass
+    # per distinct term, at the deepest k holding it, answers every k by its
+    # prefix (one_step_levels treats each z on its own)
+    deepest = {t: k for k, t in enumerate(terms)}
+    passes = {
+        t: one_step_levels(G, t, target, [series_level(series[k], i) for i in range(k + 1)])
+        for t, k in deepest.items()
+    }
     out = []
     for k in range(kmax + 1):
         for j in range(k + 1):
@@ -485,8 +496,7 @@ def verify_ek_structure(G: FiniteGroup, H: Subgroup, kmax: int) -> list[CheckRec
                     f"k={k} j={j}",
                 )
             )
-        zs = [series_level(series[k], i) for i in range(k + 1)]
-        simplified = one_step_levels(G, terms[k], target, zs)
+        simplified = passes[terms[k]]
         for i in range(k + 1):
             out.append(
                 _set_check(

@@ -14,14 +14,17 @@ one C-level pass on first use, and the n² commutator table is allocated on
 the first commutator read and fills one entry per read.  Larger groups store
 neither and recompute each entry per read.
 
-Each group also memoizes, keyed by the exact index set asked about, a greedy
-generating set of each subgroup, each central series, the left-coset labels
-of each subgroup a filter targets, and (for `chains`) each chain run and each
-envelope run.  Centralizers, central series, chain levels and envelope terms
-are all {g : [g, x] in T for every x in X}, and `commutator_filter` alone
-decides when a generating set of X may stand in for X (`normalizer_indices`
-decides it for conjugation).  Only sets that `generating_indices` verifies
-are reduced; all others are tested in full.
+Each group also memoizes, keyed by the exact index set asked about, greedy
+generators of the subgroup each set spans, each central series, the
+left-coset labels of each subgroup a filter targets, and (for `chains`) each
+chain run and each envelope run.  Centralizers, central series, chain levels
+and envelope terms are all {g : [g, x] in T for every x in X}, and
+`commutator_filter` alone decides when a generating set of X may stand in for
+X (`normalizer_indices` decides it for conjugation).  A commutator filter
+tests only the greedy generators drawn from X when they normalize a target T
+that `generating_indices` verifies, whether or not X is itself a subgroup:
+they lie in X and generate a group containing it.  Every other X is tested in
+full.
 
 Up to `_TABLE_LIMIT`, when `generating_indices` verifies the target T (or S),
 membership is an equality of coset labels, by two facts:
@@ -100,7 +103,7 @@ class FiniteGroup:
         self._rows: list[list[int] | None] | None = None
         self._comm: list[int] | None = None
         # memos: exact input -> stored result (frozensets and tuples only)
-        self._gens: dict[frozenset[int], tuple[int, ...] | None] = {}
+        self._gens: dict[frozenset[int], tuple[tuple[int, ...], bool]] = {}
         self._series: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
         self._labels: dict[frozenset[int], array] = {}  # `_coset_labels`
         self._levels: dict = {}  # chains.iterated_centralizer_levels
@@ -318,22 +321,28 @@ def closure_indices(group: FiniteGroup, seeds: Iterable[int]) -> frozenset[int]:
     return frozenset(els)
 
 
+def _greedy_generators(group: FiniteGroup, sub: frozenset[int]) -> tuple[tuple[int, ...], bool]:
+    """Greedy generators of the subgroup spanned by `sub`, drawn from
+    sorted(sub), and whether `sub` is that subgroup.  Every member of `sub`
+    lies in the span of the generators drawn before it, or is drawn itself.
+    Memoized per group."""
+    memo = group._gens.get(sub)
+    if memo is None:
+        gens: list[int] = []
+        span = frozenset({group.identity_idx})
+        for g in sorted(sub):
+            if g not in span:
+                gens.append(g)
+                span = closure_indices(group, gens)
+        memo = group._gens[sub] = (tuple(gens), span == sub)
+    return memo
+
+
 def generating_indices(group: FiniteGroup, sub: frozenset[int]) -> tuple[int, ...] | None:
     """A greedy generating set of `sub` drawn from sorted(sub), or None when
     `sub` is not a subgroup (its closure is larger).  Memoized per group."""
-    try:
-        return group._gens[sub]
-    except KeyError:
-        pass
-    gens: list[int] = []
-    span = frozenset({group.identity_idx})
-    for g in sorted(sub):
-        if g not in span:
-            gens.append(g)
-            span = closure_indices(group, gens)
-    out = tuple(gens) if span == sub else None
-    group._gens[sub] = out
-    return out
+    gens, closed = _greedy_generators(group, sub)
+    return gens if closed else None
 
 
 def _coset_labels(group: FiniteGroup, sub: frozenset[int], gens: Sequence[int]) -> array:
@@ -378,18 +387,20 @@ def commutator_filter(
     [g, x1 x2] = [g, x2] [g, x1]^x2 (Holt, Eick and O'Brien, *Handbook of
     Computational Group Theory*), so when `into` is a subgroup normalized by
     every x, the x with [g, x] in `into` are closed under products and a
-    generating set of `xs` stands for all of it.  Only generators are tested
-    when `xs` and `into` are verified subgroups and every generator of `xs`
-    conjugates every generator of `into` into `into` (so normalizes it);
-    otherwise every x is tested.
+    generating set of `xs` stands for all of it.  Only the greedy generators
+    drawn from `xs` are tested when `into` is a verified subgroup and each of
+    them conjugates every generator of `into` into `into` (so normalizes it);
+    otherwise every x is tested.  `xs` need not be a subgroup: its generators
+    lie in it and generate a group containing it, so they test exactly what
+    `xs` tests.
 
     For a verified subgroup T = `into`, [g, x] = (xg)^-1 (gx) lies in T iff
     gxT = xgT, so up to `_TABLE_LIMIT` each x is one pass comparing the coset
     labels of gx (the row of x) and xg over the remaining members.
     """
-    xgens = generating_indices(group, xs)
+    xgens, _ = _greedy_generators(group, xs)
     tgens = generating_indices(group, into)
-    if xgens is not None and tgens is not None and all(
+    if tgens is not None and all(
         group.conj_idx(t, x) in into for x in xgens for t in tgens
     ):
         xs = xgens

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from envchain import chains
 from envchain.catalog import CATALOG_FILES, build_catalog, enumerate_subgroups
 from envchain.chains import (
+    CheckRecord,
+    abc_lemma_by_k,
     ek_chain,
     ek_term_data,
     iterated_centralizer_levels,
@@ -19,7 +22,17 @@ from envchain.chains import (
     verify_ek_structure,
     verify_nilpotent_envelope,
 )
-from envchain.grp import closure, generating_indices, nilpotency_class, normalizer_indices, parse_group_file
+from envchain.grp import (
+    Subgroup,
+    central_series_indices,
+    closure,
+    closure_indices,
+    generating_indices,
+    nilpotency_class,
+    normalizer_indices,
+    parse_group_file,
+    series_level,
+)
 from envchain.perm import Permutation, parse_cycles
 
 from naive import (
@@ -35,6 +48,16 @@ from strategies import DIFFERENTIAL, groups, perms, subgroups, subgroups_or_subs
 @pytest.fixture(scope="module")
 def catalog():
     return build_catalog()
+
+
+@pytest.fixture(scope="module")
+def s5_d32():
+    """The two groups of the bench catalog."""
+    S5 = closure([parse_cycles("(0 1)", 5), parse_cycles("(0 1 2 3 4)", 5)])
+    D32 = closure([parse_cycles("(" + " ".join(map(str, range(16))) + ")", 16),
+                   parse_cycles("(1 15)(2 14)(3 13)(4 12)(5 11)(6 10)(7 9)", 16)])
+    assert (S5.order, D32.order) == (120, 32)
+    return S5, D32
 
 
 def subgroup(G, *texts):
@@ -247,6 +270,168 @@ def test_abc_requires_nesting(catalog):
         verify_abc_lemma(A, B, G.full_subgroup(), 1)
 
 
+# --- each lemma run once per distinct input ------------------------------------
+
+
+def per_k_abc(A, B, C, kmax):
+    """The three-group lemma as it was written before `abc_lemma_by_k`: the
+    hypothesis and every conclusion compared afresh for each (k, j).  It
+    reads `chains.central_series_indices` at call time, so a patched series
+    reaches it too."""
+    group = A.parent
+    a_in_c, _ = iterated_centralizer_levels(group, C.indices, sorted(A.indices), kmax + 1)
+    b_in_c, _ = iterated_centralizer_levels(group, C.indices, sorted(B.indices), kmax)
+    a_in_b, _ = iterated_centralizer_levels(group, B.indices, sorted(A.indices), kmax + 1)
+    c_series = chains.central_series_indices(group, C.indices)
+    b_series = chains.central_series_indices(group, B.indices)
+    check = chains._set_check
+    out = []
+    for k in range(kmax + 1):
+        hyp_break = None
+        for j in range(k + 1):
+            if series_level(a_in_c, j) != series_level(c_series, j):
+                hyp_break = j
+                break
+        claim = "chain of A in C matches the central series of C up to k"
+        if hyp_break is not None:
+            out.append(CheckRecord(f"abc-hypothesis-k{k}", claim, "skipped",
+                                   witness=f"hypothesis not met at j={hyp_break}"))
+            continue
+        out.append(CheckRecord(f"abc-hypothesis-k{k}", claim, "pass"))
+        for j in range(k + 1):
+            zc = series_level(c_series, j)
+            out.append(check(group, f"abc-i-k{k}-j{j}",
+                             "chain of B in C matches the central series of C",
+                             series_level(b_in_c, j), zc, f"k={k} j={j}"))
+            zb = series_level(b_series, j)
+            out.append(check(group, f"abc-ii-k{k}-j{j}",
+                             "chain of A in B is the series of B and the series of C cut to B",
+                             series_level(a_in_b, j), zb, f"k={k} j={j}"))
+            out.append(check(group, f"abc-ii-cut-k{k}-j{j}",
+                             "central series of B is the central series of C cut to B",
+                             zb, zc & B.indices, f"k={k} j={j}"))
+        out.append(check(group, f"abc-iii-k{k}",
+                         "level k+1 of A in B is level k+1 of A in C cut to B",
+                         series_level(a_in_b, k + 1),
+                         series_level(a_in_c, k + 1) & B.indices, f"k={k}"))
+    return out
+
+
+def check_abc_by_k(A, B, C, kmax=4):
+    """The run at depth k, in a fresh copy of the group, is the leading k+1
+    lists of the run at kmax, and flattened it is `verify_abc_lemma` and the
+    per-(k, j) loop.  Returns the deepest run's records."""
+    deep = abc_lemma_by_k(A, B, C, kmax)
+    assert len(deep) == kmax + 1
+    G = closure(list(A.parent.generators))
+    A2, B2, C2 = (Subgroup(G, X.indices) for X in (A, B, C))
+    for k in range(kmax + 1):
+        shallow = abc_lemma_by_k(A2, B2, C2, k)
+        assert shallow == deep[:k + 1]
+        flat = [r for records in shallow for r in records]
+        assert verify_abc_lemma(A, B, C, k) == flat == per_k_abc(A2, B2, C2, k)
+    return [r for records in deep for r in records]
+
+
+def shifted_below(C):
+    """`central_series_indices` with every series but C's moved one term up,
+    so that the hypothesis can hold while conclusion (ii) fails."""
+    def wrong(group, sub):
+        series = central_series_indices(group, sub)
+        return series if sub == C.indices else [*series[1:], sub]
+    return wrong
+
+
+def test_abc_by_k_on_the_d8_centre_triple(catalog):
+    D8 = catalog["D8"]
+    A, B = subgroup(D8, "(0 2)(1 3)"), subgroup(D8, "(0 1 2 3)")
+    records = check_abc_by_k(A, B, D8.full_subgroup())
+    hyp = [r for r in records if r.id.startswith("abc-hypothesis")]
+    assert [r.status for r in hyp] == ["pass"] + ["skipped"] * 4
+    assert {r.witness for r in hyp[1:]} == {"hypothesis not met at j=1"}
+
+
+def test_abc_by_k_fails_as_the_per_k_loop(catalog, monkeypatch):
+    # a wrong series for every B < G: each failing conclusion keeps its
+    # per-k witness (S3 < S4 meets the hypothesis at every k)
+    fails = set()
+    for name in ("D8", "S4"):
+        G = catalog[name]
+        C = G.full_subgroup()
+        monkeypatch.setattr(chains, "central_series_indices", shifted_below(C))
+        subs = [H for _, H in enumerate_subgroups(G)]
+        for A, B in itertools.product(subs, subs):
+            if A <= B:
+                records = check_abc_by_k(A, B, C)
+                fails.update(r.id for r in records if r.status == "fail")
+    # both conclusions on B's series fail, the same (clause, j) at every k
+    assert {f"abc-ii-k{k}-j0" for k in range(5)} <= fails
+    assert {f"abc-ii-cut-k{k}-j{k}" for k in range(5)} <= fails
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_abc_by_k_matches_prefixes_and_the_per_k_loop(data):
+    G = data.draw(groups())
+    elements = st.lists(st.integers(0, G.order - 1), max_size=2)
+    a = data.draw(subgroups(G))
+    b = closure_indices(G, [*a, *data.draw(elements)])
+    c = closure_indices(G, [*b, *data.draw(elements)])
+    A, B, C = (Subgroup(G, x) for x in (a, b, c))
+    check_abc_by_k(A, B, C)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chains, "central_series_indices", shifted_below(C))
+        check_abc_by_k(A, B, C)
+
+
+def per_k_structure(G, H, kmax):
+    """The records of `verify_ek_structure` for k = 0..kmax up to the ascent
+    check, as written before it shared passes: one literal one-step pass for
+    each k."""
+    terms, inner = ek_term_data(G, H.indices, kmax)
+    target = sorted(H.indices)
+    series = [central_series_indices(G, t) for t in terms]
+    out = []
+    for k in range(kmax + 1):
+        for j in range(k + 1):
+            out.append(chains._set_check(
+                G, f"structure-centers-k{k}-j{j}",
+                "chain inside an envelope term is its upper central series",
+                series_level(inner[k], j), series_level(series[k], j), f"k={k} j={j}",
+            ))
+        zs = [series_level(series[k], i) for i in range(k + 1)]
+        simplified = one_step_levels(G, terms[k], target, zs)
+        for i in range(k + 1):
+            out.append(chains._set_check(
+                G, f"structure-simplified-k{k}-i{i}",
+                "one-step commutator form matches the full chain definition",
+                simplified[i], series_level(inner[k], i + 1), f"k={k} i={i}",
+            ))
+    return out
+
+
+def test_structure_runs_one_literal_pass_per_distinct_term(s5_d32, monkeypatch):
+    passes = []
+
+    def counting(G, members, target, zs):
+        passes.append(members)
+        return one_step_levels(G, members, target, zs)
+
+    monkeypatch.setattr(chains, "one_step_levels", counting)
+    repeated = 0
+    for G in s5_d32:
+        for _, H in enumerate_subgroups(G):
+            passes.clear()
+            got = verify_ek_structure(G, H, 4)
+            want = per_k_structure(G, H, 4)
+            assert got[:len(want)] == want
+            assert got[len(want)].id == "structure-centers-ascend"
+            terms, _ = ek_term_data(G, H.indices, 4)
+            assert sorted(passes, key=sorted) == sorted(set(terms), key=sorted)
+            repeated += len(terms) > len(set(terms))
+    assert repeated > 100
+
+
 def test_structure_on_d8_reflection(catalog):
     D8 = catalog["D8"]
     records = verify_ek_structure(D8, subgroup(D8, "(1 3)"), 2)
@@ -301,12 +486,16 @@ def test_nilpotency_class_matches_naive(catalog):
 # --- subgroup enumeration --------------------------------------------------------
 
 
-def test_enumerate_subgroups_pruning_matches_full_pair_loop(catalog):
-    S5 = closure([parse_cycles("(0 1)", 5), parse_cycles("(0 1 2 3 4)", 5)])
-    D32 = closure([parse_cycles("(" + " ".join(map(str, range(16))) + ")", 16),
-                   parse_cycles("(1 15)(2 14)(3 13)(4 12)(5 11)(6 10)(7 9)", 16)])
-    assert (S5.order, D32.order) == (120, 32)
-    for G in [*catalog.values(), S5, D32]:
+def test_enumerate_subgroups_pruning_matches_full_pair_loop(catalog, s5_d32):
+    S5, D32 = s5_d32
+    # cyclic subgroups with many generators, and pairs of cyclic subgroups
+    # met from both sides: the regular C15 (8 generators), AGL(1, 5) (x + 1
+    # and 2x) and A5
+    C15 = closure([parse_cycles("(" + " ".join(map(str, range(15))) + ")", 15)])
+    F20 = closure([parse_cycles("(0 1 2 3 4)", 5), parse_cycles("(1 2 4 3)", 5)])
+    A5 = closure([parse_cycles("(0 1 2)", 5), parse_cycles("(0 1 2 3 4)", 5)])
+    assert [G.order for G in (C15, F20, A5)] == [15, 20, 60]
+    for G in [*catalog.values(), S5, D32, C15, F20, A5]:
         got = [(label, H.indices) for label, H in enumerate_subgroups(G)]
         assert got == naive_enumerate_subgroups(G)
 

@@ -421,15 +421,34 @@ def test_commutator_filter_needs_xs_to_normalize_into():
     assert got == cycles(S4, "()")
 
 
+def test_commutator_filter_non_subgroup_xs_needs_its_generators_to_normalize_into():
+    # xs = {(0 1 2), (0 2 1)} is not a subgroup; its greedy generator
+    # (0 1 2) stands for it in a target it normalizes, but it does not
+    # normalize <(0 1)(2 3)>, where testing it alone would also keep
+    # (0 1 3), (1 3 2) and (0 2)(1 3).
+    S4 = make(["(0 1)", "(0 1 2 3)"], 4)
+    whole = frozenset(range(S4.order))
+    xs = cycles(S4, "(0 1 2)", "(0 2 1)")
+    assert generating_indices(S4, xs) is None
+    into = closure_indices(S4, cycles(S4, "(0 1)(2 3)"))
+    got = commutator_filter(S4, whole, xs, into)
+    assert got == cycles(S4, "()", "(0 1 2)", "(0 2 1)")
+    v4 = closure_indices(S4, cycles(S4, "(0 1)(2 3)", "(0 2)(1 3)"))
+    want = naive_commutator_filter(frozenset(S4.elements), perms(S4, xs), perms(S4, v4))
+    assert commutator_filter(S4, whole, xs, v4) == indices(S4, want)
+
+
 @DIFFERENTIAL
 @given(st.data())
 def test_commutator_filter_matches_naive(data):
-    # besides the drawn sets: the trivial target (a centralizer) and the
-    # whole target, whose coset labels are all equal
+    # besides the drawn sets: the trivial target (a centralizer), the whole
+    # target, whose coset labels are all equal, and a cyclic subgroup, which
+    # xs (often not a subgroup) seldom normalizes
     G, pool = data.draw(groups_and_pools())
     xs = data.draw(subgroups_or_subsets(G, pool))
     trivial = frozenset({G.identity_idx})
-    for into in (data.draw(subgroups_or_subsets(G, pool)), trivial, whole(G, pool)):
+    cyclic = closure_indices(G, [data.draw(st.sampled_from(pool or range(G.order)))])
+    for into in (data.draw(subgroups_or_subsets(G, pool)), trivial, whole(G, pool), cyclic):
         for among in (data.draw(subgroups_or_subsets(G, pool)), whole(G, pool)):
             got = commutator_filter(G, among, xs, into)
             want = naive_commutator_filter(perms(G, among), perms(G, xs), perms(G, into))
