@@ -7,8 +7,9 @@ time so the cycle strings never drift from the intended group.
 
 from __future__ import annotations
 
+from . import DEFAULT_CAP
 from .grp import FiniteGroup, Subgroup, closure_indices, format_group_file, parse_group_file
-from .perm import Permutation, format_cycles
+from .perm import Permutation, format_cycles, parse_cycles
 
 
 def _heisenberg3_generators() -> list[Permutation]:
@@ -45,7 +46,6 @@ def _quaternion_generators() -> list[Permutation]:
 def _group_files() -> dict[str, str]:
     heis = _heisenberg3_generators()
     quat = _quaternion_generators()
-    from .perm import format_cycles, parse_cycles
 
     def gf(degree, cycle_texts, header):
         gens = [parse_cycles(t, degree) for t in cycle_texts]
@@ -79,7 +79,7 @@ EXPECTED_ORDERS: dict[str, int] = {
 }
 
 
-def build_catalog(cap: int = 20000) -> dict[str, FiniteGroup]:
+def build_catalog(cap: int = DEFAULT_CAP) -> dict[str, FiniteGroup]:
     """All catalog groups, keyed by name, in sorted-name order."""
     return {name: parse_group_file(CATALOG_FILES[name], cap=cap) for name in sorted(CATALOG_FILES)}
 

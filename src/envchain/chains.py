@@ -16,11 +16,11 @@ Every level and every envelope term is a commutator filter
 {x : [x, X] <= T}, computed by `grp.commutator_filter`; that function alone
 decides when a generating set of X is enough to test.
 
-Chain runs and envelope runs are memoized on the group.  The keys are the
-exact inputs (ambient set and target set; the subgroup H), so a run is only
-ever reused for the very same question, never across different terms, and
-every identity is still checked.  A run kept at a larger depth answers a
-smaller one by its prefix, with the same `truncated_at` a fresh run gives.
+Chain runs and envelope runs keep no memo.  `grp` memoizes each filter by
+its exact index sets, so a repeat run, at any depth, is answered filter by
+filter and builds the same fresh lists a cold run does.  A filter result is
+reused only for the very same inputs, never across different terms, and
+every identity is still checked.
 
 The verifiers keep the same rule: one run per distinct input, written under
 every check id that asks it.  `verify_ek_structure` makes one literal
@@ -127,28 +127,15 @@ def iterated_centralizer_levels(
     index of the stationary level.
     """
     tset = frozenset(target)
-    key = (within, tset)
-    memo = group._levels.get(key)
-    if memo is None:
-        levels, norm_inter = [frozenset({group.identity_idx})], within
-    else:
-        stored, trunc, norm_inter = memo
-        if trunc is not None and kmax > trunc:
-            return list(stored), trunc
-        if kmax < len(stored):
-            return list(stored[:kmax + 1]), None
-        levels = list(stored)
-    trunc = None
-    for k in range(len(levels), kmax + 1):
+    levels, norm_inter = [frozenset({group.identity_idx})], within
+    for k in range(1, kmax + 1):
         prev = levels[-1]
         norm_inter = normalizer_indices(group, norm_inter, prev)
         new = commutator_filter(group, norm_inter, tset, prev)
         if new == prev:
-            trunc = k - 1
-            break
+            return levels, k - 1
         levels.append(new)
-    group._levels[key] = (tuple(levels), trunc, norm_inter)
-    return levels, trunc
+    return levels, None
 
 
 def ek_term_data(
@@ -159,26 +146,21 @@ def ek_term_data(
     """Envelope terms E_0..E_kmax plus the inner chain computed inside each.
 
     inner[k] is the level list of H inside E_k, computed to depth k+1 (or to
-    its stationary point).  Neither depends on kmax, so a memoized run serves
-    any smaller kmax by its prefix and a larger one by carrying it on.
+    its stationary point).  Neither depends on kmax.  Each call is a fresh
+    loop that builds fresh lists; `grp` memoizes its filters by their exact
+    inputs, so a repeat call runs only the filters no earlier call ran.
     """
-    memo = group._terms.get(h_indices)
-    if memo is None:
-        terms, inner = [frozenset(range(group.order))], []
-    else:
-        terms, inner = list(memo[0]), [list(l) for l in memo[1]]
+    terms, inner = [frozenset(range(group.order))], []
     target = sorted(h_indices)
-    for k in range(len(inner), kmax + 1):
-        if k == len(terms):
+    for k in range(kmax + 1):
+        if k:
             levels = inner[k - 1]
             terms.append(commutator_filter(
                 group, terms[k - 1], series_level(levels, k), series_level(levels, k - 1)
             ))
         levels, _ = iterated_centralizer_levels(group, terms[k], target, kmax=k + 1)
         inner.append(levels)
-    if memo is None or len(inner) > len(memo[1]):
-        group._terms[h_indices] = (tuple(terms), tuple(tuple(l) for l in inner))
-    return terms[:kmax + 1], inner[:kmax + 1]
+    return terms, inner
 
 
 # --- public chain operations -------------------------------------------------
@@ -357,11 +339,11 @@ _ABC_II_CUT = "central series of B is the central series of C cut to B"
 def abc_lemma_by_k(A: Subgroup, B: Subgroup, C: Subgroup, kmax: int) -> list[list[CheckRecord]]:
     """The checks of `verify_abc_lemma`, as one list per k = 0..kmax.
 
-    The list for k does not depend on kmax: chain runs answer a smaller
-    depth by their prefix.  So a deeper call on the same (A, B, C) holds a
-    shallower one as its leading lists.  The conclusions at (k, j) compare
-    the same sets for every k, so each is compared once per j; a failure
-    still gets its own witness text for each k.
+    The list for k does not depend on kmax: a chain run to a smaller depth
+    is a prefix of a deeper one.  So a deeper call on the same (A, B, C)
+    holds a shallower one as its leading lists.  The conclusions at (k, j)
+    compare the same sets for every k, so each is compared once per j; a
+    failure still gets its own witness text for each k.
     """
     group = A.parent
     if B.parent is not group or C.parent is not group:

@@ -14,11 +14,12 @@ one C-level pass on first use, and the n² commutator table is allocated on
 the first commutator read and fills one entry per read.  Larger groups store
 neither and recompute each entry per read.
 
-Each group also memoizes, keyed by the exact index set asked about, greedy
-generators of the subgroup each set spans, each central series, the
-left-coset labels of each subgroup a filter targets, and (for `chains`) each
-chain run and each envelope run.  Centralizers, central series, chain levels
-and envelope terms are all {g : [g, x] in T for every x in X}, and
+Centralizers, central series, chain levels and envelope terms are all
+{g : [g, x] in T for every x in X}, and chain levels also take normalizers.
+Each group memoizes every `commutator_filter` and `normalizer_indices` result
+by its exact index sets; central series, chain runs and envelope runs keep no
+memo, so a repeat is a fresh loop whose filters are answered from it.  Greedy
+generators and the left-coset labels of each target are memoized too.
 `commutator_filter` alone decides when a generating set of X may stand in for
 X (`normalizer_indices` decides it for conjugation).  A commutator filter
 tests only the greedy generators drawn from X when they normalize a target T
@@ -102,12 +103,11 @@ class FiniteGroup:
         # commutator table (allocated on the first read, -1 = not yet read)
         self._rows: list[list[int] | None] | None = None
         self._comm: list[int] | None = None
-        # memos: exact input -> stored result (frozensets and tuples only)
+        # memos, one dict per function: exact input -> immutable result
         self._gens: dict[frozenset[int], tuple[tuple[int, ...], bool]] = {}
-        self._series: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
         self._labels: dict[frozenset[int], array] = {}  # `_coset_labels`
-        self._levels: dict = {}  # chains.iterated_centralizer_levels
-        self._terms: dict = {}  # chains.ek_term_data
+        self._filters: dict[tuple, frozenset[int]] = {}  # `commutator_filter`
+        self._normalizers: dict[tuple, frozenset[int]] = {}  # `normalizer_indices`
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self.index_of
@@ -382,6 +382,17 @@ def _left_products(group: FiniteGroup, x: int, gs: Iterable[int]):
 def commutator_filter(
     group: FiniteGroup, members: frozenset[int], xs: frozenset[int], into: frozenset[int]
 ) -> frozenset[int]:
+    """`_commutator_filter`, memoized per group by the exact (members, xs, into)."""
+    key = (members, xs, into)
+    got = group._filters.get(key)
+    if got is None:
+        got = group._filters[key] = _commutator_filter(group, members, xs, into)
+    return got
+
+
+def _commutator_filter(
+    group: FiniteGroup, members: frozenset[int], xs: frozenset[int], into: frozenset[int]
+) -> frozenset[int]:
     """{g in members : [g, x] in `into` for every x in `xs`}.
 
     [g, x1 x2] = [g, x2] [g, x1]^x2 (Holt, Eick and O'Brien, *Handbook of
@@ -419,6 +430,15 @@ def commutator_filter(
 
 
 def normalizer_indices(group: FiniteGroup, members: frozenset[int], sub: frozenset[int]) -> frozenset[int]:
+    """`_normalizer_indices`, memoized per group by the exact (members, sub)."""
+    key = (members, sub)
+    got = group._normalizers.get(key)
+    if got is None:
+        got = group._normalizers[key] = _normalizer_indices(group, members, sub)
+    return got
+
+
+def _normalizer_indices(group: FiniteGroup, members: frozenset[int], sub: frozenset[int]) -> frozenset[int]:
     """{g in members : g^-1 (sub) g == sub}.
 
     For a subgroup it is enough to conjugate a generating set into `sub`
@@ -460,15 +480,11 @@ def central_series_indices(group: FiniteGroup, sub: frozenset[int]) -> list[froz
     Returns [Z_0, Z_1, ...] up to the first repeat, so the last entry is the
     hypercenter of the subgroup.
     """
-    memo = group._series.get(sub)
-    if memo is not None:
-        return list(memo)
     series = [frozenset({group.identity_idx})]
     while True:
         prev = series[-1]
         nxt = commutator_filter(group, sub, sub, prev)
         if nxt == prev:
-            group._series[sub] = tuple(series)
             return series
         series.append(nxt)
 

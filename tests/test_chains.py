@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from envchain import chains
+from envchain import chains, grp
 from envchain.catalog import CATALOG_FILES, build_catalog, enumerate_subgroups
 from envchain.chains import (
     CheckRecord,
@@ -22,6 +22,7 @@ from envchain.chains import (
     verify_ek_structure,
     verify_nilpotent_envelope,
 )
+from envchain.cli import main
 from envchain.grp import (
     Subgroup,
     central_series_indices,
@@ -618,6 +619,30 @@ def test_term_memo_serves_any_depth_like_a_cold_run(name):
             G = fresh(name)
             ek_term_data(G, H.indices, first)
             assert ek_term_data(G, H.indices, second) == cold[second]
+
+
+def test_filter_bodies_run_once_per_distinct_input(monkeypatch, capsys):
+    # every input the two public filters are asked over a built-in
+    # `verify --kmax 4` reaches a filter body exactly once; the repeats are
+    # answered from the group's memos
+    asked, ran = [], []
+
+    def counting(log, tag, f):
+        def run(group, *args):
+            log.append((tag, group, *args))
+            return f(group, *args)
+        return run
+
+    for public, body in (("commutator_filter", "_commutator_filter"),
+                         ("normalizer_indices", "_normalizer_indices")):
+        monkeypatch.setattr(grp, body, counting(ran, public, getattr(grp, body)))
+        wrapped = counting(asked, public, getattr(grp, public))
+        monkeypatch.setattr(grp, public, wrapped)
+        monkeypatch.setattr(chains, public, wrapped)
+    assert main(["verify", "--kmax", "4"]) == 0
+    capsys.readouterr()
+    assert len(ran) == len(set(ran)) < len(asked)
+    assert set(ran) == set(asked)
 
 
 def test_memo_returns_fresh_lists():

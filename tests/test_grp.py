@@ -467,6 +467,30 @@ def test_commutator_filter_into_non_subgroup_is_literal(s3):
     assert perms(s3, got) == naive_commutator_filter(els, els, perms(s3, into))
 
 
+@st.composite
+def filter_calls(draw):
+    """A small group and an interleaved list of commutator-filter calls
+    (members, xs, into) and normalizer calls (members, sub), all drawn from a
+    few index sets, so that calls share inputs: equal members and xs with a
+    different into, and a filter (members, sub, sub) beside a normalizer
+    (members, sub)."""
+    G = draw(groups())
+    pick = st.sampled_from(draw(st.lists(subgroups_or_subsets(G), min_size=1, max_size=3)) + [whole(G)])
+    calls = st.one_of(st.tuples(pick, pick, pick), st.tuples(pick, pick))
+    return G, draw(st.lists(calls, min_size=1, max_size=12))
+
+
+@DIFFERENTIAL
+@given(filter_calls())
+def test_filter_memos_answer_as_a_fresh_group(case):
+    # one group serves every call from its memos; a group rebuilt from the
+    # same generators has the same indices and answers each call cold
+    G, calls = case
+    for args in calls:
+        f = commutator_filter if len(args) == 3 else normalizer_indices
+        assert f(G, *args) == f(closure(G.generators), *args)
+
+
 @DIFFERENTIAL
 @given(st.data())
 def test_closure_indices_matches_naive(data):
