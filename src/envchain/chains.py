@@ -31,12 +31,16 @@ when their index sets are equal; no identity of the paper is used to find
 them.
 
 Verifiers return lists of `CheckRecord`; failures carry witnesses instead of
-raising.
+raising.  A check that passes without a witness is one shared record per
+(id, claim) for the process, and a k-list of `abc_lemma_by_k` or
+`ek_structure_by_k` whose checks all pass is one shared tuple per k, each
+built on first use.  Every comparison still runs; a failure or a skip gets
+a record and witness of its own.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .grp import (
     FiniteGroup,
@@ -63,6 +67,38 @@ class CheckRecord(NamedTuple):
     claim: str
     status: str
     witness: str | None = None
+
+
+# Shared records, built on first use: one per (id, claim) of a check that
+# passed without a witness, and one tuple per (kind, k) of a k-list whose
+# checks all passed.  Every comparison still runs; only the record is shared.
+_PASSED: dict[tuple[str, str], CheckRecord] = {}
+_ALL_PASS: dict[tuple[str, int], tuple[CheckRecord, ...]] = {}
+
+
+def _passed(check_id: str, claim: str) -> CheckRecord:
+    """The one record of check `check_id` passing without a witness."""
+    record = _PASSED.get((check_id, claim))
+    if record is None:
+        record = _PASSED[check_id, claim] = CheckRecord(check_id, claim, PASS)
+    return record
+
+
+def _verdict(check_id: str, claim: str, ok: bool, witness) -> CheckRecord:
+    """The shared pass record when `ok`, else a failure with witness()."""
+    return _passed(check_id, claim) if ok else CheckRecord(check_id, claim, FAIL, witness())
+
+
+def _k_list(kind: str, k: int, ok: bool, build) -> Sequence[CheckRecord]:
+    """build(), the records of list `kind` at k; when `ok` says all of them
+    pass, the one shared tuple of that list instead.  All-pass records depend
+    only on (kind, k), so build() runs once per (kind, k) that passes."""
+    if not ok:
+        return build()
+    shared = _ALL_PASS.get((kind, k))
+    if shared is None:
+        shared = _ALL_PASS[kind, k] = tuple(build())
+    return shared
 
 
 class IteratedCentralizerChain(NamedTuple):
@@ -116,7 +152,7 @@ def _validate_sub(G: FiniteGroup, H: Subgroup, name: str = "subgroup"):
 def iterated_centralizer_levels(
     group: FiniteGroup,
     within: frozenset[int],
-    target: Sequence[int],
+    target: Iterable[int],
     kmax: int,
 ) -> tuple[list[frozenset[int]], int | None]:
     """Literal chain computation on index sets; see the module docstring.
@@ -124,7 +160,8 @@ def iterated_centralizer_levels(
     Normalizer conditions accumulate exactly as defined: level k is filtered
     from the intersection of the normalizers of all lower levels.  Stops as
     soon as a level repeats (the chain is then stationary) and reports the
-    index of the stationary level.
+    index of the stationary level.  A frozenset target is used as it is
+    (`frozenset` returns it), so memo keys match it by identity.
     """
     tset = frozenset(target)
     levels, norm_inter = [frozenset({group.identity_idx})], within
@@ -150,15 +187,14 @@ def ek_term_data(
     loop that builds fresh lists; `grp` memoizes its filters by their exact
     inputs, so a repeat call runs only the filters no earlier call ran.
     """
-    terms, inner = [frozenset(range(group.order))], []
-    target = sorted(h_indices)
+    terms, inner = [group.all_indices], []
     for k in range(kmax + 1):
         if k:
             levels = inner[k - 1]
             terms.append(commutator_filter(
                 group, terms[k - 1], series_level(levels, k), series_level(levels, k - 1)
             ))
-        levels, _ = iterated_centralizer_levels(group, terms[k], target, kmax=k + 1)
+        levels, _ = iterated_centralizer_levels(group, terms[k], h_indices, kmax=k + 1)
         inner.append(levels)
     return terms, inner
 
@@ -171,9 +207,7 @@ def iterated_centralizers(G: FiniteGroup, A: Subgroup, kmax: int) -> IteratedCen
     _validate_sub(G, A, "target")
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    levels, trunc = iterated_centralizer_levels(
-        G, frozenset(range(G.order)), sorted(A.indices), kmax
-    )
+    levels, trunc = iterated_centralizer_levels(G, G.all_indices, A.indices, kmax)
     return IteratedCentralizerChain(
         ambient=G,
         target=A,
@@ -238,7 +272,7 @@ def _set_check(
     context: str,
 ) -> CheckRecord:
     if got == want:
-        return CheckRecord(check_id, claim, PASS)
+        return _passed(check_id, claim)
     extra = got - want
     missing = want - got
     parts = [context]
@@ -261,22 +295,14 @@ def verify_bryant_lemma(G: FiniteGroup, H: Subgroup, kmax: int) -> list[CheckRec
     chain = iterated_centralizers(G, H, kmax)
     hs = H.indices
     h_series = central_series_indices(G, hs)
-    g_series = central_series_indices(G, frozenset(range(G.order)))
     out = []
     for k in range(kmax + 1):
         ck = chain.level(k).indices
         # the closure of a greedy generating set equals ck iff ck is closed
-        if generating_indices(G, ck) is not None:
-            out.append(CheckRecord(f"bryant-i-k{k}", "chain level is a subgroup", PASS))
-        else:
-            out.append(
-                CheckRecord(
-                    f"bryant-i-k{k}",
-                    "chain level is a subgroup",
-                    FAIL,
-                    witness=f"level {k} = {_describe(G, ck)} is not closed",
-                )
-            )
+        out.append(_verdict(
+            f"bryant-i-k{k}", "chain level is a subgroup", generating_indices(G, ck) is not None,
+            lambda: f"level {k} = {_describe(G, ck)} is not closed",
+        ))
         out.append(
             _set_check(
                 G,
@@ -288,17 +314,18 @@ def verify_bryant_lemma(G: FiniteGroup, H: Subgroup, kmax: int) -> list[CheckRec
             )
         )
         if H.is_full():
+            # H's index set is G's here, so H's series is G's
             out.append(
                 _set_check(
                     G,
                     f"bryant-iii-k{k}",
                     "chain of the whole group is its upper central series",
                     ck,
-                    series_level(g_series, k),
+                    series_level(h_series, k),
                     f"k={k}",
                 )
             )
-    c = nilpotency_class(H)
+    c = len(h_series) - 1 if h_series[-1] == hs else None  # `nilpotency_class(H)`
     if c is None:
         out.append(
             CheckRecord(
@@ -318,15 +345,10 @@ def verify_bryant_lemma(G: FiniteGroup, H: Subgroup, kmax: int) -> list[CheckRec
             )
         )
     else:
-        ok = hs <= chain.level(c).indices
-        out.append(
-            CheckRecord(
-                "bryant-iv",
-                "class-c nilpotent H lies inside chain level c",
-                PASS if ok else FAIL,
-                witness=None if ok else f"class {c}: H has elements outside level {c}",
-            )
-        )
+        out.append(_verdict(
+            "bryant-iv", "class-c nilpotent H lies inside chain level c",
+            hs <= chain.level(c).indices, lambda: f"class {c}: H has elements outside level {c}",
+        ))
     return out
 
 
@@ -336,23 +358,25 @@ _ABC_II = "chain of A in B is the series of B and the series of C cut to B"
 _ABC_II_CUT = "central series of B is the central series of C cut to B"
 
 
-def abc_lemma_by_k(A: Subgroup, B: Subgroup, C: Subgroup, kmax: int) -> list[list[CheckRecord]]:
+def abc_lemma_by_k(A: Subgroup, B: Subgroup, C: Subgroup, kmax: int) -> list[Sequence[CheckRecord]]:
     """The checks of `verify_abc_lemma`, as one list per k = 0..kmax.
 
     The list for k does not depend on kmax: a chain run to a smaller depth
     is a prefix of a deeper one.  So a deeper call on the same (A, B, C)
     holds a shallower one as its leading lists.  The conclusions at (k, j)
-    compare the same sets for every k, so each is compared once per j; a
-    failure still gets its own witness text for each k.
+    compare the same sets for every k, so each is compared once per j, and
+    a list whose checks all pass is the shared tuple of that k (see
+    `_k_list`).  A list is written record by record only the first time it
+    passes, or when it fails; a failure gets its own witness text for each k.
     """
     group = A.parent
     if B.parent is not group or C.parent is not group:
         raise ValueError("A, B, C must share a parent group")
     if not (A.indices <= B.indices <= C.indices):
         raise ValueError("need A <= B <= C")
-    a_in_c, _ = iterated_centralizer_levels(group, C.indices, sorted(A.indices), kmax + 1)
-    b_in_c, _ = iterated_centralizer_levels(group, C.indices, sorted(B.indices), kmax)
-    a_in_b, _ = iterated_centralizer_levels(group, B.indices, sorted(A.indices), kmax + 1)
+    a_in_c, _ = iterated_centralizer_levels(group, C.indices, A.indices, kmax + 1)
+    b_in_c, _ = iterated_centralizer_levels(group, C.indices, B.indices, kmax)
+    a_in_b, _ = iterated_centralizer_levels(group, B.indices, A.indices, kmax + 1)
     c_series = central_series_indices(group, C.indices)
     b_series = central_series_indices(group, B.indices)
     # the first j at which the hypothesis fails; it fails for every k >= j
@@ -373,6 +397,7 @@ def abc_lemma_by_k(A: Subgroup, B: Subgroup, C: Subgroup, kmax: int) -> list[lis
             )
         ])
     out = []
+    holds = True  # every conclusion at j <= k holds
     for k in range(kmax + 1):
         if k >= hyp_break:
             out.append([CheckRecord(
@@ -380,25 +405,22 @@ def abc_lemma_by_k(A: Subgroup, B: Subgroup, C: Subgroup, kmax: int) -> list[lis
                 witness=f"hypothesis not met at j={hyp_break}",
             )])
             continue
-        records = [CheckRecord(f"abc-hypothesis-k{k}", _ABC_HYPOTHESIS, PASS)]
-        for j in range(k + 1):
-            for stem, claim, got, want, ok in conclusions[j]:
-                check_id = f"{stem}-k{k}-j{j}"
-                records.append(
-                    CheckRecord(check_id, claim, PASS) if ok
-                    else _set_check(group, check_id, claim, got, want, f"k={k} j={j}")
-                )
-        records.append(
-            _set_check(
-                group,
-                f"abc-iii-k{k}",
-                "level k+1 of A in B is level k+1 of A in C cut to B",
-                series_level(a_in_b, k + 1),
-                series_level(a_in_c, k + 1) & B.indices,
-                f"k={k}",
-            )
-        )
-        out.append(records)
+        holds = holds and all(c[-1] for c in conclusions[k])
+        level = series_level(a_in_b, k + 1)
+        cut = series_level(a_in_c, k + 1) & B.indices
+
+        def build():
+            records = [_passed(f"abc-hypothesis-k{k}", _ABC_HYPOTHESIS)]
+            for j in range(k + 1):
+                for stem, claim, got, want, _ in conclusions[j]:
+                    records.append(_set_check(group, f"{stem}-k{k}-j{j}", claim, got, want, f"k={k} j={j}"))
+            records.append(_set_check(
+                group, f"abc-iii-k{k}", "level k+1 of A in B is level k+1 of A in C cut to B",
+                level, cut, f"k={k}",
+            ))
+            return records
+
+        out.append(_k_list("abc", k, holds and level == cut, build))
     return out
 
 
@@ -443,16 +465,11 @@ def one_step_levels(
     return [frozenset(x for x, m in masks if m >> i & 1) for i in range(len(zs))]
 
 
-def verify_ek_structure(G: FiniteGroup, H: Subgroup, kmax: int) -> list[CheckRecord]:
-    """Structural laws of the envelope chain of H in G:
-
-    - inside each term E_k the chain of H up to level k is the upper central
-      series of E_k,
-    - the one-step commutator form {x in E_k : [x, H] <= Z_i(E_k)} agrees with
-      the full normalizer-intersection definition of level i+1, for i <= k,
-    - the k-th centers Z_k(E_k) ascend with k,
-    - level k+1 of H computed inside E_(k+1) and inside E_k agree.
-    """
+def ek_structure_by_k(G: FiniteGroup, H: Subgroup, kmax: int) -> list[Sequence[CheckRecord]]:
+    """The checks of `verify_ek_structure` as lists: for each k = 0..kmax
+    the centers and one-step checks at k, then one list of the ascent and
+    level-shift checks.  A k-list whose checks all pass is the shared tuple
+    of that k (see `_k_list`)."""
     _validate_sub(G, H)
     terms, inner = ek_term_data(G, H.indices, kmax)
     target = sorted(H.indices)
@@ -467,29 +484,23 @@ def verify_ek_structure(G: FiniteGroup, H: Subgroup, kmax: int) -> list[CheckRec
     }
     out = []
     for k in range(kmax + 1):
-        for j in range(k + 1):
-            out.append(
-                _set_check(
-                    G,
-                    f"structure-centers-k{k}-j{j}",
-                    "chain inside an envelope term is its upper central series",
-                    series_level(inner[k], j),
-                    series_level(series[k], j),
-                    f"k={k} j={j}",
-                )
-            )
-        simplified = passes[terms[k]]
-        for i in range(k + 1):
-            out.append(
-                _set_check(
-                    G,
-                    f"structure-simplified-k{k}-i{i}",
-                    "one-step commutator form matches the full chain definition",
-                    simplified[i],
-                    series_level(inner[k], i + 1),
-                    f"k={k} i={i}",
-                )
-            )
+        centers = [(series_level(inner[k], j), series_level(series[k], j)) for j in range(k + 1)]
+        simplified = [(passes[terms[k]][i], series_level(inner[k], i + 1)) for i in range(k + 1)]
+
+        def build():
+            return [
+                *(_set_check(G, f"structure-centers-k{k}-j{j}",
+                             "chain inside an envelope term is its upper central series",
+                             got, want, f"k={k} j={j}")
+                  for j, (got, want) in enumerate(centers)),
+                *(_set_check(G, f"structure-simplified-k{k}-i{i}",
+                             "one-step commutator form matches the full chain definition",
+                             got, want, f"k={k} i={i}")
+                  for i, (got, want) in enumerate(simplified)),
+            ]
+
+        ok = all(got == want for got, want in centers + simplified)
+        out.append(_k_list("structure", k, ok, build))
     ascend_fail = None
     for i in range(kmax + 1):
         for j in range(i, kmax + 1):
@@ -500,23 +511,18 @@ def verify_ek_structure(G: FiniteGroup, H: Subgroup, kmax: int) -> list[CheckRec
                 break
         if ascend_fail:
             break
-    out.append(
-        CheckRecord(
-            "structure-centers-ascend",
-            "k-th centers of the envelope terms ascend with k",
-            PASS if ascend_fail is None else FAIL,
-            witness=None
-            if ascend_fail is None
-            else f"i={ascend_fail[0]} j={ascend_fail[1]}: {_describe(G, ascend_fail[2])} escapes",
-        )
-    )
+    last = [_verdict(
+        "structure-centers-ascend", "k-th centers of the envelope terms ascend with k",
+        ascend_fail is None,
+        lambda: f"i={ascend_fail[0]} j={ascend_fail[1]}: {_describe(G, ascend_fail[2])} escapes",
+    )]
     for k in range(kmax):
         # The unconditional form of the level-shift identity: the chain level
         # computed one term deeper is the previous one cut down to that term.
         # (Full equality of the two levels needs the deeper term to contain
         # the level, which holds in the infinite block model but not for
         # arbitrary finite instances.)
-        out.append(
+        last.append(
             _set_check(
                 G,
                 f"structure-level-shift-k{k}",
@@ -526,7 +532,23 @@ def verify_ek_structure(G: FiniteGroup, H: Subgroup, kmax: int) -> list[CheckRec
                 f"k={k}",
             )
         )
+    out.append(last)
     return out
+
+
+def verify_ek_structure(G: FiniteGroup, H: Subgroup, kmax: int) -> list[CheckRecord]:
+    """Structural laws of the envelope chain of H in G:
+
+    - inside each term E_k the chain of H up to level k is the upper central
+      series of E_k,
+    - the one-step commutator form {x in E_k : [x, H] <= Z_i(E_k)} agrees with
+      the full normalizer-intersection definition of level i+1, for i <= k,
+    - the k-th centers Z_k(E_k) ascend with k,
+    - level k+1 of H computed inside E_(k+1) and inside E_k agree.
+
+    The records of `ek_structure_by_k`, in order.
+    """
+    return [r for records in ek_structure_by_k(G, H, kmax) for r in records]
 
 
 def verify_nilpotent_envelope(G: FiniteGroup, H: Subgroup) -> list[CheckRecord]:
@@ -550,36 +572,22 @@ def verify_nilpotent_envelope(G: FiniteGroup, H: Subgroup) -> list[CheckRecord]:
     terms, _ = ek_term_data(G, H.indices, step + 3)
     out = []
     if c <= 1:
-        ok = is_abelian_indices(G, terms[1])
-        out.append(
-            CheckRecord(
-                "envelope-abelian",
-                "double centralizer of an abelian subgroup is abelian",
-                PASS if ok else FAIL,
-                witness=None if ok else f"E_1 = {_describe(G, terms[1])} is not abelian",
-            )
-        )
+        out.append(_verdict(
+            "envelope-abelian", "double centralizer of an abelian subgroup is abelian",
+            is_abelian_indices(G, terms[1]), lambda: f"E_1 = {_describe(G, terms[1])} is not abelian",
+        ))
     e_sub = Subgroup(G, terms[step])
     e_class = nilpotency_class(e_sub)
-    ok = e_class is not None and e_class <= step
-    out.append(
-        CheckRecord(
-            "envelope-nilpotent",
-            "envelope at the class of H is nilpotent of class at most that",
-            PASS if ok else FAIL,
-            witness=None if ok else f"class(E_{step}) = {e_class}, expected <= {step}",
-        )
-    )
+    out.append(_verdict(
+        "envelope-nilpotent", "envelope at the class of H is nilpotent of class at most that",
+        e_class is not None and e_class <= step,
+        lambda: f"class(E_{step}) = {e_class}, expected <= {step}",
+    ))
     if c >= 1:
-        ok = e_class == c
-        out.append(
-            CheckRecord(
-                "envelope-class-exact",
-                "envelope at the class of H has exactly that class",
-                PASS if ok else FAIL,
-                witness=None if ok else f"class(E_{c}) = {e_class}, expected {c}",
-            )
-        )
+        out.append(_verdict(
+            "envelope-class-exact", "envelope at the class of H has exactly that class",
+            e_class == c, lambda: f"class(E_{c}) = {e_class}, expected {c}",
+        ))
     else:
         out.append(
             CheckRecord(
@@ -590,12 +598,8 @@ def verify_nilpotent_envelope(G: FiniteGroup, H: Subgroup) -> list[CheckRecord]:
             )
         )
     bad = [l for l in range(step + 1, step + 4) if terms[l] != terms[step]]
-    out.append(
-        CheckRecord(
-            "envelope-stable",
-            "envelope chain is constant beyond the class of H",
-            PASS if not bad else FAIL,
-            witness=None if not bad else f"terms differ at steps {bad}",
-        )
-    )
+    out.append(_verdict(
+        "envelope-stable", "envelope chain is constant beyond the class of H",
+        not bad, lambda: f"terms differ at steps {bad}",
+    ))
     return out

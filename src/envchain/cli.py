@@ -7,12 +7,15 @@ Three subcommands:
   counterexample  the infinite-descent chain model and its witnesses
 
 Reports are deterministic byte-for-byte apart from the timing fields, in both
-text and json-like form.  A report holds each check as a tuple
-(id, claim, status, witness), witness None when there is none; json-like
-output is byte-for-byte `json.dumps(report, sort_keys=True, indent=2)` with
-each check as a dict, its checks written from a template (see `render`).
-Exit codes: 0 all checks pass, 1 check failures, 2 usage or file errors,
-3 resource caps exceeded.
+text and json-like form.  A report holds its checks as blocks
+(prefix, records), each record an (id, claim, status, witness) tuple, witness
+None when there is none, and each written with the block's prefix before its
+id.  The verifiers hand over their records as they are, so a record or a
+whole k-list that passes is one object shared by every block holding it
+(see `chains`).  json-like output is byte-for-byte
+`json.dumps(report, sort_keys=True, indent=2)` with the checks as one list of
+dicts, written from a template (see `render`).  Exit codes: 0 all checks
+pass, 1 check failures, 2 usage or file errors, 3 resource caps exceeded.
 
 Each subcommand imports only the engine it runs: `ekchain` imports `grp` and
 `chains`, `verify` `grp`, `chains` and `catalog`, `counterexample` `symnat`.
@@ -23,8 +26,11 @@ a fresh process that pays for each import again, and compiles each module
 again where no bytecode is cached, so an engine loaded but never called costs
 as much as a short run's own work.
 
-A json-like report is written in chunks of `_CHUNK` checks, so the whole
-text is never held at once; `render` joins the same chunks.
+Both formats are written in chunks of `_CHUNK` checks, so the whole text is
+never held at once; `render` joins the same chunks.  Each renderer quotes a
+block's prefix once and encodes each distinct record, and each distinct run
+of records, once (`_check_chunks`), so writing costs per block, not per
+check.  `MAX_CHECKS` is checked as blocks are added, before the first byte.
 """
 
 from __future__ import annotations
@@ -35,8 +41,11 @@ import os
 import stat
 import sys
 import time
+from collections import Counter
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING
+from operator import itemgetter
+from typing import TYPE_CHECKING, Sequence
 
 from . import DEFAULT_CAP, MAX_KMAX, __version__
 from .perm import format_cycles
@@ -110,96 +119,168 @@ def build_parser() -> argparse.ArgumentParser:
 # --- report plumbing ---------------------------------------------------------
 
 
+class _Blocks(list):
+    """A report's checks: (prefix, records) blocks, check ids prefixed when
+    written; `size` counts the checks in all of them."""
+
+    size = 0
+
+
+class _Memo(dict):
+    """fn(key), computed once per distinct key."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def _new_report(cmd: str, params: dict) -> dict:
     return {
         "tool_version": __version__,
         "command": {"name": cmd, "args": {k: params[k] for k in sorted(params)}},
-        "checks": [],
+        "checks": _Blocks(),
         "witnesses": [],
         "timings": {},
     }
 
 
-def _add_checks(report: dict, prefix: str, records: list[tuple]):
-    """Store (id, claim, status, witness) records, ids prefixed; a
-    `chains.CheckRecord` is such a tuple."""
-    if len(report["checks"]) + len(records) > MAX_CHECKS:
+def _add_checks(report: dict, prefix: str, records: Sequence[tuple]):
+    """Store (id, claim, status, witness) records as one block, ids to be
+    written under `prefix`; a `chains.CheckRecord` is such a tuple.  The
+    records are kept as given, shared tuples included."""
+    blocks = report["checks"]
+    if blocks.size + len(records) > MAX_CHECKS:
         raise ReportLimitError(f"report exceeded the limit of {MAX_CHECKS} checks")
-    report["checks"].extend((prefix + cid, claim, status, witness)
-                            for cid, claim, status, witness in records)
+    blocks.size += len(records)
+    blocks.append((prefix, records))
+
+
+_STATUS = itemgetter(2)
 
 
 def _summary(report: dict) -> dict:
     n = {"pass": 0, "fail": 0, "skipped": 0}
-    for _, _, status, _ in report["checks"]:
-        n[status] += 1
+    statuses = Counter(chain.from_iterable(map(_STATUS, records) for _, records in report["checks"]))
+    for status, count in statuses.items():
+        n[status] += count
     return n
 
 
-def render_text(report: dict) -> str:
-    lines = [f"envchain {report['tool_version']}"]
+def _check_chunks(blocks, pair, quote):
+    """The checks' text in pieces of `_CHUNK` checks, the last one shorter.
+
+    Record r under prefix p is written as head + quote(p) + tail, where
+    (head, tail) = pair(r).  Both renderers write the id after fixed text and
+    escape (or not) one code point at a time, so the prefix is quoted once
+    per block and each distinct record, and each distinct run of records, is
+    encoded once; equal records count as the same, shared ones match by
+    identity.  Quoted prefixes are kept for one chunk; record memos that hold
+    more than `_CHUNK` records' text are emptied at the next chunk boundary,
+    so a report of distinct records is never held whole (a `verify` report
+    holds under 1,000).
+    """
+    pairs, held = _Memo(pair), 0
+
+    def joined(records):
+        # the run's text with the prefix left out: quote(p).join(joined)
+        nonlocal held
+        held += len(records)
+        heads, tails = zip(*map(pairs.__getitem__, records))
+        return [heads[0], *map(str.__add__, tails, heads[1:]), tails[-1]]
+
+    runs, quoted = _Memo(joined), _Memo(quote)
+    parts, n = [], 0
+    for prefix, records in blocks:
+        records = tuple(records)
+        while records:
+            piece, records = records[:_CHUNK - n], records[_CHUNK - n:]
+            parts.append(quoted[prefix].join(runs[piece]))
+            n += len(piece)
+            if n == _CHUNK:
+                yield "".join(parts)
+                parts, n = [], 0
+                quoted.clear()
+                if held + len(pairs) > _CHUNK:
+                    pairs.clear()
+                    runs.clear()
+                    held = 0
+    if n:
+        yield "".join(parts)
+
+
+def _text_pair(record: tuple) -> tuple[str, str]:
+    cid, _, status, witness = record
+    return f"[{status}] ", (f"{cid}\n" if witness is None else f"{cid}\n    {witness}\n")
+
+
+def _text_chunks(report: dict):
+    """The text report in pieces: the header with the first `_CHUNK`
+    checks, `_CHUNK` checks a piece, then the rest."""
     cmd = report["command"]
     args = " ".join(f"{k}={v}" for k, v in cmd["args"].items())
-    lines.append(f"command: {cmd['name']} {args}".rstrip())
-    for cid, _, status, witness in report["checks"]:
-        lines.append(f"[{status}] {cid}")
-        if witness is not None:
-            lines.append(f"    {witness}")
+    head = f"envchain {report['tool_version']}\n" + f"command: {cmd['name']} {args}".rstrip() + "\n"
+    for chunk in _check_chunks(report["checks"], _text_pair, str):
+        yield head + chunk
+        head = ""
+    lines = [head]  # the header, when no check came before the rest
     for w in report["witnesses"]:
         kv = " ".join(f"{k}={w[k]}" for k in sorted(w) if k != "type")
-        lines.append(f"witness {w['type']}: {kv}")
+        lines.append(f"witness {w['type']}: {kv}\n")
     n = _summary(report)
-    lines.append(f"summary: checks={sum(n.values())} pass={n['pass']} fail={n['fail']} skipped={n['skipped']}")
+    lines.append(f"summary: checks={sum(n.values())} pass={n['pass']} fail={n['fail']} skipped={n['skipped']}\n")
     if report["timings"]:
-        lines.append(f"time: {report['timings'].get('total_s', 0.0)}s")
-    lines.append("")  # the trailing newline, without copying the joined text
-    return "\n".join(lines)
+        lines.append(f"time: {report['timings'].get('total_s', 0.0)}s\n")
+    yield "".join(lines)
 
 
-# One check in the `indent=2` layout, keys sorted.  Each starts with the
+def render_text(report: dict) -> str:
+    return "".join(_text_chunks(report))
+
+
+# One check in the `indent=2` layout, keys sorted, split around the id's
+# text: _HEAD % claim, then the quoted id without its opening quote, then
+# _TAIL % status or _TAIL_WITNESS % (status, witness).  Each starts with the
 # separator from the previous check; the first one drops its comma.
-_CHECK = ',\n    {\n      "claim": %s,\n      "id": %s,\n      "status": %s\n    }'
-_CHECK_WITNESS = (
-    ',\n    {\n      "claim": %s,\n      "id": %s,\n      "status": %s,\n      "witness": %s\n    }'
-)
+_HEAD = ',\n    {\n      "claim": %s,\n      "id": "'
+_TAIL = ',\n      "status": %s\n    }'
+_TAIL_WITNESS = ',\n      "status": %s,\n      "witness": %s\n    }'
+
+
+def _json_pair(record: tuple) -> tuple[str, str]:
+    cid, claim, status, witness = record
+    e = encode_basestring_ascii
+    tail = _TAIL % e(status) if witness is None else _TAIL_WITNESS % (e(status), e(witness))
+    return _HEAD % e(claim), e(cid)[1:] + tail
 
 
 def _json_chunks(report: dict):
     """The json-like report in pieces of `_CHUNK` checks, then the rest.
 
     "checks" sorts before every other report key, so the checks come first,
-    followed by the rest of the report as `json.dumps` writes it.
+    followed by the rest of the report as `json.dumps` writes it.  JSON
+    escapes one code point at a time, so the quoted prefix + id is the
+    quoted prefix, less its closing quote, then the quoted id, less its
+    opening one.
     """
-    checks = report["checks"]
-    # claims and statuses repeat; encode each distinct one once
-    shared: dict[str, str] = {}
-    for start in range(0, len(checks), _CHUNK):
-        parts = ['{\n  "checks": ['] if start == 0 else []
-        for cid, claim, status, witness in checks[start:start + _CHUNK]:
-            c = shared.get(claim)
-            if c is None:
-                c = shared[claim] = encode_basestring_ascii(claim)
-            s = shared.get(status)
-            if s is None:
-                s = shared[status] = encode_basestring_ascii(status)
-            if witness is None:
-                parts.append(_CHECK % (c, encode_basestring_ascii(cid), s))
-            else:
-                parts.append(_CHECK_WITNESS % (c, encode_basestring_ascii(cid), s,
-                                               encode_basestring_ascii(witness)))
-        if start == 0:
-            parts[1] = parts[1][1:]
-        yield "".join(parts)
+    opening = '{\n  "checks": ['
+    for chunk in _check_chunks(report["checks"], _json_pair,
+                               lambda p: encode_basestring_ascii(p)[1:-1]):
+        yield opening + chunk[1:] if opening else chunk
+        opening = ""
     rest = json.dumps({k: v for k, v in report.items() if k != "checks"},
                       sort_keys=True, indent=2)
-    yield "".join(("\n  ],\n" if checks else '{\n  "checks": [],\n', rest[2:], "\n"))
+    yield "".join((opening + "],\n" if opening else "\n  ],\n", rest[2:], "\n"))
 
 
 def render(report: dict, fmt: str) -> str:
     """The whole report as text or json-like, trailing newline included.
 
     json-like is byte-for-byte `json.dumps(report, sort_keys=True, indent=2)`
-    with each check tuple as its dict; the checks come from a template.
+    with the checks as one list of dicts, each id its block's prefix + id.
     """
     if fmt == "json-like":
         return "".join(_json_chunks(report))
@@ -323,7 +404,8 @@ def _run_suites(G: FiniteGroup, gname: str, H: Subgroup, label: str, suite: str,
     if suite in ("bryant", "all"):
         _add_checks(report, prefix, chains.verify_bryant_lemma(G, H, kmax))
     if suite in ("structure", "all"):
-        _add_checks(report, prefix, chains.verify_ek_structure(G, H, kmax))
+        for records in chains.ek_structure_by_k(G, H, kmax):
+            _add_checks(report, prefix, records)
         # Triples repeat once the envelope chain stalls, and a run at depth k
         # holds every smaller depth as its leading lists: run each distinct
         # triple once, at the deepest k asked of it.
@@ -333,7 +415,9 @@ def _run_suites(G: FiniteGroup, gname: str, H: Subgroup, label: str, suite: str,
             depth[A, B, C] = max(k, depth.get((A, B, C), k))
         runs = {abc: chains.abc_lemma_by_k(*abc, k) for abc, k in depth.items()}
         for tag, A, B, C, k in triples:
-            _add_checks(report, prefix + tag, [r for records in runs[A, B, C][:k + 1] for r in records])
+            tagged = prefix + tag
+            for records in runs[A, B, C][:k + 1]:
+                _add_checks(report, tagged, records)
     if suite in ("nilpotent", "all"):
         _add_checks(report, prefix, chains.verify_nilpotent_envelope(G, H))
 
@@ -501,10 +585,7 @@ def main(argv=None) -> int:
         print(f"envchain: resource limit: {exc}", file=sys.stderr)
         return 3
     report["timings"]["total_s"] = round(time.perf_counter() - start, 6)
-    if args.format == "json-like":
-        sys.stdout.writelines(_json_chunks(report))
-    else:
-        sys.stdout.write(render_text(report))
+    sys.stdout.writelines((_json_chunks if args.format == "json-like" else _text_chunks)(report))
     if report.get("partial"):
         return 3
     return _exit_code(report)

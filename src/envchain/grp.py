@@ -92,6 +92,8 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self.elements = tuple(sorted(elements))
         self.order = len(self.elements)
+        # every index, one object: memo keys holding it match by identity
+        self.all_indices = frozenset(range(self.order))
         self.index_of = {g: i for i, g in enumerate(self.elements)}
         self.identity_idx = self.index_of[Permutation.identity(degree)]
         # entry computation, built once on first use (see `_prepare`)
@@ -209,7 +211,7 @@ class FiniteGroup:
         return Subgroup(self, frozenset(self._index(m) for m in members))
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, frozenset(range(self.order)))
+        return Subgroup(self, self.all_indices)
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, frozenset({self.identity_idx}))
@@ -311,7 +313,7 @@ def closure_indices(group: FiniteGroup, seeds: Iterable[int]) -> frozenset[int]:
     els = {e, *frontier}
     while frontier:
         if 2 * len(els) > n:
-            return frozenset(range(n))
+            return group.all_indices
         new = set()
         for r in rows:
             new.update(map(r.__getitem__, frontier))
@@ -524,7 +526,7 @@ def closure(generators: Sequence[Permutation], cap: int = DEFAULT_CAP, degree: i
 def _as_index_view(ambient: Union[FiniteGroup, Subgroup]) -> tuple[FiniteGroup, frozenset[int]]:
     if isinstance(ambient, Subgroup):
         return ambient.parent, ambient.indices
-    return ambient, frozenset(range(ambient.order))
+    return ambient, ambient.all_indices
 
 
 def _target_indices(group: FiniteGroup, targets) -> frozenset[int]:

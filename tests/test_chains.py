@@ -13,6 +13,7 @@ from envchain.chains import (
     CheckRecord,
     abc_lemma_by_k,
     ek_chain,
+    ek_structure_by_k,
     ek_term_data,
     iterated_centralizer_levels,
     iterated_centralizers,
@@ -431,6 +432,89 @@ def test_structure_runs_one_literal_pass_per_distinct_term(s5_d32, monkeypatch):
             assert sorted(passes, key=sorted) == sorted(set(terms), key=sorted)
             repeated += len(terms) > len(set(terms))
     assert repeated > 100
+
+
+def unshared(fn, *args):
+    """fn(*args) with every k-list built afresh and none shared."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chains, "_k_list", lambda kind, k, ok, build: build())
+        return fn(*args)
+
+
+def shared_only_when_all_pass(kind, fn, *args, kmax=4):
+    """fn(*args) holds the checks of its unshared form.  Each of its k-lists
+    whose checks all pass is the one shared tuple of k; every other one is
+    a list of its own, and each failure in it carries a witness.  Returns
+    how many k-lists fail."""
+    lists = fn(*args, kmax)
+    assert [list(r) for r in lists] == [list(r) for r in unshared(fn, *args, kmax)]
+    fails = 0
+    for k, records in enumerate(lists[:kmax + 1]):
+        shared = chains._ALL_PASS.get((kind, k))
+        if all(r.status == "pass" for r in records):
+            assert records is shared
+        else:
+            assert records is not shared and type(records) is list
+            assert all(r.witness for r in records if r.status == "fail")
+            fails += any(r.status == "fail" for r in records)
+    return fails
+
+
+def level_one_empty(group, within, target, kmax):
+    """`iterated_centralizer_levels`, except that inside a proper subgroup
+    level 1 is empty."""
+    levels, trunc = iterated_centralizer_levels(group, within, target, kmax)
+    if within == group.all_indices or len(levels) < 2:
+        return levels, trunc
+    return [levels[0], frozenset(), *levels[2:]], trunc
+
+
+def centers_off(*args):
+    """`ek_term_data` with level 0 of every inner chain emptied."""
+    terms, inner = ek_term_data(*args)
+    return terms, [[frozenset(), *levels[1:]] for levels in inner]
+
+
+def last_one_step_level_empty(*args):
+    return [*one_step_levels(*args)[:-1], frozenset()]
+
+
+def test_a_failing_k_list_is_not_the_shared_all_pass_tuple(catalog, s5_d32, monkeypatch):
+    groups = [*(catalog[name] for name in ("D8", "D16", "S4", "Heis3")), s5_d32[1]]
+    subs = {G: [H for _, H in enumerate_subgroups(G)] for G in groups}
+    # the all-pass tuples of every k exist before any list fails
+    for G in groups:
+        for H in subs[G]:
+            assert shared_only_when_all_pass("structure", ek_structure_by_k, G, H) == 0
+            assert shared_only_when_all_pass("abc", abc_lemma_by_k, H, H, H) == 0
+    assert all(("abc", k) in chains._ALL_PASS and ("structure", k) in chains._ALL_PASS
+               for k in range(5))
+    # each patch makes some comparisons fail: B's central series (abc-ii,
+    # abc-ii-cut at every j), level 1 inside B or E_k (abc-ii at j = 1 only,
+    # in D32 with the hypothesis holding past k = 2; abc-iii at k = 0; and
+    # the structure checks), the centers alone, the one-step levels alone
+    abc_patches = [("central_series_indices", lambda G: shifted_below(G.full_subgroup())),
+                   ("iterated_centralizer_levels", lambda G: level_one_empty)]
+    structure_patches = [("iterated_centralizer_levels", level_one_empty),
+                         ("ek_term_data", centers_off),
+                         ("one_step_levels", last_one_step_level_empty)]
+    fails = {}
+    for G in groups:
+        C = G.full_subgroup()
+        for name, patch in abc_patches:
+            with monkeypatch.context() as mp:
+                mp.setattr(chains, name, patch(G))
+                for A, B in itertools.product(subs[G], subs[G]):
+                    if A <= B:
+                        n = shared_only_when_all_pass("abc", abc_lemma_by_k, A, B, C)
+                        fails[name] = fails.get(name, 0) + n
+        for name, patch in structure_patches:
+            with monkeypatch.context() as mp:
+                mp.setattr(chains, name, patch)
+                for H in subs[G]:
+                    n = shared_only_when_all_pass("structure", ek_structure_by_k, G, H)
+                    fails["structure " + name] = fails.get("structure " + name, 0) + n
+    assert len(fails) == 5 and min(fails.values()) > 10, fails
 
 
 def test_structure_on_d8_reflection(catalog):

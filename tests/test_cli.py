@@ -38,6 +38,13 @@ def strip_timing_json(out: str) -> dict:
     return doc
 
 
+def flat_checks(report: dict) -> list[tuple]:
+    """The report's checks as (id, claim, status, witness), each id under
+    its block's prefix, in order."""
+    return [(prefix + cid, claim, status, witness)
+            for prefix, records in report["checks"] for cid, claim, status, witness in records]
+
+
 def report_digest(out: str) -> str:
     """SHA-256 of a json-like report without timings, serialized canonically."""
     canon = json.dumps(strip_timing_json(out), sort_keys=True, separators=(",", ":"))
@@ -452,7 +459,7 @@ def model_verdicts(monkeypatch, bases):
     monkeypatch.setattr(symnat, "descent_witness", no_scan)
     args = argparse.Namespace(levels=max(len(bases), 2), scan_max=1, oracle_depth=0)
     return {cid: (status, witness) for cid, _, status, witness in
-            cli.cmd_counterexample(args)["checks"]}
+            flat_checks(cli.cmd_counterexample(args))}
 
 
 def bitfn_verdicts(bases):
@@ -590,9 +597,10 @@ def test_report_raw_bytes_pinned(capsys, argv):
 
 
 def as_dicts(report: dict) -> dict:
-    """The report with each check tuple as the dict it stands for."""
+    """The report with its blocks as one list of the check dicts they stand
+    for, each id under its block's prefix."""
     checks = []
-    for cid, claim, status, witness in report["checks"]:
+    for cid, claim, status, witness in flat_checks(report):
         c = {"id": cid, "claim": claim, "status": status}
         if witness is not None:
             c["witness"] = witness
@@ -622,17 +630,37 @@ def render_text_dicts(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# One check of a json-like chunk; ids, claims and witnesses are escaped, so
+# this text starts every check and nothing else.
+CHECK_OPEN = '\n    {\n      "claim": '
+
+
 def assert_renders_as_dicts(report: dict):
-    assert all(type(c) is tuple and len(c) == 4 for c in report["checks"])
+    """Both renderers give the dict form's bytes, whole and in chunks, and
+    every json-like chunk but the last two holds exactly `_CHUNK` checks."""
+    assert all(type(b) is tuple and len(b) == 2 for b in report["checks"])
+    assert all(len(r) == 4 for _, records in report["checks"] for r in records)
     dicts = as_dicts(report)
-    assert cli.render(report, "json-like") == json.dumps(dicts, sort_keys=True, indent=2) + "\n"
-    assert cli.render(report, "text") == render_text_dicts(dicts)
+    want_json = json.dumps(dicts, sort_keys=True, indent=2) + "\n"
+    want_text = render_text_dicts(dicts)
+    assert cli.render(report, "json-like") == want_json
+    assert cli.render(report, "text") == want_text
+    json_chunks, text_chunks = list(cli._json_chunks(report)), list(cli._text_chunks(report))
+    assert "".join(json_chunks) == want_json and "".join(text_chunks) == want_text
+    n = len(dicts["checks"])
+    assert len(json_chunks) == len(text_chunks) == -(-n // cli._CHUNK) + 1
+    assert [c.count(CHECK_OPEN) for c in json_chunks[:-1]] == [
+        min(cli._CHUNK, n - start) for start in range(0, n, cli._CHUNK)]
 
 
 # Strings that json escapes: quotes, backslashes, control and non-ASCII
-# characters, and a lone surrogate.
-tricky = st.text(st.one_of(st.characters(), st.sampled_from('"\\\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600\ud800')),
+# characters, and lone surrogates.
+tricky = st.text(st.one_of(st.characters(), st.sampled_from('"\\\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600\ud800\udc00')),
                  max_size=12)
+# Prefixes may end and ids start with half of a surrogate pair, which json
+# escapes as the pair's two halves when they meet.
+prefixes = st.builds(str.__add__, tricky, st.sampled_from(["", "\ud83d", "\\", '"']))
+ids = st.builds(str.__add__, st.sampled_from(["", "\ude00", "u", '"']), tricky)
 scalars = st.one_of(st.integers(-10**6, 10**6), st.booleans(), tricky)
 values = st.one_of(scalars, st.lists(st.one_of(st.integers(0, 99), tricky), max_size=4))
 
@@ -640,15 +668,15 @@ values = st.one_of(scalars, st.lists(st.one_of(st.integers(0, 99), tricky), max_
 @st.composite
 def reports(draw) -> dict:
     claims = draw(st.lists(tricky, min_size=1, max_size=4))
-    checks = draw(st.lists(
-        st.tuples(tricky, st.sampled_from(claims), st.sampled_from(["pass", "fail", "skipped"]),
-                  st.one_of(st.none(), tricky)),
-        max_size=8,
-    ))
+    record = st.tuples(ids, st.sampled_from(claims), st.sampled_from(["pass", "fail", "skipped"]),
+                       st.one_of(st.none(), tricky))
+    # a shared tuple stands in several blocks, as the all-pass k-lists do
+    shared = draw(st.lists(st.lists(record, min_size=1, max_size=4).map(tuple), min_size=1, max_size=2))
+    records = st.one_of(st.lists(record, max_size=4), st.sampled_from(shared))
     report = {
         "tool_version": draw(tricky),
         "command": {"name": draw(tricky), "args": draw(st.dictionaries(tricky, scalars, max_size=4))},
-        "checks": checks,
+        "checks": draw(st.lists(st.tuples(prefixes, records), max_size=6)),
         "witnesses": draw(st.lists(
             st.builds(lambda w, t: dict(w, type=t), st.dictionaries(tricky, values, max_size=4), tricky),
             max_size=3,
@@ -667,10 +695,11 @@ def test_render_matches_dict_form(report):
     assert_renders_as_dicts(report)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(reports(), st.integers(1, 3))
 def test_render_in_small_chunks_matches_dict_form(report, chunk):
-    # reports of up to 8 checks cross several chunk boundaries
+    # up to 6 blocks of up to 4 checks: chunk boundaries fall inside blocks
+    # and between them
     cli._CHUNK, saved = chunk, cli._CHUNK
     try:
         assert_renders_as_dicts(report)
@@ -678,9 +707,18 @@ def test_render_in_small_chunks_matches_dict_form(report, chunk):
         cli._CHUNK = saved
 
 
-def test_main_writes_the_rendered_bytes_in_chunks(capsys, monkeypatch, s3_files):
+def test_render_joins_a_surrogate_pair_split_across_prefix_and_id():
+    report = cli._new_report("verify", {})
+    pair = ("\ude00-k0", "claim \ud83d\ude00", "pass", None)
+    cli._add_checks(report, "G:\ud83d", [pair, ("b", "c", "fail", "\ud83d")])
+    cli._add_checks(report, "\ud83d", (pair,))
+    assert cli.render(report, "json-like").count('"id": "G:\\ud83d\\ude00-k0"') == 1
+    assert_renders_as_dicts(report)
+
+
+def assert_main_writes_chunks(capsys, monkeypatch, s3_files, fmt, name):
     reports, chunks = [], []
-    chunked = cli._json_chunks
+    chunked = getattr(cli, name)
 
     def spy(report):
         reports.append(report)
@@ -688,14 +726,24 @@ def test_main_writes_the_rendered_bytes_in_chunks(capsys, monkeypatch, s3_files)
             chunks.append(chunk)
             yield chunk
 
-    monkeypatch.setattr(cli, "_json_chunks", spy)
+    monkeypatch.setattr(cli, name, spy)
     monkeypatch.setattr(cli, "_CHUNK", 7)
     code, out = run(capsys, "verify", "--suite", "bryant", "--kmax", "2", "--catalog-dir",
-                    str(Path(s3_files[0]).parent), "--format", "json-like")
+                    str(Path(s3_files[0]).parent), "--format", fmt)
     assert code == 0
-    n = len(reports[0]["checks"])
-    assert n > 14 and len(chunks) == -(-n // 7) + 1
-    assert out == "".join(chunks) == cli.render(reports[0], "json-like")
+    blocks = reports[0]["checks"]
+    n = sum(len(records) for _, records in blocks)
+    assert n == blocks.size and n > 14 and len(blocks) > 1
+    assert len(chunks) == -(-n // 7) + 1
+    assert out == "".join(chunks) == cli.render(reports[0], fmt)
+
+
+def test_main_writes_the_rendered_bytes_in_chunks(capsys, monkeypatch, s3_files):
+    assert_main_writes_chunks(capsys, monkeypatch, s3_files, "json-like", "_json_chunks")
+
+
+def test_main_writes_the_text_report_in_chunks(capsys, monkeypatch, s3_files):
+    assert_main_writes_chunks(capsys, monkeypatch, s3_files, "text", "_text_chunks")
 
 
 def test_render_empty_checks():
