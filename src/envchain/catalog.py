@@ -3,9 +3,15 @@
 Each entry is a group file (see `grp.parse_group_file`); the generator sets
 for the less obvious groups are produced from explicit constructions at import
 time so the cycle strings never drift from the intended group.
+
+`enumerate_subgroups` lists the subgroups `verify` checks, and
+`subgroup_classes` groups them into conjugacy classes, so that `verify` runs
+its suites on one member of each class (see `cli.cmd_verify`).
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from . import DEFAULT_CAP
 from .grp import FiniteGroup, Subgroup, closure_indices, format_group_file, parse_group_file
@@ -135,3 +141,32 @@ def enumerate_subgroups(G: FiniteGroup) -> list[tuple[str, Subgroup]]:
     items = [(lab, Subgroup(G, idxs)) for idxs, lab in seen.items()]
     items.sort(key=lambda t: t[1].key())
     return items
+
+
+def subgroup_classes(G: FiniteGroup, subs: Sequence[tuple[str, Subgroup]]) -> dict[frozenset[int], frozenset[int]]:
+    """Map the index set of every subgroup in `subs` to that of the first
+    subgroup in `subs` conjugate to it in G, itself for a class's first.
+
+    Each class is the orbit of its first member under conjugation by G's
+    generators, found by a breadth-first walk; one conjugate is one C-level
+    pass over the set, g^-1 h g = inv[row(g)[inv[row(g)[h]]]] for each h.
+    The walk covers the whole orbit, members outside `subs` included, so the
+    classes are exact for any `subs`; `enumerate_subgroups` is closed under
+    conjugation (a conjugate of <i, j> is <i^g, j^g>), so there they are all
+    inside it.
+    """
+    inv = list(map(G.inv_idx, range(G.order))).__getitem__
+    rows = [G.row(G.index_of[g]).__getitem__ for g in G.generators]
+    first: dict[frozenset[int], frozenset[int]] = {}
+    for _, H in subs:
+        if H.indices in first:
+            continue
+        orbit, todo = {H.indices}, [H.indices]
+        for s in todo:
+            for row in rows:
+                t = frozenset(map(inv, map(row, map(inv, map(row, s)))))
+                if t not in orbit:
+                    orbit.add(t)
+                    todo.append(t)
+        first.update(dict.fromkeys(orbit, H.indices))
+    return {H.indices: first[H.indices] for _, H in subs}

@@ -12,10 +12,13 @@ text and json-like form.  A report holds its checks as blocks
 None when there is none, and each written with the block's prefix before its
 id.  The verifiers hand over their records as they are, so a record or a
 whole k-list that passes is one object shared by every block holding it
-(see `chains`).  json-like output is byte-for-byte
-`json.dumps(report, sort_keys=True, indent=2)` with the checks as one list of
-dicts, written from a template (see `render`).  Exit codes: 0 all checks
-pass, 1 check failures, 2 usage or file errors, 3 resource caps exceeded.
+(see `chains`).  `verify` runs its suites once per conjugacy class of
+subgroups and adds the first member's blocks again under each later member's
+prefix (see `cmd_verify`), so its blocks share whole records lists too.
+json-like output is byte-for-byte `json.dumps(report, sort_keys=True,
+indent=2)` with the checks as one list of dicts, written from a template
+(see `render`).  Exit codes: 0 all checks pass, 1 check failures, 2 usage or
+file errors, 3 resource caps exceeded.
 
 Each subcommand imports only the engine it runs: `ekchain` imports `grp` and
 `chains`, `verify` `grp`, `chains` and `catalog`, `counterexample` `symnat`.
@@ -163,10 +166,15 @@ _STATUS = itemgetter(2)
 
 
 def _summary(report: dict) -> dict:
+    """Check counts by status.  Blocks share records objects, so each
+    distinct one is counted once and weighted by the blocks holding it; the
+    report holds every one of them, so their ids stay distinct."""
     n = {"pass": 0, "fail": 0, "skipped": 0}
-    statuses = Counter(chain.from_iterable(map(_STATUS, records) for _, records in report["checks"]))
-    for status, count in statuses.items():
-        n[status] += count
+    uses = Counter(id(records) for _, records in report["checks"])
+    held = {id(records): records for _, records in report["checks"]}
+    for key, records in held.items():
+        for status, count in Counter(map(_STATUS, records)).items():
+            n[status] += count * uses[key]
     return n
 
 
@@ -397,15 +405,17 @@ def _abc_triples(G: FiniteGroup, H: Subgroup, kmax: int):
         )
 
 
-def _run_suites(G: FiniteGroup, gname: str, H: Subgroup, label: str, suite: str, kmax: int, report: dict):
+def _run_suites(G: FiniteGroup, H: Subgroup, suite: str, kmax: int) -> list[tuple[str, Sequence[tuple]]]:
+    """The suites' checks on H as (tail, records) blocks, in report order;
+    each block's ids are written under the subgroup's `gname:label:` prefix
+    followed by `tail`."""
     from . import chains
 
-    prefix = f"{gname}:{label}:"
+    blocks: list[tuple[str, Sequence[tuple]]] = []
     if suite in ("bryant", "all"):
-        _add_checks(report, prefix, chains.verify_bryant_lemma(G, H, kmax))
+        blocks.append(("", chains.verify_bryant_lemma(G, H, kmax)))
     if suite in ("structure", "all"):
-        for records in chains.ek_structure_by_k(G, H, kmax):
-            _add_checks(report, prefix, records)
+        blocks += [("", records) for records in chains.ek_structure_by_k(G, H, kmax)]
         # Triples repeat once the envelope chain stalls, and a run at depth k
         # holds every smaller depth as its leading lists: run each distinct
         # triple once, at the deepest k asked of it.
@@ -415,17 +425,30 @@ def _run_suites(G: FiniteGroup, gname: str, H: Subgroup, label: str, suite: str,
             depth[A, B, C] = max(k, depth.get((A, B, C), k))
         runs = {abc: chains.abc_lemma_by_k(*abc, k) for abc, k in depth.items()}
         for tag, A, B, C, k in triples:
-            tagged = prefix + tag
-            for records in runs[A, B, C][:k + 1]:
-                _add_checks(report, tagged, records)
+            blocks += [(tag, records) for records in runs[A, B, C][:k + 1]]
     if suite in ("nilpotent", "all"):
-        _add_checks(report, prefix, chains.verify_nilpotent_envelope(G, H))
+        blocks.append(("", chains.verify_nilpotent_envelope(G, H)))
+    return blocks
+
+
+def _has_fail(blocks) -> bool:
+    return "fail" in map(_STATUS, chain.from_iterable(records for _, records in blocks))
 
 
 def cmd_verify(args) -> dict:
+    """Run the suites on every enumerated subgroup of every catalog group.
+
+    Conjugation by g in G is an automorphism of G, so it carries every set a
+    check compares for H onto the matching set for H^g, and the check's
+    (id, claim, status) is the same for both.  The suites therefore run on
+    the first member of each conjugacy class (`catalog.subgroup_classes`),
+    and a later member gets the first member's blocks under its own prefix.
+    A failure's witness names elements, so a class whose first member fails
+    any check runs member by member; a skip's witness quotes only integers.
+    """
     from pathlib import Path
 
-    from .catalog import build_catalog, enumerate_subgroups
+    from .catalog import build_catalog, enumerate_subgroups, subgroup_classes
     from .grp import ClosureCapError
 
     _check_cap(args.cap)
@@ -452,8 +475,19 @@ def cmd_verify(args) -> dict:
     })
     for gname in sorted(catalog):
         G = catalog[gname]
-        for label, H in enumerate_subgroups(G):
-            _run_suites(G, gname, H, label, args.suite, args.kmax, report)
+        subs = enumerate_subgroups(G)
+        first = subgroup_classes(G, subs)
+        shared: dict[frozenset[int], list] = {}  # first member -> its blocks, if all pass or skip
+        for label, H in subs:
+            rep = first[H.indices]
+            blocks = shared.get(rep)
+            if blocks is None:
+                blocks = _run_suites(G, H, args.suite, args.kmax)
+                if rep == H.indices and not _has_fail(blocks):
+                    shared[rep] = blocks
+            prefix = f"{gname}:{label}:"
+            for tail, records in blocks:
+                _add_checks(report, prefix + tail, records)
     return report
 
 

@@ -98,3 +98,26 @@ def naive_enumerate_subgroups(G) -> list[tuple[str, frozenset[int]]]:
         if idxs not in seen:
             seen[idxs] = "<" + ",".join(format_cycles(G.elements[i]) for i in seed) + ">"
     return sorted(((lab, idxs) for idxs, lab in seen.items()), key=lambda t: sorted(t[1]))
+
+
+def naive_conjugates(G, idxs: frozenset[int]) -> set[frozenset[int]]:
+    """Every conjugate g^-1 H g of the subgroup H with index set `idxs`, by
+    every element g of G, as index sets; `perm` arithmetic throughout, as in
+    `perm.conjugate`."""
+    H = [G.elements[i] for i in idxs]
+    out = set()
+    for g in G.elements:
+        gi = g.inverse()
+        out.add(frozenset(G.index_of[compose(compose(gi, h), g)] for h in H))
+    return out
+
+
+def naive_subgroup_classes(G, idx_sets: list[frozenset[int]]) -> dict[frozenset[int], frozenset[int]]:
+    """Every conjugate of every index set in `idx_sets` mapped to the first
+    set in `idx_sets` conjugate to it; the keys include conjugates outside
+    `idx_sets`."""
+    first: dict[frozenset[int], frozenset[int]] = {}
+    for s in idx_sets:
+        if s not in first:
+            first.update(dict.fromkeys(naive_conjugates(G, s), s))
+    return first

@@ -2,13 +2,14 @@
 naive oracle."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from envchain import chains, grp
-from envchain.catalog import CATALOG_FILES, build_catalog, enumerate_subgroups
+from envchain.catalog import CATALOG_FILES, build_catalog, enumerate_subgroups, subgroup_classes
 from envchain.chains import (
     CheckRecord,
     abc_lemma_by_k,
@@ -43,8 +44,11 @@ from naive import (
     naive_iterated_levels,
     naive_nilpotency_class,
     naive_normalizer,
+    naive_subgroup_classes,
 )
 from strategies import DIFFERENTIAL, groups, perms, subgroups, subgroups_or_subsets
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -583,6 +587,24 @@ def test_enumerate_subgroups_pruning_matches_full_pair_loop(catalog, s5_d32):
     for G in [*catalog.values(), S5, D32, C15, F20, A5]:
         got = [(label, H.indices) for label, H in enumerate_subgroups(G)]
         assert got == naive_enumerate_subgroups(G)
+
+
+def test_subgroup_classes_match_conjugation_by_every_element(catalog, s5_d32):
+    # `verify` runs the suites once per class, so a class must be exactly the
+    # set of conjugates; the orbit walk conjugates only by generators
+    with open(ROOT / "tests" / "data" / "P128.grp", encoding="utf-8") as fh:
+        P128 = parse_group_file(fh.read())
+    for G in [*catalog.values(), *s5_d32, P128]:
+        subs = enumerate_subgroups(G)
+        sets = [H.indices for _, H in subs]
+        classes = subgroup_classes(G, subs)
+        naive = naive_subgroup_classes(G, sets)
+        assert list(classes) == sets
+        assert classes == {s: naive[s] for s in sets}
+        # enumerated subgroups are closed under conjugation: every conjugate
+        # of one is enumerated
+        assert set(naive) == set(sets)
+    assert len(set(classes.values())) == 112  # P128
 
 
 # --- fast paths against the naive oracle ------------------------------------------

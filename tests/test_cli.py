@@ -8,16 +8,18 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envchain.catalog import CATALOG_FILES
-from envchain import cli, symnat
+from envchain.catalog import CATALOG_FILES, build_catalog, enumerate_subgroups, subgroup_classes
+from envchain import chains, cli, symnat
 from envchain.cli import main
-from envchain.grp import MAX_KMAX
+from envchain.grp import MAX_KMAX, parse_group_file
+from envchain.perm import format_cycles
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -400,6 +402,102 @@ def test_verify_order_128_report_pinned(capsys, monkeypatch):
                     "--format", "json-like")
     assert code == 0
     assert report_digest(out) == "254a7c1ec6afd71095da22dda1e3e8a2aeb03736a19c85ec1001ad36f855a0d8"
+
+
+# --- one suites run per conjugacy class ------------------------------------------
+
+
+def verify_catalog(name: str) -> tuple[list[str], dict]:
+    """The `verify` options choosing catalog `name`, and its groups."""
+    if name == "builtin":
+        return [], build_catalog()
+    root = ROOT / "perfbench" / "groups" / "verify"
+    return ["--catalog-dir", str(root)], {
+        f.stem: parse_group_file(f.read_text(encoding="utf-8")) for f in sorted(root.glob("*.grp"))}
+
+
+def literal_blocks(catalog: dict, suite: str, kmax: int) -> dict:
+    """Every enumerated subgroup's blocks from a suites run of its own, keyed
+    by (group name, label), in report order."""
+    return {(gname, label): cli._run_suites(G, H, suite, kmax)
+            for gname, G in sorted(catalog.items()) for label, H in enumerate_subgroups(G)}
+
+
+def literal_report(args, literal: dict) -> dict:
+    report = cli._new_report("verify", {
+        "suite": args.suite, "kmax": args.kmax, "cap": args.cap,
+        "catalog": "builtin" if args.catalog_dir is None else args.catalog_dir,
+    })
+    for (gname, label), blocks in literal.items():
+        for tail, records in blocks:
+            cli._add_checks(report, f"{gname}:{label}:{tail}", records)
+    return report
+
+
+@pytest.mark.parametrize("kmax", [1, 4])
+@pytest.mark.parametrize("suite", ["bryant", "structure", "nilpotent"])
+@pytest.mark.parametrize("name", ["builtin", "bench"])
+def test_conjugate_subgroups_get_equal_records(name, suite, kmax):
+    # conjugation by an element of G is an automorphism of G, so each
+    # member's own run gives its class's first member's (tail, records)
+    _, catalog = verify_catalog(name)
+    literal = literal_blocks(catalog, suite, kmax)
+    shared = 0
+    for gname, G in sorted(catalog.items()):
+        subs = enumerate_subgroups(G)
+        first = subgroup_classes(G, subs)
+        label_of = {H.indices: label for label, H in subs}
+        for label, H in subs:
+            if first[H.indices] != H.indices:
+                assert literal[gname, label] == literal[gname, label_of[first[H.indices]]]
+                shared += 1
+    assert shared > 0
+
+
+@pytest.mark.parametrize("suite", ["bryant", "structure", "nilpotent", "all"])
+@pytest.mark.parametrize("name", ["builtin", "bench"])
+def test_verify_reuse_report_equals_the_literal_report(monkeypatch, name, suite):
+    options, catalog = verify_catalog(name)
+    args = cli.build_parser().parse_args(["verify", "--suite", suite, *options])
+    blocks = literal_blocks(catalog, suite, args.kmax)
+    literal = literal_report(args, blocks)
+    runs = []
+    run_suites = cli._run_suites
+    monkeypatch.setattr(cli, "_run_suites", lambda G, H, *a: runs.append(H) or run_suites(G, H, *a))
+    report = cli.cmd_verify(args)
+    # the suites ran on each class's first member only
+    assert len(runs) == sum(len(set(subgroup_classes(G, enumerate_subgroups(G)).values()))
+                            for G in catalog.values())
+    assert len(runs) < len(blocks)
+    for fmt in ("json-like", "text"):
+        assert cli.render(report, fmt) == cli.render(literal, fmt)
+    statuses = Counter(status for _, _, status, _ in flat_checks(report))
+    assert cli._summary(report) == {s: statuses[s] for s in ("pass", "fail", "skipped")}
+
+
+def test_verify_class_with_a_failing_first_member_runs_member_by_member(monkeypatch):
+    # a failure's witness names elements of H, so every member of a class
+    # whose first member fails gets a run, and a witness, of its own
+    nilpotent = chains.verify_nilpotent_envelope
+
+    def planted(G, H):
+        records = nilpotent(G, H)
+        if H.order != 2:
+            return records
+        x = G.elements[min(H.indices - {G.identity_idx})]
+        return [*records, chains.CheckRecord("planted", "no involution", "fail", format_cycles(x))]
+
+    monkeypatch.setattr(chains, "verify_nilpotent_envelope", planted)
+    _, catalog = verify_catalog("builtin")
+    args = cli.build_parser().parse_args(["verify", "--suite", "nilpotent", "--kmax", "1"])
+    literal = literal_report(args, literal_blocks(catalog, "nilpotent", 1))
+    report = cli.cmd_verify(args)
+    assert cli.render(report, "text") == cli.render(literal, "text")
+    assert cli.render(report, "json-like") == cli.render(literal, "json-like")
+    # S3's three transpositions are one class, and each names its own
+    assert sorted(witness for cid, _, status, witness in flat_checks(report)
+                  if status == "fail" and cid.startswith("S3:")) == ["(0 1)", "(0 2)", "(1 2)"]
+    assert cli._exit_code(report) == 1
 
 
 def test_counterexample_model_budget_check(capsys, monkeypatch):

@@ -354,6 +354,29 @@ def test_point_action_homomorphism():
         )
 
 
+def test_point_action_homomorphism_on_wide_windows():
+    # `_pull_bits` sizes its sampled window from b's prefix, the f-power and
+    # the largest moved block; long periods, far blocks and large powers pin
+    # that rule on windows past criterion 6's x < 512
+    rng = random.Random(4096)
+
+    def wide_elem():
+        pre = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 16)))
+        blk = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 128)))
+        pts = rng.sample(range(256), rng.randint(0, 6))
+        shuffled = pts[:]
+        rng.shuffle(shuffled)
+        return sn.SymElem(sn.BitFn(pre, blk), sn.BlockPerm(dict(zip(pts, shuffled))),
+                          rng.randint(-12, 12))
+
+    for _ in range(30):
+        a, b = wide_elem(), wide_elem()
+        ab = sn.sym_mul(a, b)
+        assert all(
+            sn.sym_apply(ab, x) == sn.sym_apply(a, sn.sym_apply(b, x))
+            for x in range(4096)
+        )
+
 def test_normal_form_associativity():
     rng = random.Random(37)
     for _ in range(120):
