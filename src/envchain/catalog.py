@@ -4,17 +4,16 @@ Each entry is a group file (see `grp.parse_group_file`); the generator sets
 for the less obvious groups are produced from explicit constructions at import
 time so the cycle strings never drift from the intended group.
 
-`enumerate_subgroups` lists the subgroups `verify` checks, and
-`subgroup_classes` groups them into conjugacy classes, so that `verify` runs
-its suites on one member of each class (see `cli.cmd_verify`).
+`enumerate_subgroups` lists the subgroups `verify` checks, each with its
+label and the first member of its conjugacy class, so that `verify` runs its
+suites on one member of each class (see `cli.cmd_verify`).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from . import DEFAULT_CAP
-from .grp import FiniteGroup, Subgroup, closure_indices, format_group_file, parse_group_file
+from .grp import FiniteGroup, Subgroup, centralizer, closure_indices, generating_indices
+from .grp import format_group_file, parse_group_file
 from .perm import Permutation, format_cycles, parse_cycles
 
 
@@ -90,83 +89,87 @@ def build_catalog(cap: int = DEFAULT_CAP) -> dict[str, FiniteGroup]:
     return {name: parse_group_file(CATALOG_FILES[name], cap=cap) for name in sorted(CATALOG_FILES)}
 
 
-def enumerate_subgroups(G: FiniteGroup) -> list[tuple[str, Subgroup]]:
-    """Every subgroup generated by at most two elements, deduplicated.
+def enumerate_subgroups(G: FiniteGroup) -> list[tuple[str, Subgroup, Subgroup]]:
+    """Every subgroup generated by at most two elements, as (label, H,
+    first) sorted by H's element index set: `first` is the first member of
+    H's conjugacy class in that order (H itself for a class's first), and
+    the label is the first seed generating H in the order (), then (i,) and
+    then pairs (i, j) with i < j, each by index.
 
-    This covers the trivial subgroup, all cyclic subgroups, and all
-    2-generated ones; labels use the first seed, in the order (), then (i,)
-    and then pairs (i, j) with i < j, each by index, that produced each
-    subgroup.  Output is sorted by the subgroup's element index set, so it
-    is deterministic.
+    One pass over conjugacy classes finds the list, by two facts (Holt,
+    Eick and O'Brien, *Handbook of Computational Group Theory*):
 
-    A pair seed (i, j) is skipped only when an earlier seed generates the
-    same subgroup, so the first seed of every subgroup is still scanned:
-
-    - i is not the least generator i0 of <i>: <i, j> = <i0, j>;
-    - j lies in <i>: <i, j> = <i>;
-    - j lies in a double coset <i> j' <i> of an earlier j', or of a
-      generator of <j'>: <i, a j b> = <i, j> for a, b in <i>, and
-      <i, j'^m> = <i, j'> for m prime to the order of j';
-    - the least generator j0 of <j> is below i: <i, j> = <j0, i>, which was
-      scanned from j0's side.
+    - <a, b>^g = <a^g, b^g>.  So every such subgroup is conjugate to <r> or
+      to <r, s>, for r the least element of a's class and s the least of
+      its orbit under x ↦ x^c (c in C_G(r)) and x ↦ xr: <r, x^c> is
+      <r, x>^c and <r, xr> is <r, x>.  Only these seeds are closed, skipping
+      s in <r> and s in the class of an earlier r, and the conjugation
+      orbits of their closures are the list, one orbit per class.
+    - <i, j> is the least-order subgroup holding i and j, and it is in the
+      list.  Each element's bitmask marks the subgroups holding it, ordered
+      by order, so <i> and <i, j> are the lowest bits of mask[i] and of
+      mask[i] & mask[j], and the labels need no further closures.
     """
-    seen: dict[frozenset[int], str] = {}
-    n = G.order
-    e = G.identity_idx
+    n, e = G.order, G.identity_idx
+    inv = list(map(G.inv_idx, range(n))).__getitem__
 
-    def add(seed: tuple[int, ...], idxs: frozenset[int]):
-        if idxs not in seen:
-            seen[idxs] = "<" + ",".join(format_cycles(G.elements[i]) for i in seed) + ">"
+    def conj(g: int) -> list[int]:  # g^-1 x g for every x, from x·g for every x
+        row = G.row(g)
+        return list(map(inv, map(row.__getitem__, map(inv, row))))
 
-    seen[frozenset({e})] = "<>"
-    cyclic = {i: closure_indices(G, (i,)) for i in range(n) if i != e}
-    generators: dict[frozenset[int], list[int]] = {}  # of each cyclic subgroup, ascending
-    for i, idxs in cyclic.items():
-        add((i,), idxs)
-        generators.setdefault(idxs, []).append(i)
-    for powers, gens in generators.items():
-        i = gens[0]
-        covered = set(powers)
-        right = [G.row(b).__getitem__ for b in powers]  # x ↦ x·b for b in <i>
-        for j in range(i + 1, n):
-            if j in covered:
-                continue
-            jgens = generators[cyclic[j]]
-            if jgens[0] < i:
-                continue
-            add((i, j), closure_indices(G, (i, j)))
-            ag = {a for g in jgens for a in map(G.row(g).__getitem__, powers)}  # a·g
-            for r in right:
-                covered.update(map(r, ag))
-    items = [(lab, Subgroup(G, idxs)) for idxs, lab in seen.items()]
-    items.sort(key=lambda t: t[1].key())
-    return items
+    def least_in_orbit(maps: list[list[int]]) -> list[int]:  # of each x, under the maps
+        least = [-1] * n
+        for x in range(n):
+            if least[x] < 0:
+                least[x] = x
+                orbit = [x]
+                for y in orbit:
+                    for m in maps:
+                        if least[m[y]] < 0:
+                            least[m[y]] = x
+                            orbit.append(m[y])
+        return least
 
+    gmaps = [conj(G.index_of[g]) for g in G.generators]
+    class_of: dict[frozenset[int], frozenset[int]] = {}  # subgroup -> the closure finding its class
 
-def subgroup_classes(G: FiniteGroup, subs: Sequence[tuple[str, Subgroup]]) -> dict[frozenset[int], frozenset[int]]:
-    """Map the index set of every subgroup in `subs` to that of the first
-    subgroup in `subs` conjugate to it in G, itself for a class's first.
+    def add_class(H: frozenset[int]):
+        if H not in class_of:
+            class_of[H] = H
+            orbit = [H]
+            for K in orbit:
+                for m in gmaps:
+                    L = frozenset(map(m.__getitem__, K))
+                    if L not in class_of:
+                        class_of[L] = H
+                        orbit.append(L)
 
-    Each class is the orbit of its first member under conjugation by G's
-    generators, found by a breadth-first walk; one conjugate is one C-level
-    pass over the set, g^-1 h g = inv[row(g)[inv[row(g)[h]]]] for each h.
-    The walk covers the whole orbit, members outside `subs` included, so the
-    classes are exact for any `subs`; `enumerate_subgroups` is closed under
-    conjugation (a conjugate of <i, j> is <i^g, j^g>), so there they are all
-    inside it.
-    """
-    inv = list(map(G.inv_idx, range(G.order))).__getitem__
-    rows = [G.row(G.index_of[g]).__getitem__ for g in G.generators]
-    first: dict[frozenset[int], frozenset[int]] = {}
-    for _, H in subs:
-        if H.indices in first:
-            continue
-        orbit, todo = {H.indices}, [H.indices]
-        for s in todo:
-            for row in rows:
-                t = frozenset(map(inv, map(row, map(inv, map(row, s)))))
-                if t not in orbit:
-                    orbit.add(t)
-                    todo.append(t)
-        first.update(dict.fromkeys(orbit, H.indices))
-    return {H.indices: first[H.indices] for _, H in subs}
+    add_class(frozenset({e}))
+    rep = least_in_orbit(gmaps)
+    for r in range(n):
+        if rep[r] == r != e:
+            add_class(closure_indices(G, (r,)))
+            C = centralizer(G, (r,)).indices  # x ↦ x^c for c generating C, and x ↦ xr:
+            least = least_in_orbit([conj(c) for c in generating_indices(G, C)] + [G.row(r)])
+            for s in range(n):  # the orbit of e is <r>
+                if least[s] == s != e and rep[s] >= r:
+                    add_class(closure_indices(G, (r, s)))
+
+    subs = sorted((len(H), sorted(H), H, c) for H, c in class_of.items())  # bit b: subs[b]
+    masks = [0] * n
+    for bit, (_, els, _, _) in enumerate(subs):
+        for i in els:
+            masks[i] |= 1 << bit
+    seed: dict[int, tuple[int, ...]] = {0: ()}  # bit -> the first seed generating subs[bit]
+    for i in range(n):
+        seed.setdefault((masks[i] & -masks[i]).bit_length() - 1, (i,))
+    text = list(map(format_cycles, G.elements))
+    out = []
+    for bit, (_, els, H, c) in enumerate(subs):
+        if bit not in seed:  # not cyclic: the first pair in no smaller subgroup
+            lower = (1 << bit) - 1
+            seed[bit] = next((i, j) for a, i in enumerate(els) for j in els[a + 1:]
+                             if not masks[i] & masks[j] & lower)
+        out.append((els, c, "<" + ",".join(map(text.__getitem__, seed[bit])) + ">", Subgroup(G, H)))
+    firsts: dict[frozenset[int], Subgroup] = {}
+    return [(label, H, firsts.setdefault(c, H)) for _, c, label, H in sorted(out)]

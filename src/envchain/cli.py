@@ -13,8 +13,9 @@ None when there is none, and each written with the block's prefix before its
 id.  The verifiers hand over their records as they are, so a record or a
 whole k-list that passes is one object shared by every block holding it
 (see `chains`).  `verify` runs its suites once per conjugacy class of
-subgroups and adds the first member's blocks again under each later member's
-prefix (see `cmd_verify`), so its blocks share whole records lists too.
+subgroups, as the enumeration finds them, and adds the first member's blocks
+again under each later member's prefix (see `cmd_verify`), so its blocks
+share whole records lists too.
 json-like output is byte-for-byte `json.dumps(report, sort_keys=True,
 indent=2)` with the checks as one list of dicts, written from a template
 (see `render`).  Exit codes: 0 all checks pass, 1 check failures, 2 usage or
@@ -441,14 +442,15 @@ def cmd_verify(args) -> dict:
     Conjugation by g in G is an automorphism of G, so it carries every set a
     check compares for H onto the matching set for H^g, and the check's
     (id, claim, status) is the same for both.  The suites therefore run on
-    the first member of each conjugacy class (`catalog.subgroup_classes`),
-    and a later member gets the first member's blocks under its own prefix.
+    the first member of each conjugacy class, which `enumerate_subgroups`
+    names beside every member, and a later member gets the first member's
+    blocks under its own prefix.
     A failure's witness names elements, so a class whose first member fails
     any check runs member by member; a skip's witness quotes only integers.
     """
     from pathlib import Path
 
-    from .catalog import build_catalog, enumerate_subgroups, subgroup_classes
+    from .catalog import build_catalog, enumerate_subgroups
     from .grp import ClosureCapError
 
     _check_cap(args.cap)
@@ -475,16 +477,13 @@ def cmd_verify(args) -> dict:
     })
     for gname in sorted(catalog):
         G = catalog[gname]
-        subs = enumerate_subgroups(G)
-        first = subgroup_classes(G, subs)
-        shared: dict[frozenset[int], list] = {}  # first member -> its blocks, if all pass or skip
-        for label, H in subs:
-            rep = first[H.indices]
-            blocks = shared.get(rep)
+        shared: dict[Subgroup, list] = {}  # first member -> its blocks, if all pass or skip
+        for label, H, first in enumerate_subgroups(G):
+            blocks = shared.get(first)
             if blocks is None:
                 blocks = _run_suites(G, H, args.suite, args.kmax)
-                if rep == H.indices and not _has_fail(blocks):
-                    shared[rep] = blocks
+                if H is first and not _has_fail(blocks):
+                    shared[first] = blocks
             prefix = f"{gname}:{label}:"
             for tail, records in blocks:
                 _add_checks(report, prefix + tail, records)

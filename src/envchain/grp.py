@@ -260,10 +260,6 @@ class Subgroup:
     def __le__(self, other: "Subgroup") -> bool:
         return self.parent is other.parent and self.indices <= other.indices
 
-    def key(self) -> tuple[int, ...]:
-        """Deterministic sort/deduplication key."""
-        return tuple(sorted(self.indices))
-
     def is_full(self) -> bool:
         return len(self.indices) == self.parent.order
 

@@ -56,7 +56,7 @@ def test_criterion_2_nilpotent_envelopes(catalog):
     violations = []
     checked = 0
     for gname, G in catalog.items():
-        for label, H in enumerate_subgroups(G):
+        for label, H, _ in enumerate_subgroups(G):
             c = nilpotency_class(H)
             if c is None:
                 continue
@@ -185,7 +185,7 @@ def test_criterion_7_definition_fidelity(catalog):
     violations = []
     instances = 0
     for gname, G in catalog.items():
-        for label, H in enumerate_subgroups(G):
+        for label, H, _ in enumerate_subgroups(G):
             instances += 1
             target = sorted(H.indices)
             terms, inner = ek_term_data(G, H.indices, 4)

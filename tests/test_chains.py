@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from envchain import catalog as catalog_module
 from envchain import chains, grp
-from envchain.catalog import CATALOG_FILES, build_catalog, enumerate_subgroups, subgroup_classes
+from envchain.catalog import CATALOG_FILES, build_catalog, enumerate_subgroups
 from envchain.chains import (
     CheckRecord,
     abc_lemma_by_k,
@@ -36,9 +37,10 @@ from envchain.grp import (
     parse_group_file,
     series_level,
 )
-from envchain.perm import Permutation, parse_cycles
+from envchain.perm import Permutation, commutator, compose, conjugate, parse_cycles
 
 from naive import (
+    naive_closure,
     naive_ek_terms,
     naive_enumerate_subgroups,
     naive_iterated_levels,
@@ -102,7 +104,7 @@ def test_s3_chain_of_a3_climbs_to_whole_group(catalog):
 def test_chain_is_ascending(catalog):
     for name in ("S3", "D8", "Q8", "A4"):
         G = catalog[name]
-        for _, H in enumerate_subgroups(G):
+        for _, H, _ in enumerate_subgroups(G):
             chain = iterated_centralizers(G, H, 4)
             for a, b in zip(chain.levels, chain.levels[1:]):
                 assert a.indices <= b.indices
@@ -112,7 +114,7 @@ def test_chain_matches_naive_oracle(catalog):
     for name in ("S3", "D8", "Q8", "Z4xZ2"):
         G = catalog[name]
         whole = frozenset(G.elements)
-        for _, H in enumerate_subgroups(G):
+        for _, H, _ in enumerate_subgroups(G):
             chain = iterated_centralizers(G, H, 3)
             expected = naive_iterated_levels(whole, frozenset(H.elements), 3)
             got = [frozenset(l.elements) for l in chain.levels]
@@ -153,7 +155,7 @@ def test_ek_chain_d8_rotations(catalog):
 def test_ek_chain_first_term_and_membership(catalog):
     for name in ("S3", "D8"):
         G = catalog[name]
-        for _, H in enumerate_subgroups(G):
+        for _, H, _ in enumerate_subgroups(G):
             rep = ek_chain(G, H, 3)
             assert rep.terms[0].is_full()
             for a, b in zip(rep.terms, rep.terms[1:]):
@@ -166,7 +168,7 @@ def test_e1_is_double_centralizer(catalog):
 
     for name in ("S3", "D8", "Q8", "A4", "S4"):
         G = catalog[name]
-        for _, H in enumerate_subgroups(G):
+        for _, H, _ in enumerate_subgroups(G):
             rep = ek_chain(G, H, 1)
             assert rep.terms[1].indices == centralizer(G, centralizer(G, H)).indices
 
@@ -176,7 +178,7 @@ def test_ek_chain_matches_naive_oracle(catalog):
     for name in small:
         G = catalog[name]
         whole = frozenset(G.elements)
-        for _, H in enumerate_subgroups(G):
+        for _, H, _ in enumerate_subgroups(G):
             got = [frozenset(t.elements) for t in ek_chain(G, H, 3).terms]
             assert got == naive_ek_terms(whole, frozenset(H.elements), 3)
 
@@ -186,7 +188,7 @@ def test_ek_chain_matches_naive_oracle_large_sample(catalog):
         G = catalog[name]
         whole = frozenset(G.elements)
         subs = enumerate_subgroups(G)
-        for _, H in subs[:3] + subs[-3:]:
+        for _, H, _ in subs[:3] + subs[-3:]:
             got = [frozenset(t.elements) for t in ek_chain(G, H, 3).terms]
             assert got == naive_ek_terms(whole, frozenset(H.elements), 3)
 
@@ -252,7 +254,7 @@ def test_abc_center_triple_hypothesis_fails(catalog):
 def test_abc_envelope_triples_hold(catalog):
     for name in ("D8", "S4", "Heis3"):
         G = catalog[name]
-        for _, H in enumerate_subgroups(G)[:6]:
+        for _, H, _ in enumerate_subgroups(G)[:6]:
             terms, _ = ek_term_data(G, H.indices, 3)
             from envchain.grp import Subgroup
 
@@ -365,7 +367,7 @@ def test_abc_by_k_fails_as_the_per_k_loop(catalog, monkeypatch):
         G = catalog[name]
         C = G.full_subgroup()
         monkeypatch.setattr(chains, "central_series_indices", shifted_below(C))
-        subs = [H for _, H in enumerate_subgroups(G)]
+        subs = [H for _, H, _ in enumerate_subgroups(G)]
         for A, B in itertools.product(subs, subs):
             if A <= B:
                 records = check_abc_by_k(A, B, C)
@@ -426,7 +428,7 @@ def test_structure_runs_one_literal_pass_per_distinct_term(s5_d32, monkeypatch):
     monkeypatch.setattr(chains, "one_step_levels", counting)
     repeated = 0
     for G in s5_d32:
-        for _, H in enumerate_subgroups(G):
+        for _, H, _ in enumerate_subgroups(G):
             passes.clear()
             got = verify_ek_structure(G, H, 4)
             want = per_k_structure(G, H, 4)
@@ -485,7 +487,7 @@ def last_one_step_level_empty(*args):
 
 def test_a_failing_k_list_is_not_the_shared_all_pass_tuple(catalog, s5_d32, monkeypatch):
     groups = [*(catalog[name] for name in ("D8", "D16", "S4", "Heis3")), s5_d32[1]]
-    subs = {G: [H for _, H in enumerate_subgroups(G)] for G in groups}
+    subs = {G: [H for _, H, _ in enumerate_subgroups(G)] for G in groups}
     # the all-pass tuples of every k exist before any list fails
     for G in groups:
         for H in subs[G]:
@@ -529,7 +531,7 @@ def test_structure_on_d8_reflection(catalog):
 
 def test_structure_across_catalog(catalog):
     for name, G in catalog.items():
-        for _, H in enumerate_subgroups(G)[:5]:
+        for _, H, _ in enumerate_subgroups(G)[:5]:
             assert_all_ok(verify_ek_structure(G, H, 3))
 
 
@@ -568,43 +570,92 @@ def test_nilpotent_envelope_trivial_subgroup(catalog):
 
 def test_nilpotency_class_matches_naive(catalog):
     for name, G in catalog.items():
-        for _, H in enumerate_subgroups(G)[:4]:
+        for _, H, _ in enumerate_subgroups(G)[:4]:
             assert nilpotency_class(H) == naive_nilpotency_class(frozenset(H.elements))
 
 
 # --- subgroup enumeration --------------------------------------------------------
 
 
+def load_p128():
+    with open(ROOT / "tests" / "data" / "P128.grp", encoding="utf-8") as fh:
+        return parse_group_file(fh.read())
+
+
 def test_enumerate_subgroups_pruning_matches_full_pair_loop(catalog, s5_d32):
     S5, D32 = s5_d32
-    # cyclic subgroups with many generators, and pairs of cyclic subgroups
-    # met from both sides: the regular C15 (8 generators), AGL(1, 5) (x + 1
-    # and 2x) and A5
+    # cyclic subgroups with many generators, labels whose first seed is not
+    # a seed the enumeration closes, a 2-group with 112 classes and the
+    # trivial group: the regular C15 (8 generators), AGL(1, 5) (x + 1 and
+    # 2x), A5, the order-128 Sylow 2-subgroup of S8 and S1
     C15 = closure([parse_cycles("(" + " ".join(map(str, range(15))) + ")", 15)])
     F20 = closure([parse_cycles("(0 1 2 3 4)", 5), parse_cycles("(1 2 4 3)", 5)])
     A5 = closure([parse_cycles("(0 1 2)", 5), parse_cycles("(0 1 2 3 4)", 5)])
-    assert [G.order for G in (C15, F20, A5)] == [15, 20, 60]
-    for G in [*catalog.values(), S5, D32, C15, F20, A5]:
-        got = [(label, H.indices) for label, H in enumerate_subgroups(G)]
+    S1 = closure([], degree=1)
+    assert [G.order for G in (C15, F20, A5, S1)] == [15, 20, 60, 1]
+    for G in [*catalog.values(), S5, D32, C15, F20, A5, load_p128(), S1]:
+        got = [(label, H.indices) for label, H, _ in enumerate_subgroups(G)]
         assert got == naive_enumerate_subgroups(G)
 
 
 def test_subgroup_classes_match_conjugation_by_every_element(catalog, s5_d32):
     # `verify` runs the suites once per class, so a class must be exactly the
-    # set of conjugates; the orbit walk conjugates only by generators
-    with open(ROOT / "tests" / "data" / "P128.grp", encoding="utf-8") as fh:
-        P128 = parse_group_file(fh.read())
-    for G in [*catalog.values(), *s5_d32, P128]:
+    # set of conjugates; the enumeration conjugates only by generators
+    classes = {}
+    for name, G in [*catalog.items(), *zip(("S5", "D32"), s5_d32),
+                    ("P128", load_p128()), ("S1", closure([], degree=1))]:
         subs = enumerate_subgroups(G)
-        sets = [H.indices for _, H in subs]
-        classes = subgroup_classes(G, subs)
+        sets = [H.indices for _, H, _ in subs]
         naive = naive_subgroup_classes(G, sets)
-        assert list(classes) == sets
-        assert classes == {s: naive[s] for s in sets}
+        assert [first.indices for *_, first in subs] == [naive[s] for s in sets]
         # enumerated subgroups are closed under conjugation: every conjugate
         # of one is enumerated
         assert set(naive) == set(sets)
-    assert len(set(classes.values())) == 112  # P128
+        classes[name] = len({first for *_, first in subs})
+    assert (classes["P128"], classes["S1"]) == (112, 1)
+
+
+def test_enumerate_subgroups_closes_one_seed_per_pair_orbit(monkeypatch, s5_d32):
+    # the seeds are <r> for each class representative r other than 1, and
+    # <r, s> for s outside <r> and least in its orbit under x -> x^c (c in
+    # C_G(r)) and x -> xr: at most one pair per orbit of G acting by
+    # conjugation on the pairs (a, b<a>) with a != 1 and b not in <a>.  g
+    # fixes (a, b<a>) iff a^g = a and b^-1 b^g = [b, g] lies in <a>, so by
+    # Burnside's lemma there are (1/|G|) sum over g and over a != 1 in
+    # C_G(g) of #{b not in <a> : [b, g] in <a>} / |<a>| orbits
+    closures = []
+    monkeypatch.setattr(catalog_module, "closure_indices",
+                        lambda G, seeds: closures.append(seeds) or closure_indices(G, seeds))
+    for G in [*s5_d32, load_p128()]:
+        one = Permutation.identity(G.degree)
+        cyclic = {a: naive_closure({a}, G.degree) for a in G.elements}
+        fixed = 0
+        for g in G.elements:
+            comms = [(b, commutator(b, g)) for b in G.elements]
+            for a in G.elements:
+                if a != one and compose(a, g) == compose(g, a):
+                    fixed += sum(c in cyclic[a] and b not in cyclic[a] for b, c in comms) // len(cyclic[a])
+        pair_orbits, rest = divmod(fixed, G.order)
+        assert rest == 0
+        classes = len({min(conjugate(g, x) for x in G.elements) for g in G.elements})
+        closures.clear()
+        enumerate_subgroups(G)
+        assert len(closures) <= classes - 1 + pair_orbits
+
+
+@pytest.mark.parametrize("gens, counts", [
+    (("(0 1 2)", "(1 2 3 4 5)"), (360, 491, 21)),  # A6
+    (("(0 1)", "(0 1 2 3 4 5)"), (720, 1370, 52)),  # S6
+])
+def test_a6_and_s6_lists_are_closed_under_conjugation(gens, counts):
+    G = closure([parse_cycles(t, 6) for t in gens])
+    subs = enumerate_subgroups(G)
+    first = {H.indices: f.indices for _, H, f in subs}
+    assert (G.order, len(subs), len(set(first.values()))) == counts
+    for g in G.generators:
+        for H in first:
+            conj = frozenset(G.index_of[conjugate(G.elements[h], g)] for h in H)
+            assert first[conj] == first[H]
 
 
 # --- fast paths against the naive oracle ------------------------------------------
@@ -706,7 +757,7 @@ def test_level_memo_serves_any_depth_like_a_cold_run(name):
     G0 = fresh(name)
     whole = frozenset(range(G0.order))
     truncations = set()
-    for _, H in enumerate_subgroups(G0):
+    for _, H, _ in enumerate_subgroups(G0):
         target = sorted(H.indices)
         cold = {k: iterated_centralizer_levels(fresh(name), whole, target, k) for k in range(6)}
         truncations.update(t for _, t in cold.values())
@@ -719,7 +770,7 @@ def test_level_memo_serves_any_depth_like_a_cold_run(name):
 
 @pytest.mark.parametrize("name", ["D16", "S4"])
 def test_term_memo_serves_any_depth_like_a_cold_run(name):
-    for _, H in enumerate_subgroups(fresh(name)):
+    for _, H, _ in enumerate_subgroups(fresh(name)):
         cold = {k: ek_term_data(fresh(name), H.indices, k) for k in (2, 5)}
         for first, second in ((5, 2), (2, 5)):
             G = fresh(name)

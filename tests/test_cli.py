@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envchain.catalog import CATALOG_FILES, build_catalog, enumerate_subgroups, subgroup_classes
+from envchain.catalog import CATALOG_FILES, build_catalog, enumerate_subgroups
 from envchain import chains, cli, symnat
 from envchain.cli import main
 from envchain.grp import MAX_KMAX, parse_group_file
@@ -420,7 +420,7 @@ def literal_blocks(catalog: dict, suite: str, kmax: int) -> dict:
     """Every enumerated subgroup's blocks from a suites run of its own, keyed
     by (group name, label), in report order."""
     return {(gname, label): cli._run_suites(G, H, suite, kmax)
-            for gname, G in sorted(catalog.items()) for label, H in enumerate_subgroups(G)}
+            for gname, G in sorted(catalog.items()) for label, H, _ in enumerate_subgroups(G)}
 
 
 def literal_report(args, literal: dict) -> dict:
@@ -445,11 +445,10 @@ def test_conjugate_subgroups_get_equal_records(name, suite, kmax):
     shared = 0
     for gname, G in sorted(catalog.items()):
         subs = enumerate_subgroups(G)
-        first = subgroup_classes(G, subs)
-        label_of = {H.indices: label for label, H in subs}
-        for label, H in subs:
-            if first[H.indices] != H.indices:
-                assert literal[gname, label] == literal[gname, label_of[first[H.indices]]]
+        label_of = {H: label for label, H, _ in subs}
+        for label, H, first in subs:
+            if first != H:
+                assert literal[gname, label] == literal[gname, label_of[first]]
                 shared += 1
     assert shared > 0
 
@@ -466,7 +465,7 @@ def test_verify_reuse_report_equals_the_literal_report(monkeypatch, name, suite)
     monkeypatch.setattr(cli, "_run_suites", lambda G, H, *a: runs.append(H) or run_suites(G, H, *a))
     report = cli.cmd_verify(args)
     # the suites ran on each class's first member only
-    assert len(runs) == sum(len(set(subgroup_classes(G, enumerate_subgroups(G)).values()))
+    assert len(runs) == sum(len({first for *_, first in enumerate_subgroups(G)})
                             for G in catalog.values())
     assert len(runs) < len(blocks)
     for fmt in ("json-like", "text"):
