@@ -26,9 +26,12 @@ The verifiers keep the same rule: one run per distinct input, written under
 every check id that asks it.  `verify_ek_structure` makes one literal
 one-step pass per distinct envelope term, and `abc_lemma_by_k` returns its
 checks per k, so a caller runs each distinct (A, B, C) once, at the deepest
-k it needs, and reads smaller k as a prefix.  Inputs count as the same only
-when their index sets are equal; no identity of the paper is used to find
-them.
+k it needs, and reads smaller k as a prefix.  `run_suites`, the suites
+`verify` runs on one subgroup, does so for the three-group triples, which it
+builds from the envelope terms of the structure suite's own run.  Inputs
+count as the same only when their index sets are equal; no identity of the
+paper is used to find them.  The nilpotent suite makes its own envelope run,
+to depth class + 3, deeper than the structure suite asks.
 
 Verifiers return lists of `CheckRecord`; failures carry witnesses instead of
 raising.  A check that passes without a witness is one shared record per
@@ -254,6 +257,19 @@ def ek_chain(G: FiniteGroup, H: Subgroup, kmax: int) -> EkChainReport:
     )
 
 
+def ek_chain_checks(rep: EkChainReport) -> list[CheckRecord]:
+    """The `ekchain` report's checks on a chain from `ek_chain`: the terms
+    descend, each contains H, and the first is the whole group."""
+    terms = rep.terms
+    return [CheckRecord(check_id, claim, PASS if ok else FAIL) for check_id, claim, ok in (
+        ("ekchain-descending", "terms form a descending chain",
+         all(b <= a for a, b in zip(terms, terms[1:]))),
+        ("ekchain-contains-subgroup", "every term contains the subgroup",
+         all(rep.subgroup <= t for t in terms)),
+        ("ekchain-first-term", "the chain starts at the whole group", terms[0].is_full()),
+    )]
+
+
 # --- verifiers ---------------------------------------------------------------
 
 
@@ -471,7 +487,14 @@ def ek_structure_by_k(G: FiniteGroup, H: Subgroup, kmax: int) -> list[Sequence[C
     level-shift checks.  A k-list whose checks all pass is the shared tuple
     of that k (see `_k_list`)."""
     _validate_sub(G, H)
-    terms, inner = ek_term_data(G, H.indices, kmax)
+    return _structure_lists(G, H, *ek_term_data(G, H.indices, kmax))
+
+
+def _structure_lists(
+    G: FiniteGroup, H: Subgroup, terms: list[frozenset[int]], inner: list[list[frozenset[int]]]
+) -> list[Sequence[CheckRecord]]:
+    """`ek_structure_by_k` on the `ek_term_data` of H, to depth len(terms) - 1."""
+    kmax = len(terms) - 1
     target = sorted(H.indices)
     series = [central_series_indices(G, t) for t in terms]
     # simplified[k][i] depends only on E_k, H and Z_i(E_k): one literal pass
@@ -603,3 +626,37 @@ def verify_nilpotent_envelope(G: FiniteGroup, H: Subgroup) -> list[CheckRecord]:
         not bad, lambda: f"terms differ at steps {bad}",
     ))
     return out
+
+
+def run_suites(G: FiniteGroup, H: Subgroup, suite: str, kmax: int) -> list[tuple[str, Sequence[CheckRecord]]]:
+    """The checks of `verify`'s `suite` ("bryant", "structure", "nilpotent"
+    or "all") on H, as (tail, records) blocks in report order; a caller
+    writes each block's ids after its own prefix for H and the block's tail.
+
+    The structure suite runs `ek_term_data` once: its terms give the
+    structure lists and the nested triples H <= E_(k+1) <= E_k of the
+    three-group lemma, whose hypothesis holds by the chain/center identity;
+    the degenerate triples (H, H, H) and (H, H, G) cover the trivial cases.
+    """
+    _validate_sub(G, H)
+    blocks: list[tuple[str, Sequence[CheckRecord]]] = []
+    if suite in ("bryant", "all"):
+        blocks.append(("", verify_bryant_lemma(G, H, kmax)))
+    if suite in ("structure", "all"):
+        terms, inner = ek_term_data(G, H.indices, kmax)
+        blocks += [("", records) for records in _structure_lists(G, H, terms, inner)]
+        E = [Subgroup(G, t) for t in terms]
+        triples = [("abc(H,H,H)-", (H, H, H), 1), ("abc(H,H,G)-", (H, H, E[0]), min(kmax, 2))]
+        triples += [(f"abc(H,E{k + 1},E{k})-", (H, E[k + 1], E[k]), k) for k in range(kmax)]
+        # Triples repeat once the envelope chain stalls, and a run at depth k
+        # holds every smaller depth as its leading lists: run each distinct
+        # triple once, at the deepest k asked of it.
+        depth: dict[tuple[Subgroup, ...], int] = {}
+        for _, abc, k in triples:
+            depth[abc] = max(k, depth.get(abc, k))
+        runs = {abc: abc_lemma_by_k(*abc, k) for abc, k in depth.items()}
+        for tag, abc, k in triples:
+            blocks += [(tag, records) for records in runs[abc][:k + 1]]
+    if suite in ("nilpotent", "all"):
+        blocks.append(("", verify_nilpotent_envelope(G, H)))
+    return blocks

@@ -6,16 +6,22 @@ Three subcommands:
   verify          lemma suites over the built-in catalog of small groups
   counterexample  the infinite-descent chain model and its witnesses
 
+This module parses arguments, loads groups and writes reports; the engines
+make every check.  `chains.ek_chain_checks` gives the `ekchain` checks,
+`chains.run_suites` a subgroup's `verify` suites, and
+`symnat.counterexample_checks` the chain model with its checks and
+witnesses.  The one thing `verify` adds is reuse: it runs the suites once
+per conjugacy class of subgroups, as the enumeration finds them, and adds
+the first member's blocks again under each later member's prefix (see
+`cmd_verify`).
+
 Reports are deterministic byte-for-byte apart from the timing fields, in both
 text and json-like form.  A report holds its checks as blocks
 (prefix, records), each record an (id, claim, status, witness) tuple, witness
 None when there is none, and each written with the block's prefix before its
-id.  The verifiers hand over their records as they are, so a record or a
+id.  The engines hand over their records as they are, so a record or a
 whole k-list that passes is one object shared by every block holding it
-(see `chains`).  `verify` runs its suites once per conjugacy class of
-subgroups, as the enumeration finds them, and adds the first member's blocks
-again under each later member's prefix (see `cmd_verify`), so its blocks
-share whole records lists too.
+(see `chains`), and `verify`'s blocks share whole records lists too.
 json-like output is byte-for-byte `json.dumps(report, sort_keys=True,
 indent=2)` with the checks as one list of dicts, written from a template
 (see `render`).  Exit codes: 0 all checks pass, 1 check failures, 2 usage or
@@ -55,7 +61,7 @@ from . import DEFAULT_CAP, MAX_KMAX, __version__
 from .perm import format_cycles
 
 if TYPE_CHECKING:
-    from .grp import FiniteGroup, Subgroup
+    from .grp import FiniteGroup
 
 
 # Most checks one report may hold; `verify` grows as O(kmax^3) per subgroup.
@@ -361,16 +367,7 @@ def cmd_ekchain(args) -> dict:
         "cap": args.cap,
     })
     rep = chains.ek_chain(G, H, kmax)
-    descending = all(rep.terms[k + 1] <= rep.terms[k] for k in range(kmax))
-    contains = all(H.indices <= t.indices for t in rep.terms)
-    _add_checks(report, "", [
-        ("ekchain-descending", "terms form a descending chain",
-         "pass" if descending else "fail", None),
-        ("ekchain-contains-subgroup", "every term contains the subgroup",
-         "pass" if contains else "fail", None),
-        ("ekchain-first-term", "the chain starts at the whole group",
-         "pass" if rep.terms[0].is_full() else "fail", None),
-    ])
+    _add_checks(report, "", chains.ek_chain_checks(rep))
     report["witnesses"].append({
         "type": "ekchain",
         "group_order": G.order,
@@ -382,54 +379,6 @@ def cmd_ekchain(args) -> dict:
         "reason": rep.stability_reason,
     })
     return report
-
-
-def _abc_triples(G: FiniteGroup, H: Subgroup, kmax: int):
-    """Deterministic nested triples exercising the three-group lemma.
-
-    The envelope terms give triples H <= E_(k+1) <= E_k whose hypothesis holds
-    by the chain/center identity; degenerate triples cover the trivial cases.
-    """
-    from . import chains
-    from .grp import Subgroup
-
-    terms, _ = chains.ek_term_data(G, H.indices, kmax)
-    yield "abc(H,H,H)-", H, H, H, 1
-    yield "abc(H,H,G)-", H, H, G.full_subgroup(), min(kmax, 2)
-    for k in range(kmax):
-        yield (
-            f"abc(H,E{k + 1},E{k})-",
-            H,
-            Subgroup(G, terms[k + 1]),
-            Subgroup(G, terms[k]),
-            k,
-        )
-
-
-def _run_suites(G: FiniteGroup, H: Subgroup, suite: str, kmax: int) -> list[tuple[str, Sequence[tuple]]]:
-    """The suites' checks on H as (tail, records) blocks, in report order;
-    each block's ids are written under the subgroup's `gname:label:` prefix
-    followed by `tail`."""
-    from . import chains
-
-    blocks: list[tuple[str, Sequence[tuple]]] = []
-    if suite in ("bryant", "all"):
-        blocks.append(("", chains.verify_bryant_lemma(G, H, kmax)))
-    if suite in ("structure", "all"):
-        blocks += [("", records) for records in chains.ek_structure_by_k(G, H, kmax)]
-        # Triples repeat once the envelope chain stalls, and a run at depth k
-        # holds every smaller depth as its leading lists: run each distinct
-        # triple once, at the deepest k asked of it.
-        triples = list(_abc_triples(G, H, kmax))
-        depth: dict[tuple[Subgroup, ...], int] = {}
-        for _, A, B, C, k in triples:
-            depth[A, B, C] = max(k, depth.get((A, B, C), k))
-        runs = {abc: chains.abc_lemma_by_k(*abc, k) for abc, k in depth.items()}
-        for tag, A, B, C, k in triples:
-            blocks += [(tag, records) for records in runs[A, B, C][:k + 1]]
-    if suite in ("nilpotent", "all"):
-        blocks.append(("", chains.verify_nilpotent_envelope(G, H)))
-    return blocks
 
 
 def _has_fail(blocks) -> bool:
@@ -450,6 +399,7 @@ def cmd_verify(args) -> dict:
     """
     from pathlib import Path
 
+    from . import chains
     from .catalog import build_catalog, enumerate_subgroups
     from .grp import ClosureCapError
 
@@ -477,11 +427,11 @@ def cmd_verify(args) -> dict:
     })
     for gname in sorted(catalog):
         G = catalog[gname]
-        shared: dict[Subgroup, list] = {}  # first member -> its blocks, if all pass or skip
+        shared = {}  # first member -> its blocks, if all pass or skip
         for label, H, first in enumerate_subgroups(G):
             blocks = shared.get(first)
             if blocks is None:
-                blocks = _run_suites(G, H, args.suite, args.kmax)
+                blocks = chains.run_suites(G, H, args.suite, args.kmax)
                 if H is first and not _has_fail(blocks):
                     shared[first] = blocks
             prefix = f"{gname}:{label}:"
@@ -502,104 +452,10 @@ def cmd_counterexample(args) -> dict:
         "scan_max": args.scan_max,
         "oracle_depth": args.oracle_depth,
     })
-    try:
-        model = symnat.iterated_centralizer_model(args.levels)
-        partial = False
-    except symnat.ModelBudgetError as exc:
-        model = exc.partial
-        partial = True
-        _add_checks(report, "", [(
-            "model-budget", "chain model fits the memory budget", "fail", str(exc),
-        )])
-    checks: list[tuple] = []
-    if model.depth >= 1:
-        ok = sorted(model.span(1)) == [0, 0b11]
-        checks.append((
-            "model-level1",
-            "level 1 is exactly the constant functions",
-            "pass" if ok else "fail",
-            None if ok else "level 1 = {" + ", ".join(sorted(b.to_text() for b in model.level(1))) + "}",
-        ))
-    sizes = model.sizes()
-    strict = all(a < b for a, b in zip(sizes, sizes[1:]))
-    checks.append((
-        "model-sizes-strict",
-        "level sizes strictly increase",
-        "pass" if strict else "fail",
-        None if strict else f"sizes={sizes}",
-    ))
-    for i in range(1, model.depth + 1):
-        # The checks run on the basis masks and carry to the span.  A mask
-        # within one 2^i block is a function purely periodic with period
-        # dividing 2^i, and so is an XOR of such; a nonzero one with a 1 in
-        # its block has a 1 in every 2^i-window.  A span has 2^b distinct
-        # members, 0 among them, exactly when its b vectors are independent.
-        window = 2 ** i
-        basis = model.basis(i)
-        bad = [m for m in basis if m >> window]
-        checks.append((
-            f"model-periodicity-i{i}",
-            "members are purely periodic with period dividing 2^i",
-            "pass" if not bad else "fail",
-            None if not bad else f"e.g. {min(symnat._from_mask(m, window) for m in bad).to_text()}",
-        ))
-        bad = [m for m in basis if m and not m & ((1 << window) - 1)]
-        checks.append((
-            f"model-support-i{i}",
-            "nontrivial members hit every period window (infinite support)",
-            "pass" if not bad else "fail",
-            None if not bad else f"e.g. {min(symnat._from_mask(m, window) for m in bad).to_text()}",
-        ))
-        closed = symnat._rank(basis) == len(basis)
-        checks.append((
-            f"model-xor-closed-i{i}",
-            "level is a group under pointwise XOR",
-            "pass" if closed else "fail",
-            None,
-        ))
-    for i in range(1, min(args.oracle_depth, model.depth, 4) + 1):
-        ok = symnat.brute_force_level(i) == model.level(i)
-        checks.append((
-            f"model-oracle-i{i}",
-            "solver level equals brute-force enumeration",
-            "pass" if ok else "fail",
-            None,
-        ))
-    for k in range(0, max(model.depth - 1, 0)):
-        try:
-            w = symnat.descent_witness(k, args.scan_max, model)
-        except symnat.DescentScanError as exc:
-            # A shallow model leaves the scan undecided; only a scan that
-            # genuinely reached scan_max counts as a failure.
-            checks.append((
-                f"witness-k{k}",
-                "a strict-descent witness exists in the scanned range",
-                "fail" if exc.exhausted else "skipped",
-                str(exc),
-            ))
-            continue
-        expected = symnat.bits_to_permutation(symnat.BitFn.from_fn(
-            lambda t: 1 if t in (w.x0, w.x0 + 2 ** w.l) else 0, w.x0 + 2 ** w.l + 1, 1,
-        ))
-        ok = w.commutator == expected
-        checks.append((
-            f"witness-k{k}",
-            "descent witness verified; commutator is the paired block swap",
-            "pass" if ok else "fail",
-            None if ok else f"commutator={format_cycles(w.commutator)}",
-        ))
-        report["witnesses"].append({
-            "type": "descent",
-            "k": k,
-            "kprime": w.kprime,
-            "l": w.l,
-            "x0": w.x0,
-            "g": w.g.to_text(),
-            "h": w.h.to_text(),
-            "commutator": format_cycles(w.commutator),
-        })
-    report["witnesses"].insert(0, {"type": "levels", "sizes": sizes})
+    checks, witnesses, partial = symnat.counterexample_checks(
+        args.levels, args.scan_max, args.oracle_depth)
     _add_checks(report, "", checks)
+    report["witnesses"] += witnesses
     if partial:
         report["partial"] = True
     return report

@@ -297,13 +297,17 @@ def _bfs(e, seeds, mul, cap: int) -> set:
 def closure_indices(group: FiniteGroup, seeds: Iterable[int]) -> frozenset[int]:
     """Subgroup of `group` generated by the seed indices.
 
-    Up to `_TABLE_LIMIT` each frontier is multiplied by each seed in one
-    C-level pass over the seed's row, and a set holding more than half the
-    group is the whole group: by Lagrange's theorem a subgroup's order
-    divides the group's.  Larger groups use the breadth-first `_bfs`."""
+    A set holding more than half the group is the whole group: by
+    Lagrange's theorem a subgroup's order divides the group's.  Up to
+    `_TABLE_LIMIT` each frontier is multiplied by each seed in one C-level
+    pass over the seed's row.  Larger groups use the breadth-first `_bfs`,
+    capped at half the group."""
     n, e = group.order, group.identity_idx
     if n > _TABLE_LIMIT:
-        return frozenset(_bfs(e, seeds, group.mul_idx, n))
+        try:
+            return frozenset(_bfs(e, seeds, group.mul_idx, n // 2))
+        except ClosureCapError:
+            return group.all_indices
     frontier = sorted(set(seeds) - {e})
     rows = [group.row(g) for g in frontier]
     els = {e, *frontier}

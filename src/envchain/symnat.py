@@ -19,6 +19,12 @@ the set of 2^(i+1)-periodic g with delta(g) in level i.  delta is linear with
 kernel the constant functions, so level i+1 is spanned by the constant 1 and
 one preimage of each basis vector of level i, and a two-term recurrence over
 one period block gives each preimage directly.
+
+`counterexample_checks` builds the model and makes the `counterexample`
+report's checks and witnesses.  Its periodicity, support and XOR-closure
+checks read the basis masks and build a BitFn only for a failure's witness
+text, and it compares each descent witness's commutator with the paired
+block swap, the one place that comparison is made.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from functools import lru_cache
 from operator import xor
 from typing import Callable, Iterable, NamedTuple
 
-from .perm import Permutation
+from .perm import Permutation, format_cycles
 
 # --- the block index map ----------------------------------------------------
 
@@ -597,15 +603,17 @@ class DescentWitness(NamedTuple):
 
     `g` is a block swap lying in every normalizer-relevant set at step k+1
     (it commutes with all of level k+1) whose commutator with B(h), for an h
-    in level kprime+1, is a nonidentity finite-support permutation and hence
-    outside every chain level."""
+    in level kprime+1, should be the swap of blocks x0 and x0 + 2^l: a
+    nonidentity finite-support permutation and hence outside every chain
+    level.  `commutator` is [g, B(h)] as computed; `counterexample_checks`
+    compares it with that swap."""
 
     kprime: int
     l: int
     x0: int
     g: SymElem
     h: BitFn
-    commutator: Permutation
+    commutator: SymElem
 
 
 def descent_witness(k: int, scan_max: int, model: IterChainModel) -> DescentWitness:
@@ -614,8 +622,9 @@ def descent_witness(k: int, scan_max: int, model: IterChainModel) -> DescentWitn
     l is minimal with every member of level k+1 being 2^l-periodic; the
     witness is the block swap g of blocks x0 and x0 + 2^l for the first
     (k', h, x0) in lexicographic scan order (h in level k'+1 by sort_key) with
-    h(x0) != h(x0 + 2^l).  Both defining commutator properties are verified
-    on the symbolic algebra before returning.
+    h(x0) != h(x0 + 2^l).  That g centralizes level k+1 is verified on the
+    symbolic algebra before returning; the commutator [g, B(h)] is returned
+    as computed, for the caller to compare.
     """
     if k < 0 or k + 1 > model.depth:
         raise ValueError(f"need 0 <= k <= depth-1 = {model.depth - 1}")
@@ -643,17 +652,13 @@ def descent_witness(k: int, scan_max: int, model: IterChainModel) -> DescentWitn
                    for b in basis):
             raise RuntimeError(f"witness swap fails to centralize level {k + 1}: internal bug")
         h = _from_mask(m, 2 ** (kp + 1))
-        comm = sym_commutator(g, SymElem.from_bits(h))
-        expected = BitFn([int(t in (x0, x0 + step)) for t in range(x0 + step + 1)])
-        if not (comm.sigma.is_identity and comm.power == 0 and comm.bits == expected):
-            raise RuntimeError("witness commutator has unexpected form: internal bug")
         return DescentWitness(
             kprime=kp,
             l=step.bit_length() - 1,
             x0=x0,
             g=g,
             h=h,
-            commutator=bits_to_permutation(comm.bits),
+            commutator=sym_commutator(g, SymElem.from_bits(h)),
         )
     if limit < scan_max:
         raise DescentScanError(
@@ -664,3 +669,114 @@ def descent_witness(k: int, scan_max: int, model: IterChainModel) -> DescentWitn
     raise DescentScanError(
         f"no witness for k={k} with k' in {k + 1}..{scan_max}", exhausted=True
     )
+
+
+# --- the `counterexample` report ----------------------------------------------
+
+
+def counterexample_checks(levels: int, scan_max: int, oracle_depth: int) -> tuple[list[tuple], list[dict], bool]:
+    """The chain model to depth `levels` and the `counterexample` report's
+    checks on it: (records, witnesses, partial).
+
+    Each record is an (id, claim, status, witness) tuple, witness None when
+    there is none; the witnesses are the report's dicts, the level sizes
+    first.  When the model grows past its budget, `partial` is True, the
+    model holds the levels that fit and the first record is the failed
+    budget check.  `iterated_centralizer_model` and `descent_witness` are
+    looked up on each call, so a test may replace them.
+    """
+    checks: list[tuple] = []
+    partial = False
+    try:
+        model = iterated_centralizer_model(levels)
+    except ModelBudgetError as exc:
+        model, partial = exc.partial, True
+        checks.append(("model-budget", "chain model fits the memory budget", "fail", str(exc)))
+    if model.depth >= 1:
+        ok = sorted(model.span(1)) == [0, 0b11]
+        checks.append((
+            "model-level1",
+            "level 1 is exactly the constant functions",
+            "pass" if ok else "fail",
+            None if ok else "level 1 = {" + ", ".join(sorted(b.to_text() for b in model.level(1))) + "}",
+        ))
+    sizes = model.sizes()
+    strict = all(a < b for a, b in zip(sizes, sizes[1:]))
+    checks.append((
+        "model-sizes-strict",
+        "level sizes strictly increase",
+        "pass" if strict else "fail",
+        None if strict else f"sizes={sizes}",
+    ))
+    for i in range(1, model.depth + 1):
+        # The checks run on the basis masks and carry to the span.  A mask
+        # within one 2^i block is a function purely periodic with period
+        # dividing 2^i, and so is an XOR of such; a nonzero one with a 1 in
+        # its block has a 1 in every 2^i-window.  A span has 2^b distinct
+        # members, 0 among them, exactly when its b vectors are independent.
+        window = 2 ** i
+        basis = model.basis(i)
+        bad = [m for m in basis if m >> window]
+        checks.append((
+            f"model-periodicity-i{i}",
+            "members are purely periodic with period dividing 2^i",
+            "pass" if not bad else "fail",
+            None if not bad else f"e.g. {min(_from_mask(m, window) for m in bad).to_text()}",
+        ))
+        bad = [m for m in basis if m and not m & ((1 << window) - 1)]
+        checks.append((
+            f"model-support-i{i}",
+            "nontrivial members hit every period window (infinite support)",
+            "pass" if not bad else "fail",
+            None if not bad else f"e.g. {min(_from_mask(m, window) for m in bad).to_text()}",
+        ))
+        closed = _rank(basis) == len(basis)
+        checks.append((
+            f"model-xor-closed-i{i}",
+            "level is a group under pointwise XOR",
+            "pass" if closed else "fail",
+            None,
+        ))
+    for i in range(1, min(oracle_depth, model.depth, 4) + 1):
+        ok = brute_force_level(i) == model.level(i)
+        checks.append((
+            f"model-oracle-i{i}",
+            "solver level equals brute-force enumeration",
+            "pass" if ok else "fail",
+            None,
+        ))
+    witnesses: list[dict] = [{"type": "levels", "sizes": sizes}]
+    for k in range(0, max(model.depth - 1, 0)):
+        try:
+            w = descent_witness(k, scan_max, model)
+        except DescentScanError as exc:
+            # A shallow model leaves the scan undecided; only a scan that
+            # genuinely reached scan_max counts as a failure.
+            checks.append((
+                f"witness-k{k}",
+                "a strict-descent witness exists in the scanned range",
+                "fail" if exc.exhausted else "skipped",
+                str(exc),
+            ))
+            continue
+        # the one comparison of the commutator: B(swap) P(identity) f^0
+        far = w.x0 + 2 ** w.l
+        ok = w.commutator == SymElem.from_bits(BitFn([int(t in (w.x0, far)) for t in range(far + 1)]))
+        text = format_cycles(bits_to_permutation(w.commutator.bits)) if ok else w.commutator.to_text()
+        checks.append((
+            f"witness-k{k}",
+            "descent witness verified; commutator is the paired block swap",
+            "pass" if ok else "fail",
+            None if ok else f"commutator={text}",
+        ))
+        witnesses.append({
+            "type": "descent",
+            "k": k,
+            "kprime": w.kprime,
+            "l": w.l,
+            "x0": w.x0,
+            "g": w.g.to_text(),
+            "h": w.h.to_text(),
+            "commutator": text,
+        })
+    return checks, witnesses, partial

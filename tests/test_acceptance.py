@@ -124,7 +124,7 @@ def test_criterion_5_descent_witnesses(model9):
             problems.append(f"k={k}: {exc}")
             continue
         step = 2 ** w.l
-        expected = sn.bits_to_permutation(
+        expected = sn.SymElem.from_bits(
             sn.BitFn.from_fn(lambda t: 1 if t in (w.x0, w.x0 + step) else 0,
                              w.x0 + step + 1, 1)
         )
@@ -135,7 +135,7 @@ def test_criterion_5_descent_witnesses(model9):
             if not (
                 w.g.sigma == sn.BlockPerm.swap(0, 1)
                 and w.h == sn.BitFn.from_pattern((0, 1, 1, 0))
-                and format_cycles(w.commutator) == "(0 1)(2 3)"
+                and format_cycles(sn.bits_to_permutation(w.commutator.bits)) == "(0 1)(2 3)"
             ):
                 problems.append(f"k=0: concrete witness mismatch: {w}")
     report(

@@ -15,6 +15,7 @@ from envchain.chains import (
     CheckRecord,
     abc_lemma_by_k,
     ek_chain,
+    ek_chain_checks,
     ek_structure_by_k,
     ek_term_data,
     iterated_centralizer_levels,
@@ -150,6 +151,21 @@ def test_ek_chain_d8_rotations(catalog):
     D8 = catalog["D8"]
     rep = ek_chain(D8, subgroup(D8, "(0 1 2 3)"), 3)
     assert rep.orders == (8, 4, 4, 4)
+
+
+def test_ek_chain_checks(catalog):
+    S3 = catalog["S3"]
+    H = subgroup(S3, "(0 1)")
+    rep = ek_chain(S3, H, 3)
+    ids = ["ekchain-descending", "ekchain-contains-subgroup", "ekchain-first-term"]
+    assert [(r.id, r.status, r.witness) for r in ek_chain_checks(rep)] == [
+        (cid, "pass", None) for cid in ids]
+    # reversed, the terms ascend from H; the chain S3 > A3 misses (0 1)
+    assert [r.status for r in ek_chain_checks(rep._replace(terms=rep.terms[::-1]))] == [
+        "fail", "pass", "fail"]
+    K = subgroup(S3, "(0 1 2)")
+    assert [r.status for r in ek_chain_checks(rep._replace(terms=(rep.terms[0], K)))] == [
+        "pass", "fail", "pass"]
 
 
 def test_ek_chain_first_term_and_membership(catalog):

@@ -355,6 +355,33 @@ def test_counterexample_deterministic(capsys):
     assert strip_timing_json(first) == strip_timing_json(second)
 
 
+@pytest.mark.parametrize("part", ["bits", "sigma", "power"])
+def test_counterexample_wrong_witness_commutator_fails(capsys, monkeypatch, part):
+    # the commutator is compared with the paired block swap in each part of
+    # its normal form B(bits) P(sigma) f^power; a mismatch is a failure whose
+    # witness names the commutator
+    witness, bad = symnat.descent_witness, []
+
+    def wrong(k, scan_max, model):
+        w = witness(k, scan_max, model)
+        if k != 1:
+            return w
+        c = w.commutator
+        bad.append({"bits": c._replace(bits=c.bits ^ symnat.BitFn.from_text("1|0")),
+                    "sigma": c._replace(sigma=symnat.BlockPerm.swap(0, 1)),
+                    "power": c._replace(power=1)}[part])
+        return w._replace(commutator=bad[0])
+
+    monkeypatch.setattr(symnat, "descent_witness", wrong)
+    code, out = run(capsys, "counterexample", "--levels", "4", "--scan-max", "12")
+    assert code == 1
+    text = bad[0].to_text()
+    assert "[pass] witness-k0\n" in out
+    assert f"[fail] witness-k1\n    commutator={text}\n" in out
+    assert f"witness descent: commutator={text} g=" in out
+    assert "summary: checks=20 pass=18 fail=1 skipped=1\n" in out
+
+
 def test_counterexample_levels_bound(capsys):
     code, _ = run(capsys, "counterexample", "--levels", "1")
     assert code == 2
@@ -419,7 +446,7 @@ def verify_catalog(name: str) -> tuple[list[str], dict]:
 def literal_blocks(catalog: dict, suite: str, kmax: int) -> dict:
     """Every enumerated subgroup's blocks from a suites run of its own, keyed
     by (group name, label), in report order."""
-    return {(gname, label): cli._run_suites(G, H, suite, kmax)
+    return {(gname, label): chains.run_suites(G, H, suite, kmax)
             for gname, G in sorted(catalog.items()) for label, H, _ in enumerate_subgroups(G)}
 
 
@@ -461,8 +488,8 @@ def test_verify_reuse_report_equals_the_literal_report(monkeypatch, name, suite)
     blocks = literal_blocks(catalog, suite, args.kmax)
     literal = literal_report(args, blocks)
     runs = []
-    run_suites = cli._run_suites
-    monkeypatch.setattr(cli, "_run_suites", lambda G, H, *a: runs.append(H) or run_suites(G, H, *a))
+    run_suites = chains.run_suites
+    monkeypatch.setattr(chains, "run_suites", lambda G, H, *a: runs.append(H) or run_suites(G, H, *a))
     report = cli.cmd_verify(args)
     # the suites ran on each class's first member only
     assert len(runs) == sum(len({first for *_, first in enumerate_subgroups(G)})
@@ -472,6 +499,19 @@ def test_verify_reuse_report_equals_the_literal_report(monkeypatch, name, suite)
         assert cli.render(report, fmt) == cli.render(literal, fmt)
     statuses = Counter(status for _, _, status, _ in flat_checks(report))
     assert cli._summary(report) == {s: statuses[s] for s in ("pass", "fail", "skipped")}
+
+
+@pytest.mark.parametrize("suite, calls", [("all", 57), ("structure", 33), ("nilpotent", 24)])
+def test_verify_runs_the_envelope_terms_once_per_structure_run(monkeypatch, suite, calls):
+    # the bench catalog's 33 classes: one `ek_term_data` run serves both the
+    # structure lists and the three-group triples, and the nilpotent suite
+    # runs its own, deeper one for each of its 24 nilpotent first members
+    options, _ = verify_catalog("bench")
+    args = cli.build_parser().parse_args(["verify", "--suite", suite, "--kmax", "4", *options])
+    ek_term_data, runs = chains.ek_term_data, []
+    monkeypatch.setattr(chains, "ek_term_data", lambda *a: runs.append(a) or ek_term_data(*a))
+    cli.cmd_verify(args)
+    assert len(runs) == calls
 
 
 def test_verify_class_with_a_failing_first_member_runs_member_by_member(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from envchain import grp
 from envchain.catalog import build_catalog
 from envchain.grp import (
     _TABLE_LIMIT,
@@ -36,7 +37,7 @@ from naive import (
     naive_normalizer,
 )
 from strategies import (
-    DIFFERENTIAL, groups, groups_and_pools, indices, perms, subgroups_or_subsets, whole,
+    DIFFERENTIAL, big_group, groups, groups_and_pools, indices, perms, subgroups_or_subsets, whole,
 )
 
 
@@ -505,3 +506,23 @@ def test_closure_indices_matches_naive(data):
         cases += [gens, [G.mul_idx(a, b) for a in gens for b in gens]]
     for seeds in cases:
         assert perms(G, closure_indices(G, seeds)) == naive_closure(perms(G, seeds), G.degree)
+
+
+def test_closure_above_table_limit_stops_at_half_the_group(monkeypatch):
+    # S7 lies above the limit: its generators give its own index set
+    G, _ = big_group()
+    assert closure_indices(G, [G.index_of[g] for g in G.generators]) is G.all_indices
+    # with the limit lowered, S4 and S5 take the same breadth-first path
+    monkeypatch.setattr(grp, "_TABLE_LIMIT", 0)
+    rng = random.Random(55)
+    for texts, degree in ((["(0 1)", "(0 1 2 3)"], 4), (["(0 1)", "(0 1 2 3 4)"], 5)):
+        G = make(texts, degree)
+        gens = [G.index_of[g] for g in G.generators]
+        assert closure_indices(G, gens) is G.all_indices
+        # words of even length give A_n, of index 2: the sharpest case for the stop
+        cases = [[G.mul_idx(a, b) for a in gens for b in gens]]
+        cases += [[rng.randrange(G.order) for _ in range(rng.randint(1, 2))] for _ in range(30)]
+        for seeds in cases:
+            got = closure_indices(G, seeds)
+            assert perms(G, got) == naive_closure(perms(G, seeds), degree)
+            assert (got is G.all_indices) == (len(got) == G.order)

@@ -741,7 +741,7 @@ def test_descent_witness_k0(model):
     assert (w.kprime, w.l, w.x0) == (1, 0, 0)
     assert w.h == sn.BitFn.from_pattern((0, 1, 1, 0))
     assert w.g.sigma == sn.BlockPerm.swap(0, 1)
-    assert format_cycles(w.commutator) == "(0 1)(2 3)"
+    assert format_cycles(sn.bits_to_permutation(w.commutator.bits)) == "(0 1)(2 3)"
 
 
 def test_descent_witness_commutator_form(model):
@@ -752,7 +752,8 @@ def test_descent_witness_commutator_form(model):
         expected = sn.BitFn.from_fn(
             lambda t: 1 if t in (w.x0, w.x0 + step) else 0, w.x0 + step + 1, 1
         )
-        assert w.commutator == sn.bits_to_permutation(expected)
+        # [g, B(h)] is B(expected) itself: no block permutation, no power of f
+        assert w.commutator == sn.SymElem.from_bits(expected)
         assert w.h(w.x0) != w.h(w.x0 + step)
         assert w.h in model.level(w.kprime + 1)
 
