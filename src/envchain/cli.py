@@ -24,8 +24,8 @@ whole k-list that passes is one object shared by every block holding it
 (see `chains`), and `verify`'s blocks share whole records lists too.
 json-like output is byte-for-byte `json.dumps(report, sort_keys=True,
 indent=2)` with the checks as one list of dicts, written from a template
-(see `render`).  Exit codes: 0 all checks pass, 1 check failures, 2 usage or
-file errors, 3 resource caps exceeded.
+(see `render`).  Exit codes: 0 all checks pass, 1 check failures, 2 usage,
+file or report write errors, 3 resource caps exceeded.
 
 Each subcommand imports only the engine it runs: `ekchain` imports `grp` and
 `chains`, `verify` `grp`, `chains` and `catalog`, `counterexample` `symnat`.
@@ -474,7 +474,16 @@ def main(argv=None) -> int:
         print(f"envchain: resource limit: {exc}", file=sys.stderr)
         return 3
     report["timings"]["total_s"] = round(time.perf_counter() - start, 6)
-    sys.stdout.writelines((_json_chunks if args.format == "json-like" else _text_chunks)(report))
+    try:
+        sys.stdout.writelines((_json_chunks if args.format == "json-like" else _text_chunks)(report))
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit; what is left goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"envchain: error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     if report.get("partial"):
         return 3
     return _exit_code(report)

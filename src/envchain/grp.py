@@ -14,31 +14,31 @@ one C-level pass on first use, and the n² commutator table is allocated on
 the first commutator read and fills one entry per read.  Larger groups store
 neither and recompute each entry per read.
 
-Centralizers, central series, chain levels and envelope terms are all
-{g : [g, x] in T for every x in X}, and chain levels also take normalizers.
-Each group memoizes every `commutator_filter` and `normalizer_indices` result
-by its exact index sets; central series, chain runs and envelope runs keep no
-memo, so a repeat is a fresh loop whose filters are answered from it.  Greedy
-generators and the left-coset labels of each target are memoized too.
-`commutator_filter` alone decides when a generating set of X may stand in for
-X (`normalizer_indices` decides it for conjugation).  A commutator filter
-tests only the greedy generators drawn from X when they normalize a target T
-that `generating_indices` verifies, whether or not X is itself a subgroup:
-they lie in X and generate a group containing it.  Every other X is tested in
-full.
+Centralizers, central series, chain levels, envelope terms and the
+normalizers of subgroups are all {g : [g, x] in T for every x in X}: for a
+subgroup S, g^-1 s g lies in S iff [g, s^-1] does, so the normalizer of S is
+the filter with X = T = S.  Each group keeps one memo, every
+`commutator_filter` result by its exact index sets, and interns the results,
+so equal results are one object; central series, chain runs and envelope
+runs keep no memo, so a repeat is a fresh loop whose filters are answered
+from it.  Greedy generators and the left-coset labels of each target are
+memoized too.  `commutator_filter` alone decides when a generating set of X
+may stand in for X and when coset labels decide membership.  A commutator
+filter tests only the greedy generators drawn from X when they normalize a
+target T that `generating_indices` verifies, whether or not X is itself a
+subgroup: they lie in X and generate a group containing it.  Every other X
+is tested in full.
 
-Up to `_TABLE_LIMIT`, when `generating_indices` verifies the target T (or S),
-membership is an equality of coset labels, by two facts:
-
-- [g, x] = (xg)^-1 (gx) lies in T iff gxT = xgT;
-- g^-1 s g lies in S iff sgS = gS.
-
-gx is read off the row of x, and xg is inv ∘ row(x^-1) ∘ inv, so each x is
-one `compress`/`map`/`eq` pass over the remaining candidates with no
-bytecode per element.  An unverified target, or an order above the limit,
-falls back to one `comm_idx` or `conj_idx` call per pair.  `closure_indices`
-grows a closure a whole frontier per generator row and stops at the whole
-group once it holds more than n/2 elements (Lagrange's theorem).
+Up to `_TABLE_LIMIT`, when `generating_indices` verifies the target T,
+membership is an equality of coset labels: [g, x] = (xg)^-1 (gx) lies in T
+iff gxT = xgT.  gx is read off the row of x, and xg is inv ∘ row(x^-1) ∘
+inv, so each x is one `compress`/`map`/`eq` pass over the remaining
+candidates with no bytecode per element.  An unverified target, or an order
+above the limit, falls back to one `comm_idx` call per pair, and the
+normalizer of a set that is not a subgroup to one `conj_idx` call per pair.
+`closure_indices` grows a closure a whole frontier per generator row and
+stops at the whole group once it holds more than n/2 elements (Lagrange's
+theorem).
 """
 
 from __future__ import annotations
@@ -109,7 +109,8 @@ class FiniteGroup:
         self._gens: dict[frozenset[int], tuple[tuple[int, ...], bool]] = {}
         self._labels: dict[frozenset[int], array] = {}  # `_coset_labels`
         self._filters: dict[tuple, frozenset[int]] = {}  # `commutator_filter`
-        self._normalizers: dict[tuple, frozenset[int]] = {}  # `normalizer_indices`
+        # every filter result, one object per distinct value (hash-consing)
+        self._interned = {self.all_indices: self.all_indices}
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self.index_of
@@ -384,11 +385,16 @@ def _left_products(group: FiniteGroup, x: int, gs: Iterable[int]):
 def commutator_filter(
     group: FiniteGroup, members: frozenset[int], xs: frozenset[int], into: frozenset[int]
 ) -> frozenset[int]:
-    """`_commutator_filter`, memoized per group by the exact (members, xs, into)."""
+    """`_commutator_filter`, memoized per group by the exact (members, xs, into).
+
+    Each result is interned: an equal set from an earlier filter, or the
+    group's `all_indices`, is returned in its place, so the memo holds one
+    object per distinct value."""
     key = (members, xs, into)
     got = group._filters.get(key)
     if got is None:
-        got = group._filters[key] = _commutator_filter(group, members, xs, into)
+        got = _commutator_filter(group, members, xs, into)
+        got = group._filters[key] = group._interned.setdefault(got, got)
     return got
 
 
@@ -432,35 +438,17 @@ def _commutator_filter(
 
 
 def normalizer_indices(group: FiniteGroup, members: frozenset[int], sub: frozenset[int]) -> frozenset[int]:
-    """`_normalizer_indices`, memoized per group by the exact (members, sub)."""
-    key = (members, sub)
-    got = group._normalizers.get(key)
-    if got is None:
-        got = group._normalizers[key] = _normalizer_indices(group, members, sub)
-    return got
-
-
-def _normalizer_indices(group: FiniteGroup, members: frozenset[int], sub: frozenset[int]) -> frozenset[int]:
     """{g in members : g^-1 (sub) g == sub}.
 
-    For a subgroup it is enough to conjugate a generating set into `sub`
-    (conjugation is a bijection of finite sets), a different fact from the
-    one behind `commutator_filter`.  For a verified subgroup S, g^-1 s g lies
-    in S iff sgS = gS, so up to `_TABLE_LIMIT` each generator s is one pass
-    comparing the coset labels of sg and g."""
-    gens = generating_indices(group, sub)
-    if gens is None or group.order > _TABLE_LIMIT:
-        xs = sub if gens is None else gens
-        return frozenset(
-            g for g in members if all(group.conj_idx(s, g) in sub for s in xs)
-        )
-    lab = _coset_labels(group, sub, gens).__getitem__
-    keep = list(members)
-    for s in gens:
-        keep = list(compress(keep, map(
-            eq, map(lab, _left_products(group, s, keep)), map(lab, keep)
-        )))
-    return frozenset(keep)
+    For a subgroup S, g^-1 s g lies in S iff [g, s^-1] = g^-1 s g s^-1 does,
+    so the normalizer of S is `commutator_filter(group, members, S, S)`,
+    answered from the one filter memo.  Any other `sub` is tested one
+    conjugate at a time, every element of it, and kept in no memo."""
+    if generating_indices(group, sub) is not None:
+        return commutator_filter(group, members, sub, sub)
+    return frozenset(
+        g for g in members if all(group.conj_idx(s, g) in sub for s in sub)
+    )
 
 
 def is_abelian_indices(group: FiniteGroup, indices: frozenset[int]) -> bool:

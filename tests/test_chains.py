@@ -795,27 +795,51 @@ def test_term_memo_serves_any_depth_like_a_cold_run(name):
 
 
 def test_filter_bodies_run_once_per_distinct_input(monkeypatch, capsys):
-    # every input the two public filters are asked over a built-in
-    # `verify --kmax 4` reaches a filter body exactly once; the repeats are
-    # answered from the group's memos
-    asked, ran = [], []
+    # every input `commutator_filter` is asked over a built-in
+    # `verify --kmax 4` reaches the one filter body exactly once; the repeats
+    # are answered from the group's memo.  A subgroup's normalizer is asked
+    # as its (members, S, S) filter.
+    asked, ran, normalizers = [], [], []
 
-    def counting(log, tag, f):
+    def counting(log, f):
         def run(group, *args):
-            log.append((tag, group, *args))
+            log.append((group, *args))
             return f(group, *args)
         return run
 
-    for public, body in (("commutator_filter", "_commutator_filter"),
-                         ("normalizer_indices", "_normalizer_indices")):
-        monkeypatch.setattr(grp, body, counting(ran, public, getattr(grp, body)))
-        wrapped = counting(asked, public, getattr(grp, public))
-        monkeypatch.setattr(grp, public, wrapped)
-        monkeypatch.setattr(chains, public, wrapped)
+    monkeypatch.setattr(grp, "_commutator_filter", counting(ran, grp._commutator_filter))
+    wrapped = counting(asked, grp.commutator_filter)
+    monkeypatch.setattr(grp, "commutator_filter", wrapped)
+    monkeypatch.setattr(chains, "commutator_filter", wrapped)
+    monkeypatch.setattr(chains, "normalizer_indices", counting(normalizers, normalizer_indices))
     assert main(["verify", "--kmax", "4"]) == 0
     capsys.readouterr()
     assert len(ran) == len(set(ran)) < len(asked)
     assert set(ran) == set(asked)
+    subs = [(G, m, s) for G, m, s in normalizers if generating_indices(G, s) is not None]
+    assert subs and {(G, m, s, s) for G, m, s in subs} <= set(asked)
+
+
+def test_filter_results_are_interned(monkeypatch, capsys):
+    # after built-in and bench `verify --kmax 4` runs, each group's filter
+    # memo holds one object per distinct result
+    seen = []
+    run_suites = chains.run_suites
+
+    def recording(G, *args):
+        seen.append(G)
+        return run_suites(G, *args)
+
+    monkeypatch.setattr(chains, "run_suites", recording)
+    bench = str(ROOT / "perfbench" / "groups" / "verify")
+    for argv in (["verify", "--kmax", "4"], ["verify", "--kmax", "4", "--catalog-dir", bench]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    distinct = {id(G): G for G in seen}.values()
+    assert len(distinct) >= 10
+    for G in distinct:
+        values = list(G._filters.values())
+        assert len({id(v) for v in values}) == len(set(values))
 
 
 def test_memo_returns_fresh_lists():

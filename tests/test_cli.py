@@ -298,6 +298,47 @@ def test_verify_catalog_entry_that_is_a_fifo_exit_2(tmp_path):
     assert proc.stderr == f"envchain: error: cannot read {tmp_path / 'x.grp'}: not a regular file\n"
 
 
+def assert_write_error(proc: subprocess.Popen):
+    """Exit 2 and one stderr line naming the write error, nothing else."""
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.startswith("envchain: error: cannot write report: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def cli_process(argv, unbuffered, stdout) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "envchain.cli", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_report_to_a_full_device_exit_2(s3_files, unbuffered, size):
+    # the small report fits in the stdout buffer, so only the flush fails;
+    # the large one fails on its first write
+    argv = (["ekchain", *s3_files] if size == "small"
+            else ["verify", "--kmax", "2", "--format", "json-like"])
+    with open("/dev/full", "w") as full:
+        assert_write_error(cli_process(argv, unbuffered, full))
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_report_to_a_closed_pipe_exit_2(unbuffered):
+    # the 1.5 MB report is more than a pipe holds, so the writer is still
+    # writing when the reader closes its end after the first read
+    proc = cli_process(["verify", "--kmax", "2", "--format", "json-like"],
+                       unbuffered, subprocess.PIPE)
+    assert os.read(proc.stdout.fileno(), 10) == b'{\n  "check'
+    proc.stdout.close()
+    assert_write_error(proc)
+
+
 def test_verify_catalog_entry_not_utf8_exit_2(capsys, tmp_path):
     (tmp_path / "S3.grp").write_text(CATALOG_FILES["S3"])
     (tmp_path / "bad.grp").write_bytes(b"# caf\xe9\ndegree: 2\n(0 1)\n")

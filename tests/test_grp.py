@@ -37,7 +37,8 @@ from naive import (
     naive_normalizer,
 )
 from strategies import (
-    DIFFERENTIAL, big_group, groups, groups_and_pools, indices, perms, subgroups_or_subsets, whole,
+    DIFFERENTIAL, big_group, groups, groups_and_pools, indices, perms, subgroups,
+    subgroups_or_subsets, whole,
 )
 
 
@@ -407,6 +408,17 @@ def test_normalizer_matches_naive(data):
         for among in (data.draw(subgroups_or_subsets(G, pool)), whole(G, pool)):
             got = normalizer_indices(G, among, sub)
             assert got == indices(G, naive_normalizer(perms(G, among), perms(G, sub)))
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_normalizer_of_subgroup_is_its_commutator_filter(data):
+    # g^-1 s g lies in S iff [g, s^-1] does: one memo entry, one object
+    G, pool = data.draw(groups_and_pools())
+    sub = data.draw(subgroups(G, pool))
+    assert generating_indices(G, sub) is not None
+    for among in (data.draw(subgroups_or_subsets(G, pool)), whole(G, pool)):
+        assert normalizer_indices(G, among, sub) is commutator_filter(G, among, sub, sub)
 
 
 def test_commutator_filter_needs_xs_to_normalize_into():

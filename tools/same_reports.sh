@@ -1,0 +1,74 @@
+#!/usr/bin/env bash
+# Compares the reports of two envchain trees; a change may make a report
+# faster, never different.
+#
+#     tools/same_reports.sh PARENT_TREE HEAD_TREE [OUT_DIR]
+#
+# Runs the verify reports (built-in catalog, also at --kmax 8, where lemma
+# runs are reused at depths the benchmark never reaches; the bench catalog;
+# tests/data; A6, whose 491 subgroups fall in 21 conjugacy classes; P256,
+# tests/data's P128 times <(8 9)>, whose 1,561 subgroups fall in 389 classes;
+# S7's Bryant suite at --kmax 1, the one report of a group above the 1,024 of
+# grp._TABLE_LIMIT, where closures and filters take the untabled paths),
+# three counterexample reports (--levels 8, the same with the level-4
+# enumeration oracle, and --levels 12 scanning to 18) and three ekchain
+# reports (--kmax 4 in S6 on the benchmark's cyclic, order-16 and S3
+# subgroups), all json-like, and the text reports of the built-in,
+# bench-catalog and tests/data verify and of each bench-catalog suite on its
+# own (a conjugacy class's records are reused per suite run).  Each tree runs
+# its own src on HEAD_TREE's input files; A6, P256 and S7 are written to
+# OUT_DIR/groups.  total_s is zeroed and the text `time:` line, the one
+# timing field, dropped; a nonzero exit is appended as "exit N".  The
+# reports go to OUT_DIR/parent and OUT_DIR/head (OUT_DIR defaults to a new
+# temporary directory), and the script exits nonzero on any byte difference.
+set -eu
+
+if [ $# -lt 2 ] || [ $# -gt 3 ]; then
+  echo "usage: $0 PARENT_TREE HEAD_TREE [OUT_DIR]" >&2
+  exit 2
+fi
+parent=$(cd "$1" && pwd)
+head=$(cd "$2" && pwd)
+out=${3:-$(mktemp -d)}
+mkdir -p "$out/groups/a6" "$out/groups/p256" "$out/groups/s7"
+out=$(cd "$out" && pwd)
+printf 'degree: 6\n(0 1 2)\n(1 2 3 4 5)\n' > "$out/groups/a6/A6.grp"
+printf 'degree: 10\n(0 1)\n(0 2)(1 3)\n(0 4)(1 5)(2 6)(3 7)\n(8 9)\n' > "$out/groups/p256/P256.grp"
+printf 'degree: 7\n(0 1)\n(0 1 2 3 4 5 6)\n' > "$out/groups/s7/S7.grp"
+verify=$head/perfbench/groups/verify
+s6=$head/perfbench/groups/s6
+
+for side in parent head; do
+  tree=$parent
+  [ "$side" = head ] && tree=$head
+  rm -rf "${out:?}/$side"
+  mkdir -p "$out/$side"
+  while read -r name format args; do
+    (cd "$tree" && PYTHONPATH=src python3 -m envchain.cli $args --format $format \
+      || echo "exit $?") \
+      | sed -E -e 's/"total_s": [0-9.e+-]+/"total_s": 0/' -e '/^time: /d' \
+      > "$out/$side/$name"
+  done <<LIST
+builtin json-like verify
+builtin-text text verify
+builtin-k8 json-like verify --kmax 8
+bench json-like verify --catalog-dir $verify
+bench-text text verify --catalog-dir $verify
+bench-bryant text verify --catalog-dir $verify --suite bryant --kmax 3
+bench-structure text verify --catalog-dir $verify --suite structure --kmax 5
+bench-nilpotent text verify --catalog-dir $verify --suite nilpotent
+data json-like verify --catalog-dir $head/tests/data
+data-text text verify --catalog-dir $head/tests/data
+a6 json-like verify --catalog-dir $out/groups/a6
+p256 json-like verify --kmax 4 --catalog-dir $out/groups/p256
+s7-bryant json-like verify --suite bryant --kmax 1 --catalog-dir $out/groups/s7
+model json-like counterexample --levels 8
+model-oracle4 json-like counterexample --levels 8 --oracle-depth 4
+model-scan18 json-like counterexample --levels 12 --scan-max 18
+ek-cyclic json-like ekchain $s6/S6.grp $s6/cyclic.grp --kmax 4
+ek-p16 json-like ekchain $s6/S6.grp $s6/p16.grp --kmax 4
+ek-s3 json-like ekchain $s6/S6.grp $s6/s3.grp --kmax 4
+LIST
+done
+diff -r "$out/parent" "$out/head"
+echo "same reports: $(ls "$out/head" | wc -l) reports in $out"
