@@ -130,7 +130,7 @@ def enumerate_subgroups(G: FiniteGroup) -> list[tuple[str, Subgroup, Subgroup]]:
                             orbit.append(m[y])
         return least
 
-    gmaps = [conj(G.index_of[g]) for g in G.generators]
+    gmaps = [conj(G.index(g)) for g in G.generators]
     class_of: dict[frozenset[int], frozenset[int]] = {}  # subgroup -> the closure finding its class
 
     def add_class(H: frozenset[int]):

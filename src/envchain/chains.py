@@ -27,11 +27,10 @@ every check id that asks it.  `verify_ek_structure` makes one literal
 one-step pass per distinct envelope term, and `abc_lemma_by_k` returns its
 checks per k, so a caller runs each distinct (A, B, C) once, at the deepest
 k it needs, and reads smaller k as a prefix.  `run_suites`, the suites
-`verify` runs on one subgroup, does so for the three-group triples, which it
-builds from the envelope terms of the structure suite's own run.  Inputs
-count as the same only when their index sets are equal; no identity of the
-paper is used to find them.  The nilpotent suite makes its own envelope run,
-to depth class + 3, deeper than the structure suite asks.
+`verify` runs on one subgroup, makes one envelope run for all of them, at
+the deepest depth a suite reads, and builds the three-group triples from
+it.  Inputs count as the same only when their index sets are equal; no
+identity of the paper is used to find them.
 
 Verifiers return lists of `CheckRecord`; failures carry witnesses instead of
 raising.  A check that passes without a witness is one shared record per
@@ -574,11 +573,14 @@ def verify_ek_structure(G: FiniteGroup, H: Subgroup, kmax: int) -> list[CheckRec
     return [r for records in ek_structure_by_k(G, H, kmax) for r in records]
 
 
-def verify_nilpotent_envelope(G: FiniteGroup, H: Subgroup) -> list[CheckRecord]:
+def verify_nilpotent_envelope(G: FiniteGroup, H: Subgroup, terms: list | None = None) -> list[CheckRecord]:
     """For nilpotent H of class c the envelope at step max(c, 1) is nilpotent
     of class at most that, the chain is constant from there on, and for c >= 1
     the class is exactly c.  Abelian H additionally get the double-centralizer
     abelianness check.  Non-nilpotent H are reported as skipped.
+
+    `terms` are H's envelope terms from a caller's `ek_term_data` run at
+    depth max(c, 1) + 3 or deeper; by default this makes that run.
     """
     _validate_sub(G, H)
     c = nilpotency_class(H)
@@ -592,7 +594,8 @@ def verify_nilpotent_envelope(G: FiniteGroup, H: Subgroup) -> list[CheckRecord]:
             )
         ]
     step = max(c, 1)
-    terms, _ = ek_term_data(G, H.indices, step + 3)
+    if terms is None:
+        terms, _ = ek_term_data(G, H.indices, step + 3)
     out = []
     if c <= 1:
         out.append(_verdict(
@@ -633,18 +636,23 @@ def run_suites(G: FiniteGroup, H: Subgroup, suite: str, kmax: int) -> list[tuple
     or "all") on H, as (tail, records) blocks in report order; a caller
     writes each block's ids after its own prefix for H and the block's tail.
 
-    The structure suite runs `ek_term_data` once: its terms give the
-    structure lists and the nested triples H <= E_(k+1) <= E_k of the
-    three-group lemma, whose hypothesis holds by the chain/center identity;
-    the degenerate triples (H, H, H) and (H, H, G) cover the trivial cases.
+    One `ek_term_data` run, at the deepest depth a suite reads (kmax, or
+    max(c, 1) + 3 for the nilpotent suite on H of class c), gives each suite
+    its prefix.  Its terms give the structure lists and the nested triples
+    H <= E_(k+1) <= E_k of the three-group lemma, whose hypothesis holds by
+    the chain/center identity; the degenerate triples (H, H, H) and (H, H, G)
+    cover the trivial cases.
     """
     _validate_sub(G, H)
+    structure = suite in ("structure", "all")
+    c = nilpotency_class(H) if suite in ("nilpotent", "all") else None
+    run_depth = max(kmax if structure else 0, 0 if c is None else max(c, 1) + 3)
+    terms, inner = ek_term_data(G, H.indices, run_depth) if run_depth else ([], [])
     blocks: list[tuple[str, Sequence[CheckRecord]]] = []
     if suite in ("bryant", "all"):
         blocks.append(("", verify_bryant_lemma(G, H, kmax)))
-    if suite in ("structure", "all"):
-        terms, inner = ek_term_data(G, H.indices, kmax)
-        blocks += [("", records) for records in _structure_lists(G, H, terms, inner)]
+    if structure:
+        blocks += [("", r) for r in _structure_lists(G, H, terms[:kmax + 1], inner[:kmax + 1])]
         E = [Subgroup(G, t) for t in terms]
         triples = [("abc(H,H,H)-", (H, H, H), 1), ("abc(H,H,G)-", (H, H, E[0]), min(kmax, 2))]
         triples += [(f"abc(H,E{k + 1},E{k})-", (H, E[k + 1], E[k]), k) for k in range(kmax)]
@@ -658,5 +666,5 @@ def run_suites(G: FiniteGroup, H: Subgroup, suite: str, kmax: int) -> list[tuple
         for tag, abc, k in triples:
             blocks += [(tag, records) for records in runs[abc][:k + 1]]
     if suite in ("nilpotent", "all"):
-        blocks.append(("", verify_nilpotent_envelope(G, H)))
+        blocks.append(("", verify_nilpotent_envelope(G, H, terms)))
     return blocks

@@ -30,11 +30,11 @@ file or report write errors, 3 resource caps exceeded.
 Each subcommand imports only the engine it runs: `ekchain` imports `grp` and
 `chains`, `verify` `grp`, `chains` and `catalog`, `counterexample` `symnat`.
 At module level this file imports only what they share (`argparse`, `json`,
-`perm`, and `os` and `stat`, which the interpreter's start-up has already
-loaded); the option defaults come from the package itself.  Every CLI run is
-a fresh process that pays for each import again, and compiles each module
-again where no bytecode is cached, so an engine loaded but never called costs
-as much as a short run's own work.
+`perm`, and `errno`, `os` and `stat`, which the interpreter's start-up has
+already loaded); the option defaults come from the package itself.  Every
+CLI run is a fresh process that pays for each import again, and compiles
+each module again where no bytecode is cached, so an engine loaded but never
+called costs as much as a short run's own work.
 
 Both formats are written in chunks of `_CHUNK` checks, so the whole text is
 never held at once; `render` joins the same chunks.  Each renderer quotes a
@@ -46,6 +46,7 @@ check.  `MAX_CHECKS` is checked as blocks are added, before the first byte.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import stat
@@ -309,8 +310,9 @@ def _exit_code(report: dict) -> int:
 # --- commands ----------------------------------------------------------------
 
 
-def _load_group_file(path: str, cap: int) -> FiniteGroup:
-    from .grp import ClosureCapError, GroupFileError, parse_group_file
+def _read_group_file(path: str) -> tuple[int, list]:
+    """The degree and generators of the group file at `path`, not closed."""
+    from .grp import GroupFileError, read_group_file
 
     try:
         # before `open`: opening a FIFO for reading waits for a writer
@@ -321,9 +323,17 @@ def _load_group_file(path: str, cap: int) -> FiniteGroup:
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     try:
-        return parse_group_file(text, cap=cap)
+        return read_group_file(text)
     except GroupFileError as exc:
         raise _UsageError(f"{path}: {exc}") from exc
+
+
+def _load_group_file(path: str, cap: int) -> FiniteGroup:
+    from .grp import ClosureCapError, closure
+
+    degree, gens = _read_group_file(path)
+    try:
+        return closure(gens, cap=cap, degree=degree)
     except ClosureCapError as exc:
         raise _LimitError(str(exc)) from exc
 
@@ -346,17 +356,14 @@ def cmd_ekchain(args) -> dict:
 
     _check_cap(args.cap)
     G = _load_group_file(args.group_file, args.cap)
-    H_raw = _load_group_file(args.subgroup_file, args.cap)
-    if H_raw.degree != G.degree:
-        raise _UsageError(
-            f"subgroup degree {H_raw.degree} does not match group degree {G.degree}"
-        )
-    missing = [g for g in H_raw.generators if g not in G]
+    # H is closed only inside G, so G's cap bounds it too
+    degree, gens = _read_group_file(args.subgroup_file)
+    if degree != G.degree:
+        raise _UsageError(f"subgroup degree {degree} does not match group degree {G.degree}")
+    missing = [g for g in gens if g not in G]
     if missing:
-        raise _UsageError(
-            f"subgroup generator {format_cycles(missing[0])} is not in the group"
-        )
-    H = G.generated_subgroup(H_raw.generators)
+        raise _UsageError(f"subgroup generator {format_cycles(missing[0])} is not in the group")
+    H = G.generated_subgroup(gens)
     h_class = nilpotency_class(H)
     kmax = args.kmax if args.kmax is not None else default_kmax(G.order, h_class)
     _check_kmax(kmax)
@@ -475,13 +482,16 @@ def main(argv=None) -> int:
         return 3
     report["timings"]["total_s"] = round(time.perf_counter() - start, 6)
     try:
+        if sys.stdout is None:  # the interpreter found fd 1 closed at start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         sys.stdout.writelines((_json_chunks if args.format == "json-like" else _text_chunks)(report))
         sys.stdout.flush()
     except OSError as exc:
-        # the interpreter flushes stdout again at exit; what is left goes nowhere
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if sys.stdout is not None:
+            # the interpreter flushes stdout again at exit; what is left goes nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"envchain: error: cannot write report: {exc}", file=sys.stderr)
         return 2
     if report.get("partial"):

@@ -5,10 +5,10 @@ every subgroup is an explicit element set, so all queries (centralizers,
 normalizers, central series) are exact set filters.  Element order is always
 the sorted image-tuple order, which keeps every derived object deterministic.
 
-Internally a group indexes its elements 0..n-1, so the chain computations in
-`chains` run on plain ints.  Every order uses one entry formula: a product is
-the index of an image tuple, computed with one `itemgetter` per element and
-no `Permutation` per product, and [g, h] = (hg)^-1 (gh).  Up to order 1024
+A group holds each element as its image tuple only, indexed 0..n-1 by one
+dict, and makes `Permutation`s only when `elements` is read; `chains` runs on
+the plain int indices.  A product is the index of an image tuple, computed
+with one `itemgetter` per element, and [g, h] = (hg)^-1 (gh).  Up to order 1024
 (`_TABLE_LIMIT`) products are stored as rows, row(j)[i] = i·j, each built in
 one C-level pass on first use, and the n² commutator table is allocated on
 the first commutator read and fills one entry per read.  Larger groups store
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from functools import cached_property
 from itertools import compress
 from operator import eq, itemgetter
 from typing import Iterable, Sequence, Union
@@ -85,25 +86,36 @@ class GroupFileError(ValueError):
 
 
 class FiniteGroup:
-    """An explicitly enumerated permutation group."""
+    """An explicitly enumerated permutation group, built from its elements' image tuples."""
 
-    def __init__(self, degree: int, generators: Sequence[Permutation], elements: Sequence[Permutation]):
+    def __init__(self, degree: int, generators: Sequence[Permutation], images: Iterable[tuple[int, ...]]):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements))
-        self.order = len(self.elements)
+        self._images = images = sorted(images)
+        self.order = n = len(images)
         # every index, one object: memo keys holding it match by identity
-        self.all_indices = frozenset(range(self.order))
-        self.index_of = {g: i for i, g in enumerate(self.elements)}
-        self.identity_idx = self.index_of[Permutation.identity(degree)]
-        # entry computation, built once on first use (see `_prepare`)
-        self._images: list[tuple[int, ...]] = []
-        self._idx: dict[tuple[int, ...], int] = {}
-        self._getters: list = []
-        self._inv: list[int] | None = None
+        self.all_indices = frozenset(range(n))
+        # the one element -> index map; a lookup raises on a tuple outside
+        # the element set, so every product read is checked against it
+        self._idx = idx = {t: i for i, t in enumerate(images)}
+        self.identity_idx = idx[tuple(range(degree))]
+        # products straight from image tuples: (a*b)(x) = a[b[x]], so
+        # itemgetter(*b)(a) is the image tuple of a*b
+        if degree == 1:
+            # itemgetter with one index returns a scalar; S_1 is trivial, a*b = a
+            self._getters = [tuple] * n
+        else:
+            self._getters = [itemgetter(*b) for b in images]
+        inv = []  # inverse indices, s[t[x]] = x: the tuples must be closed under inverses
+        for t in images:
+            s = [0] * degree
+            for x, y in enumerate(t):
+                s[y] = x
+            inv.append(idx[tuple(s)])
+        self._inv = inv
         # up to _TABLE_LIMIT: product rows (None = not yet built) and the
         # commutator table (allocated on the first read, -1 = not yet read)
-        self._rows: list[list[int] | None] | None = None
+        self._rows: list[list[int] | None] | None = [None] * n if n <= _TABLE_LIMIT else None
         self._comm: list[int] | None = None
         # memos, one dict per function: exact input -> immutable result
         self._gens: dict[frozenset[int], tuple[tuple[int, ...], bool]] = {}
@@ -112,46 +124,33 @@ class FiniteGroup:
         # every filter result, one object per distinct value (hash-consing)
         self._interned = {self.all_indices: self.all_indices}
 
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        """Every element as a `Permutation`, in index order, made on first read."""
+        return tuple(map(Permutation, self._images))
+
+    def index(self, p: Union[Permutation, int]) -> int:
+        """The index of `p`; an int is taken as an index already."""
+        if isinstance(p, int):
+            return p
+        i = self._idx.get(p.images)
+        if i is None:
+            raise ValueError(f"element {format_cycles(p)} is not in the group")
+        return i
+
     def __contains__(self, p: Permutation) -> bool:
-        return p in self.index_of
+        return p.images in self._idx
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, degree={self.degree})"
 
     # --- index arithmetic -------------------------------------------------
 
-    def _prepare(self):
-        # Products straight from image tuples: (a*b)(x) = a[b[x]], so
-        # itemgetter(*b)(a) is the image tuple of a*b.  The dict lookup raises
-        # on a product outside the element set, so every entry read is checked;
-        # `closure` enumerates the whole set, so every product lies in it.
-        images = [g.images for g in self.elements]
-        idx = {t: i for i, t in enumerate(images)}
-        if self.degree == 1:
-            # itemgetter with one index returns a scalar; S_1 is trivial, a*b = a
-            getters = [tuple] * self.order
-        else:
-            getters = [itemgetter(*b) for b in images]
-        self._images, self._idx, self._getters = images, idx, getters
-        # inverse image tuples as `Permutation.inverse` builds them, without
-        # a Permutation (and its bijection check) per element
-        inv = []
-        for t in images:
-            s = [0] * self.degree
-            for x, y in enumerate(t):
-                s[y] = x
-            inv.append(idx[tuple(s)])
-        self._inv = inv
-        if self.order <= _TABLE_LIMIT:
-            self._rows = [None] * self.order
-
     def row(self, j: int) -> list[int]:
         """Index of elements[i] * elements[j] for every i, as one list.
 
         Built on first use in one C-level pass; stored up to `_TABLE_LIMIT`,
         rebuilt on every call above it."""
-        if self._inv is None:
-            self._prepare()
         rows = self._rows
         r = None if rows is None else rows[j]
         if r is None:
@@ -163,19 +162,12 @@ class FiniteGroup:
     def mul_idx(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j] (j acts first)."""
         rows = self._rows
-        if rows is not None:
-            r = rows[j]
-            if r is not None:
-                return r[i]
-        if self._inv is None:
-            self._prepare()
-        if self._rows is not None:
-            return self.row(j)[i]
-        return self._idx[self._getters[j](self._images[i])]
+        if rows is None:
+            return self._idx[self._getters[j](self._images[i])]
+        r = rows[j]
+        return (self.row(j) if r is None else r)[i]
 
     def inv_idx(self, i: int) -> int:
-        if self._inv is None:
-            self._prepare()
         return self._inv[i]
 
     def comm_idx(self, i: int, j: int) -> int:
@@ -199,17 +191,9 @@ class FiniteGroup:
 
     # --- subgroup constructors -------------------------------------------
 
-    def _index(self, m: Union[Permutation, int]) -> int:
-        if isinstance(m, int):
-            return m
-        i = self.index_of.get(m)
-        if i is None:
-            raise ValueError(f"element {format_cycles(m)} is not in the group")
-        return i
-
     def subgroup(self, members: Iterable[Union[Permutation, int]]) -> "Subgroup":
         """Subgroup from an already-closed element collection."""
-        return Subgroup(self, frozenset(self._index(m) for m in members))
+        return Subgroup(self, frozenset(self.index(m) for m in members))
 
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, self.all_indices)
@@ -218,7 +202,7 @@ class FiniteGroup:
         return Subgroup(self, frozenset({self.identity_idx}))
 
     def generated_subgroup(self, gens: Iterable[Union[Permutation, int]]) -> "Subgroup":
-        return Subgroup(self, closure_indices(self, [self._index(g) for g in gens]))
+        return Subgroup(self, closure_indices(self, [self.index(g) for g in gens]))
 
 
 class Subgroup:
@@ -245,8 +229,7 @@ class Subgroup:
     def __contains__(self, p: Union[Permutation, int]) -> bool:
         if isinstance(p, int):
             return p in self.indices
-        i = self.parent.index_of.get(p)
-        return i is not None and i in self.indices
+        return self.parent._idx.get(p.images) in self.indices
 
     def __eq__(self, other) -> bool:
         return (
@@ -495,20 +478,17 @@ def closure(generators: Sequence[Permutation], cap: int = DEFAULT_CAP, degree: i
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    if not generators:
-        if degree is None:
+    if degree is None:
+        if not generators:
             raise ValueError("need a degree when there are no generators")
-        return FiniteGroup(degree, (), [Permutation.identity(degree)])
-    deg = generators[0].degree
+        degree = generators[0].degree
     for g in generators:
-        if g.degree != deg:
-            raise DegreeMismatchError(f"generator degrees differ: {g.degree} != {deg}")
-    if degree is not None and degree != deg:
-        raise DegreeMismatchError(f"generators have degree {deg}, not {degree}")
-    # (g a)(x) = g[a[x]] on image tuples; sorted tuples are sorted permutations
-    els = _bfs(tuple(range(deg)), [g.images for g in generators],
+        if g.degree != degree:
+            raise DegreeMismatchError(f"generator degree {g.degree} != {degree}")
+    # (g a)(x) = g[a[x]] on image tuples
+    els = _bfs(tuple(range(degree)), [g.images for g in generators],
                lambda g, a: tuple(map(g.__getitem__, a)), cap)
-    return FiniteGroup(deg, generators, [Permutation(t) for t in sorted(els)])
+    return FiniteGroup(degree, generators, els)
 
 
 def _as_index_view(ambient: Union[FiniteGroup, Subgroup]) -> tuple[FiniteGroup, frozenset[int]]:
@@ -522,7 +502,7 @@ def _target_indices(group: FiniteGroup, targets) -> frozenset[int]:
         if targets.parent is not group:
             raise ValueError("target subgroup belongs to a different group")
         return targets.indices
-    return frozenset(group._index(t) for t in targets)
+    return frozenset(group.index(t) for t in targets)
 
 
 def centralizer(ambient: Union[FiniteGroup, Subgroup], targets) -> Subgroup:
@@ -575,7 +555,14 @@ def is_abelian(ambient: Union[FiniteGroup, Subgroup]) -> bool:
 
 
 def parse_group_file(text: str, cap: int = DEFAULT_CAP) -> FiniteGroup:
-    """Parse the group file format:
+    """The group a group file generates (see `read_group_file`), closed with
+    at most `cap` elements."""
+    degree, gens = read_group_file(text)
+    return closure(gens, cap=cap, degree=degree)
+
+
+def read_group_file(text: str) -> tuple[int, list[Permutation]]:
+    """The degree and generators of a group file, without closing them:
 
         # comment
         degree: 4
@@ -612,7 +599,7 @@ def parse_group_file(text: str, cap: int = DEFAULT_CAP) -> FiniteGroup:
             raise GroupFileError(str(exc), lineno) from exc
     if degree is None:
         raise GroupFileError("missing 'degree: <n>' line", 1)
-    return closure(gens, cap=cap, degree=degree)
+    return degree, gens
 
 
 def format_group_file(degree: int, generators: Sequence[Permutation], header: str = "") -> str:

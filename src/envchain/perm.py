@@ -64,9 +64,6 @@ class Permutation:
     def __lt__(self, other: "Permutation") -> bool:
         return self.images < other.images
 
-    def __le__(self, other: "Permutation") -> bool:
-        return self.images <= other.images
-
     def __hash__(self) -> int:
         return hash(self.images)
 
@@ -122,10 +119,6 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     bi = b.images
     ai = a.images
     return Permutation(ai[bi[x]] for x in range(len(ai)))
-
-
-def inverse(a: Permutation) -> Permutation:
-    return a.inverse()
 
 
 def conjugate(h: Permutation, g: Permutation) -> Permutation:

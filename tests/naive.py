@@ -108,7 +108,7 @@ def naive_conjugates(G, idxs: frozenset[int]) -> set[frozenset[int]]:
     out = set()
     for g in G.elements:
         gi = g.inverse()
-        out.add(frozenset(G.index_of[compose(compose(gi, h), g)] for h in H))
+        out.add(frozenset(G.index(compose(compose(gi, h), g)) for h in H))
     return out
 
 

@@ -39,7 +39,7 @@ def big_group() -> tuple[FiniteGroup, list[int]]:
     oracle stays quick.  Built once."""
     G = closure([parse_cycles(c, 7) for c in ("(0 1)", "(0 1 2 3 4 5 6)")])
     assert G.order > _TABLE_LIMIT
-    gens = [G.index_of[parse_cycles(c, 7)] for c in ("(0 1)", "(0 1 2 3)", "(4 5 6)")]
+    gens = [G.index(parse_cycles(c, 7)) for c in ("(0 1)", "(0 1 2 3)", "(4 5 6)")]
     pool = closure_indices(G, gens)
     return G, sorted(pool)
 
@@ -84,4 +84,4 @@ def perms(G: FiniteGroup, indices) -> frozenset[Permutation]:
 
 
 def indices(G: FiniteGroup, members) -> frozenset[int]:
-    return frozenset(G.index_of[p] for p in members)
+    return frozenset(G.index(p) for p in members)

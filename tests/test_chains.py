@@ -670,7 +670,7 @@ def test_a6_and_s6_lists_are_closed_under_conjugation(gens, counts):
     assert (G.order, len(subs), len(set(first.values()))) == counts
     for g in G.generators:
         for H in first:
-            conj = frozenset(G.index_of[conjugate(G.elements[h], g)] for h in H)
+            conj = frozenset(G.index(conjugate(G.elements[h], g)) for h in H)
             assert first[conj] == first[H]
 
 
@@ -715,7 +715,7 @@ def chain_case(degree, target_gens, within):
     G = closure([parse_cycles("(0 1)", degree),
                  parse_cycles("(" + " ".join(map(str, range(degree))) + ")", degree)])
     A = G.generated_subgroup([parse_cycles(t, degree) for t in target_gens]).indices
-    W = frozenset(G.index_of[parse_cycles(t, degree)] for t in within)
+    W = frozenset(G.index(parse_cycles(t, degree)) for t in within)
     levels, _ = iterated_centralizer_levels(G, W, sorted(A), 4)
     assert as_levels(G, levels) == naive_iterated_levels(perms(G, W), perms(G, A), 4)
     return G, A, W, levels
@@ -754,7 +754,7 @@ def test_guard_previous_level_not_a_subgroup():
 
 def test_guard_target_not_a_subgroup(catalog):
     G = catalog["S4"]
-    target = sorted(G.index_of[parse_cycles(t, 4)] for t in ("(0 1)", "(1 2 3)"))
+    target = sorted(G.index(parse_cycles(t, 4)) for t in ("(0 1)", "(1 2 3)"))
     assert generating_indices(G, frozenset(target)) is None
     whole = frozenset(range(G.order))
     levels, _ = iterated_centralizer_levels(G, whole, target, 4)

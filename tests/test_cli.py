@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from envchain.catalog import CATALOG_FILES, build_catalog, enumerate_subgroups
 from envchain import chains, cli, symnat
 from envchain.cli import main
-from envchain.grp import MAX_KMAX, parse_group_file
+from envchain.grp import MAX_KMAX, nilpotency_class, parse_group_file
 from envchain.perm import format_cycles
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -159,6 +159,26 @@ def test_ekchain_cap_exceeded(capsys, s3_files):
     g, h = s3_files
     code, _ = run(capsys, "ekchain", g, h, "--cap", "3")
     assert code == 3
+
+
+def test_ekchain_closes_the_subgroup_only_inside_the_group(capsys, tmp_path, monkeypatch, s3_files):
+    # H's generators are checked against G and closed by G.generated_subgroup,
+    # so G's cap bounds H; generators outside G whose own closure would pass
+    # the cap are a usage error, not a resource limit
+    from envchain import grp
+
+    closure, closed = grp.closure, []
+    monkeypatch.setattr(grp, "closure", lambda *a, **kw: closed.append(a) or closure(*a, **kw))
+    assert run(capsys, "ekchain", *s3_files, "--kmax", "2")[0] == 0
+    assert len(closed) == 1  # G's
+    g, h = tmp_path / "c2.grp", tmp_path / "s4.grp"
+    g.write_text("degree: 4\n(0 1)\n")
+    h.write_text("degree: 4\n(0 1 2 3)\n(0 1)\n")
+    code = main(["ekchain", str(g), str(h), "--cap", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "envchain: error: subgroup generator (0 1 2 3) is not in the group\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -307,12 +327,13 @@ def assert_write_error(proc: subprocess.Popen):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
-def cli_process(argv, unbuffered, stdout) -> subprocess.Popen:
+def cli_process(argv, unbuffered, stdout, wrap=()) -> subprocess.Popen:
+    """The CLI in a fresh process, started through the command `wrap`."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.Popen([sys.executable, "-m", "envchain.cli", *argv], env=env,
+    return subprocess.Popen([*wrap, sys.executable, "-m", "envchain.cli", *argv], env=env,
                             stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
@@ -337,6 +358,13 @@ def test_report_to_a_closed_pipe_exit_2(unbuffered):
     assert os.read(proc.stdout.fileno(), 10) == b'{\n  "check'
     proc.stdout.close()
     assert_write_error(proc)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_report_to_a_closed_stdout_exit_2(unbuffered):
+    # with fd 1 closed at start-up the interpreter sets sys.stdout to None
+    close_fd1 = ("sh", "-c", 'exec "$0" "$@" >&-')
+    assert_write_error(cli_process(["counterexample", "--levels", "3"], unbuffered, None, close_fd1))
 
 
 def test_verify_catalog_entry_not_utf8_exit_2(capsys, tmp_path):
@@ -542,11 +570,11 @@ def test_verify_reuse_report_equals_the_literal_report(monkeypatch, name, suite)
     assert cli._summary(report) == {s: statuses[s] for s in ("pass", "fail", "skipped")}
 
 
-@pytest.mark.parametrize("suite, calls", [("all", 57), ("structure", 33), ("nilpotent", 24)])
+@pytest.mark.parametrize("suite, calls", [("all", 33), ("structure", 33), ("nilpotent", 24)])
 def test_verify_runs_the_envelope_terms_once_per_structure_run(monkeypatch, suite, calls):
-    # the bench catalog's 33 classes: one `ek_term_data` run serves both the
-    # structure lists and the three-group triples, and the nilpotent suite
-    # runs its own, deeper one for each of its 24 nilpotent first members
+    # the bench catalog's 33 classes: one `ek_term_data` run serves the
+    # structure lists, the three-group triples and the nilpotent suite, which
+    # alone runs one for each of its 24 nilpotent first members
     options, _ = verify_catalog("bench")
     args = cli.build_parser().parse_args(["verify", "--suite", suite, "--kmax", "4", *options])
     ek_term_data, runs = chains.ek_term_data, []
@@ -555,13 +583,30 @@ def test_verify_runs_the_envelope_terms_once_per_structure_run(monkeypatch, suit
     assert len(runs) == calls
 
 
+def test_verify_runs_each_envelope_at_the_deepest_depth_a_suite_reads(monkeypatch):
+    # kmax for the structure suite, max(class, 1) + 3 for a nilpotent H
+    options, catalog = verify_catalog("bench")
+    args = cli.build_parser().parse_args(["verify", "--kmax", "4", *options])
+    ek_term_data, runs = chains.ek_term_data, []
+    monkeypatch.setattr(chains, "ek_term_data", lambda *a: runs.append(a) or ek_term_data(*a))
+    cli.cmd_verify(args)
+    want = []
+    for G in map(catalog.get, sorted(catalog)):
+        for _, H, first in enumerate_subgroups(G):
+            if H is first:
+                c = nilpotency_class(H)
+                want.append((H.indices, 4 if c is None else max(4, max(c, 1) + 3)))
+    assert [(h, depth) for _, h, depth in runs] == want
+    assert Counter(depth for *_, depth in runs) == {4: 27, 5: 3, 6: 2, 7: 1}
+
+
 def test_verify_class_with_a_failing_first_member_runs_member_by_member(monkeypatch):
     # a failure's witness names elements of H, so every member of a class
     # whose first member fails gets a run, and a witness, of its own
     nilpotent = chains.verify_nilpotent_envelope
 
-    def planted(G, H):
-        records = nilpotent(G, H)
+    def planted(G, H, *rest):
+        records = nilpotent(G, H, *rest)
         if H.order != 2:
             return records
         x = G.elements[min(H.indices - {G.identity_idx})]

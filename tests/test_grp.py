@@ -74,6 +74,36 @@ def test_closure_matches_naive():
         assert frozenset(G.elements) == naive_closure(set(gens), degree)
 
 
+@DIFFERENTIAL
+@given(st.data())
+def test_group_is_its_sorted_image_tuples(data):
+    G = data.draw(groups())
+    assert list(G.elements) == sorted(naive_closure(set(G.generators), G.degree))
+    assert all(G.index(p) == i and p in G for i, p in enumerate(G.elements))
+    outside = Permutation(data.draw(st.permutations(range(G.degree))))
+    if outside not in G.elements:
+        assert outside not in G and outside not in G.full_subgroup()
+        with pytest.raises(ValueError, match="is not in the group"):
+            G.index(outside)
+    wider = Permutation.identity(G.degree + 1)
+    assert wider not in G and wider not in G.full_subgroup()
+    # closure and every index read make no Permutation; `elements` makes
+    # one per element, once
+    made, init = [], Permutation.__init__
+
+    def counted(self, images):
+        made.append(1)
+        init(self, images)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Permutation, "__init__", counted)
+        H = closure(G.generators)
+        H.comm_idx(H.order - 1, 0)
+        assert not made
+        assert H.elements == G.elements and H.elements is H.elements
+        assert len(made) == H.order
+
+
 def test_closure_cap(d8):
     with pytest.raises(ClosureCapError) as exc:
         closure(d8.generators, cap=5)
@@ -290,10 +320,10 @@ def test_tables_check_products_against_the_element_set():
         lambda G, t, u: G.comm_idx(u, t),
     )
     for read in reads:
-        G = FiniteGroup(3, [t, u], [e, t, u])
+        G = FiniteGroup(3, [t, u], [e.images, t.images, u.images])
         for _ in range(2):  # a row that raised is not stored
             with pytest.raises(KeyError):
-                read(G, G.index_of[t], G.index_of[u])
+                read(G, G.index(t), G.index(u))
         assert G._rows == [None] * 3
 
 
@@ -342,7 +372,7 @@ def test_group_file_degree_bound():
 
 
 def cycles(G, *texts):
-    return frozenset(G.index_of[parse_cycles(t, G.degree)] for t in texts)
+    return frozenset(G.index(parse_cycles(t, G.degree)) for t in texts)
 
 
 def test_generating_indices_generates_and_is_memoized(d8):
@@ -514,7 +544,7 @@ def test_closure_indices_matches_naive(data):
         # the generators give the whole group, past the half-order stop; the
         # words of even length in them give a subgroup of index 1 or 2, the
         # sharpest case for that stop
-        gens = [G.index_of[g] for g in G.generators]
+        gens = [G.index(g) for g in G.generators]
         cases += [gens, [G.mul_idx(a, b) for a in gens for b in gens]]
     for seeds in cases:
         assert perms(G, closure_indices(G, seeds)) == naive_closure(perms(G, seeds), G.degree)
@@ -523,13 +553,13 @@ def test_closure_indices_matches_naive(data):
 def test_closure_above_table_limit_stops_at_half_the_group(monkeypatch):
     # S7 lies above the limit: its generators give its own index set
     G, _ = big_group()
-    assert closure_indices(G, [G.index_of[g] for g in G.generators]) is G.all_indices
+    assert closure_indices(G, [G.index(g) for g in G.generators]) is G.all_indices
     # with the limit lowered, S4 and S5 take the same breadth-first path
     monkeypatch.setattr(grp, "_TABLE_LIMIT", 0)
     rng = random.Random(55)
     for texts, degree in ((["(0 1)", "(0 1 2 3)"], 4), (["(0 1)", "(0 1 2 3 4)"], 5)):
         G = make(texts, degree)
-        gens = [G.index_of[g] for g in G.generators]
+        gens = [G.index(g) for g in G.generators]
         assert closure_indices(G, gens) is G.all_indices
         # words of even length give A_n, of index 2: the sharpest case for the stop
         cases = [[G.mul_idx(a, b) for a in gens for b in gens]]

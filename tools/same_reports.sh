@@ -11,13 +11,15 @@
 # S7's Bryant suite at --kmax 1, the one report of a group above the 1,024 of
 # grp._TABLE_LIMIT, where closures and filters take the untabled paths),
 # three counterexample reports (--levels 8, the same with the level-4
-# enumeration oracle, and --levels 12 scanning to 18) and three ekchain
+# enumeration oracle, and --levels 12 scanning to 18) and six ekchain
 # reports (--kmax 4 in S6 on the benchmark's cyclic, order-16 and S3
-# subgroups), all json-like, and the text reports of the built-in,
+# subgroups, and on a subgroup file of no generators and one of the single
+# generator (); S3 on 7 points in S7 at --kmax 2, above grp._TABLE_LIMIT),
+# all json-like, and the text reports of the built-in,
 # bench-catalog and tests/data verify and of each bench-catalog suite on its
 # own (a conjugacy class's records are reused per suite run).  Each tree runs
-# its own src on HEAD_TREE's input files; A6, P256 and S7 are written to
-# OUT_DIR/groups.  total_s is zeroed and the text `time:` line, the one
+# its own src on HEAD_TREE's input files; A6, P256, S7 and the three ekchain
+# subgroup files are written to OUT_DIR/groups.  total_s is zeroed and the text `time:` line, the one
 # timing field, dropped; a nonzero exit is appended as "exit N".  The
 # reports go to OUT_DIR/parent and OUT_DIR/head (OUT_DIR defaults to a new
 # temporary directory), and the script exits nonzero on any byte difference.
@@ -30,11 +32,15 @@ fi
 parent=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
 out=${3:-$(mktemp -d)}
-mkdir -p "$out/groups/a6" "$out/groups/p256" "$out/groups/s7"
+mkdir -p "$out/groups/a6" "$out/groups/p256" "$out/groups/s7" "$out/groups/ek"
 out=$(cd "$out" && pwd)
 printf 'degree: 6\n(0 1 2)\n(1 2 3 4 5)\n' > "$out/groups/a6/A6.grp"
 printf 'degree: 10\n(0 1)\n(0 2)(1 3)\n(0 4)(1 5)(2 6)(3 7)\n(8 9)\n' > "$out/groups/p256/P256.grp"
 printf 'degree: 7\n(0 1)\n(0 1 2 3 4 5 6)\n' > "$out/groups/s7/S7.grp"
+printf 'degree: 6\n' > "$out/groups/ek/none6.grp"
+printf 'degree: 6\n()\n' > "$out/groups/ek/identity6.grp"
+printf 'degree: 7\n(0 1)\n(0 1 2)\n' > "$out/groups/ek/s3-7.grp"
+ek=$out/groups/ek
 verify=$head/perfbench/groups/verify
 s6=$head/perfbench/groups/s6
 
@@ -68,6 +74,9 @@ model-scan18 json-like counterexample --levels 12 --scan-max 18
 ek-cyclic json-like ekchain $s6/S6.grp $s6/cyclic.grp --kmax 4
 ek-p16 json-like ekchain $s6/S6.grp $s6/p16.grp --kmax 4
 ek-s3 json-like ekchain $s6/S6.grp $s6/s3.grp --kmax 4
+ek-none json-like ekchain $s6/S6.grp $ek/none6.grp --kmax 4
+ek-identity json-like ekchain $s6/S6.grp $ek/identity6.grp --kmax 4
+ek-s7-s3 json-like ekchain $out/groups/s7/S7.grp $ek/s3-7.grp --kmax 2
 LIST
 done
 diff -r "$out/parent" "$out/head"
