@@ -6,14 +6,13 @@ time so the cycle strings never drift from the intended group.
 
 `enumerate_subgroups` lists the subgroups `verify` checks, each with its
 label and the first member of its conjugacy class, so that `verify` runs its
-suites on one member of each class (see `cli.cmd_verify`).
+suites on one member of each class (see `suites.group_suites`).
 """
 
 from __future__ import annotations
 
 from . import DEFAULT_CAP
-from .grp import FiniteGroup, Subgroup, centralizer, closure_indices, generating_indices
-from .grp import format_group_file, parse_group_file
+from .grp import FiniteGroup, Subgroup, centralizer, closure_indices, generating_indices, parse_group_file
 from .perm import Permutation, format_cycles, parse_cycles
 
 
@@ -48,21 +47,24 @@ def _quaternion_generators() -> list[Permutation]:
     return [left_i, left_j]
 
 
+def _group_file(degree: int, generators: list[Permutation], header: str) -> str:
+    return "\n".join([f"# {header}", f"degree: {degree}", *map(format_cycles, generators)]) + "\n"
+
+
 def _group_files() -> dict[str, str]:
     heis = _heisenberg3_generators()
     quat = _quaternion_generators()
 
     def gf(degree, cycle_texts, header):
-        gens = [parse_cycles(t, degree) for t in cycle_texts]
-        return format_group_file(degree, gens, header)
+        return _group_file(degree, [parse_cycles(t, degree) for t in cycle_texts], header)
 
     return {
         "A4": gf(4, ["(0 1 2)", "(1 2 3)"], "alternating group on 4 points, order 12"),
         "D16": gf(8, ["(0 1 2 3 4 5 6 7)", "(1 7)(2 6)(3 5)"], "dihedral group of order 16"),
         "D8": gf(4, ["(0 1 2 3)", "(1 3)"], "dihedral group of order 8"),
         "E8": gf(6, ["(0 1)", "(2 3)", "(4 5)"], "elementary abelian group of order 8"),
-        "Heis3": format_group_file(27, heis, "Heisenberg group mod 3, order 27 (regular action)"),
-        "Q8": format_group_file(8, quat, "quaternion group of order 8 (regular action)"),
+        "Heis3": _group_file(27, heis, "Heisenberg group mod 3, order 27 (regular action)"),
+        "Q8": _group_file(8, quat, "quaternion group of order 8 (regular action)"),
         "S3": gf(3, ["(0 1)", "(0 1 2)"], "symmetric group on 3 points, order 6"),
         "S4": gf(4, ["(0 1)", "(0 1 2 3)"], "symmetric group on 4 points, order 24"),
         "Z4xZ2": gf(6, ["(0 1 2 3)", "(4 5)"], "direct product of cyclic groups of order 4 and 2"),
@@ -163,13 +165,14 @@ def enumerate_subgroups(G: FiniteGroup) -> list[tuple[str, Subgroup, Subgroup]]:
     seed: dict[int, tuple[int, ...]] = {0: ()}  # bit -> the first seed generating subs[bit]
     for i in range(n):
         seed.setdefault((masks[i] & -masks[i]).bit_length() - 1, (i,))
-    text = list(map(format_cycles, G.elements))
-    out = []
-    for bit, (_, els, H, c) in enumerate(subs):
+    for bit, (_, els, _, _) in enumerate(subs):
         if bit not in seed:  # not cyclic: the first pair in no smaller subgroup
             lower = (1 << bit) - 1
             seed[bit] = next((i, j) for a, i in enumerate(els) for j in els[a + 1:]
                              if not masks[i] & masks[j] & lower)
-        out.append((els, c, "<" + ",".join(map(text.__getitem__, seed[bit])) + ">", Subgroup(G, H)))
+    # only the elements a label names are formatted, each once
+    text = {i: format_cycles(G.element(i)) for i in {i for s in seed.values() for i in s}}
+    out = [(els, c, "<" + ",".join(map(text.__getitem__, seed[bit])) + ">", Subgroup(G, H))
+           for bit, (_, els, H, c) in enumerate(subs)]
     firsts: dict[frozenset[int], Subgroup] = {}
     return [(label, H, firsts.setdefault(c, H)) for _, c, label, H in sorted(out)]

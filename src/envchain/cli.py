@@ -8,12 +8,10 @@ Three subcommands:
 
 This module parses arguments, loads groups and writes reports; the engines
 make every check.  `chains.ek_chain_checks` gives the `ekchain` checks,
-`chains.run_suites` a subgroup's `verify` suites, and
+`suites.group_suites` the `verify` blocks of each subgroup of a catalog
+group, running the suites once per conjugacy class, and
 `symnat.counterexample_checks` the chain model with its checks and
-witnesses.  The one thing `verify` adds is reuse: it runs the suites once
-per conjugacy class of subgroups, as the enumeration finds them, and adds
-the first member's blocks again under each later member's prefix (see
-`cmd_verify`).
+witnesses.
 
 Reports are deterministic byte-for-byte apart from the timing fields, in both
 text and json-like form.  A report holds its checks as blocks
@@ -21,14 +19,15 @@ text and json-like form.  A report holds its checks as blocks
 None when there is none, and each written with the block's prefix before its
 id.  The engines hand over their records as they are, so a record or a
 whole k-list that passes is one object shared by every block holding it
-(see `chains`), and `verify`'s blocks share whole records lists too.
+(see `suites`), and `verify`'s blocks share whole records lists too.
 json-like output is byte-for-byte `json.dumps(report, sort_keys=True,
 indent=2)` with the checks as one list of dicts, written from a template
 (see `render`).  Exit codes: 0 all checks pass, 1 check failures, 2 usage,
 file or report write errors, 3 resource caps exceeded.
 
 Each subcommand imports only the engine it runs: `ekchain` imports `grp` and
-`chains`, `verify` `grp`, `chains` and `catalog`, `counterexample` `symnat`.
+`chains`; `verify` imports those, `suites` and `catalog`; `counterexample`
+imports `symnat`.
 At module level this file imports only what they share (`argparse`, `json`,
 `perm`, and `errno`, `os` and `stat`, which the interpreter's start-up has
 already loaded); the option defaults come from the package itself.  Every
@@ -53,7 +52,6 @@ import stat
 import sys
 import time
 from collections import Counter
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
@@ -253,10 +251,6 @@ def _text_chunks(report: dict):
     yield "".join(lines)
 
 
-def render_text(report: dict) -> str:
-    return "".join(_text_chunks(report))
-
-
 # One check in the `indent=2` layout, keys sorted, split around the id's
 # text: _HEAD % claim, then the quoted id without its opening quote, then
 # _TAIL % status or _TAIL_WITNESS % (status, witness).  Each starts with the
@@ -298,9 +292,7 @@ def render(report: dict, fmt: str) -> str:
     json-like is byte-for-byte `json.dumps(report, sort_keys=True, indent=2)`
     with the checks as one list of dicts, each id its block's prefix + id.
     """
-    if fmt == "json-like":
-        return "".join(_json_chunks(report))
-    return render_text(report)
+    return "".join((_json_chunks if fmt == "json-like" else _text_chunks)(report))
 
 
 def _exit_code(report: dict) -> int:
@@ -388,26 +380,13 @@ def cmd_ekchain(args) -> dict:
     return report
 
 
-def _has_fail(blocks) -> bool:
-    return "fail" in map(_STATUS, chain.from_iterable(records for _, records in blocks))
-
-
 def cmd_verify(args) -> dict:
-    """Run the suites on every enumerated subgroup of every catalog group.
-
-    Conjugation by g in G is an automorphism of G, so it carries every set a
-    check compares for H onto the matching set for H^g, and the check's
-    (id, claim, status) is the same for both.  The suites therefore run on
-    the first member of each conjugacy class, which `enumerate_subgroups`
-    names beside every member, and a later member gets the first member's
-    blocks under its own prefix.
-    A failure's witness names elements, so a class whose first member fails
-    any check runs member by member; a skip's witness quotes only integers.
-    """
+    """Run the suites on every enumerated subgroup of every catalog group,
+    once per conjugacy class (see `suites.group_suites`)."""
     from pathlib import Path
 
-    from . import chains
-    from .catalog import build_catalog, enumerate_subgroups
+    from . import suites
+    from .catalog import build_catalog
     from .grp import ClosureCapError
 
     _check_cap(args.cap)
@@ -433,14 +412,7 @@ def cmd_verify(args) -> dict:
         "catalog": "builtin" if args.catalog_dir is None else args.catalog_dir,
     })
     for gname in sorted(catalog):
-        G = catalog[gname]
-        shared = {}  # first member -> its blocks, if all pass or skip
-        for label, H, first in enumerate_subgroups(G):
-            blocks = shared.get(first)
-            if blocks is None:
-                blocks = chains.run_suites(G, H, args.suite, args.kmax)
-                if H is first and not _has_fail(blocks):
-                    shared[first] = blocks
+        for label, blocks in suites.group_suites(catalog[gname], args.suite, args.kmax):
             prefix = f"{gname}:{label}:"
             for tail, records in blocks:
                 _add_checks(report, prefix + tail, records)

@@ -129,6 +129,10 @@ class FiniteGroup:
         """Every element as a `Permutation`, in index order, made on first read."""
         return tuple(map(Permutation, self._images))
 
+    def element(self, i: int) -> Permutation:
+        """elements[i], made from its image tuple alone."""
+        return Permutation(self._images[i])
+
     def index(self, p: Union[Permutation, int]) -> int:
         """The index of `p`; an int is taken as an index already."""
         if isinstance(p, int):
@@ -600,15 +604,6 @@ def read_group_file(text: str) -> tuple[int, list[Permutation]]:
     if degree is None:
         raise GroupFileError("missing 'degree: <n>' line", 1)
     return degree, gens
-
-
-def format_group_file(degree: int, generators: Sequence[Permutation], header: str = "") -> str:
-    lines = []
-    if header:
-        lines.extend(f"# {h}" for h in header.splitlines())
-    lines.append(f"degree: {degree}")
-    lines.extend(format_cycles(g) for g in generators)
-    return "\n".join(lines) + "\n"
 
 
 def default_kmax(group_order: int, h_class: int | None) -> int:

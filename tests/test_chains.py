@@ -9,17 +9,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from envchain import catalog as catalog_module
-from envchain import chains, grp
+from envchain import chains, grp, suites
 from envchain.catalog import CATALOG_FILES, build_catalog, enumerate_subgroups
 from envchain.chains import (
     CheckRecord,
-    abc_lemma_by_k,
     ek_chain,
     ek_chain_checks,
-    ek_structure_by_k,
     ek_term_data,
     iterated_centralizer_levels,
     iterated_centralizers,
+)
+from envchain.suites import (
+    abc_lemma_by_k,
+    ek_structure_by_k,
     one_step_levels,
     verify_abc_lemma,
     verify_bryant_lemma,
@@ -38,7 +40,7 @@ from envchain.grp import (
     parse_group_file,
     series_level,
 )
-from envchain.perm import Permutation, commutator, compose, conjugate, parse_cycles
+from envchain.perm import Permutation, commutator, compose, conjugate, format_cycles, parse_cycles
 
 from naive import (
     naive_closure,
@@ -300,15 +302,15 @@ def test_abc_requires_nesting(catalog):
 def per_k_abc(A, B, C, kmax):
     """The three-group lemma as it was written before `abc_lemma_by_k`: the
     hypothesis and every conclusion compared afresh for each (k, j).  It
-    reads `chains.central_series_indices` at call time, so a patched series
+    reads `suites.central_series_indices` at call time, so a patched series
     reaches it too."""
     group = A.parent
     a_in_c, _ = iterated_centralizer_levels(group, C.indices, sorted(A.indices), kmax + 1)
     b_in_c, _ = iterated_centralizer_levels(group, C.indices, sorted(B.indices), kmax)
     a_in_b, _ = iterated_centralizer_levels(group, B.indices, sorted(A.indices), kmax + 1)
-    c_series = chains.central_series_indices(group, C.indices)
-    b_series = chains.central_series_indices(group, B.indices)
-    check = chains._set_check
+    c_series = suites.central_series_indices(group, C.indices)
+    b_series = suites.central_series_indices(group, B.indices)
+    check = suites._set_check
     out = []
     for k in range(kmax + 1):
         hyp_break = None
@@ -382,7 +384,7 @@ def test_abc_by_k_fails_as_the_per_k_loop(catalog, monkeypatch):
     for name in ("D8", "S4"):
         G = catalog[name]
         C = G.full_subgroup()
-        monkeypatch.setattr(chains, "central_series_indices", shifted_below(C))
+        monkeypatch.setattr(suites, "central_series_indices", shifted_below(C))
         subs = [H for _, H, _ in enumerate_subgroups(G)]
         for A, B in itertools.product(subs, subs):
             if A <= B:
@@ -404,7 +406,7 @@ def test_abc_by_k_matches_prefixes_and_the_per_k_loop(data):
     A, B, C = (Subgroup(G, x) for x in (a, b, c))
     check_abc_by_k(A, B, C)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chains, "central_series_indices", shifted_below(C))
+        mp.setattr(suites, "central_series_indices", shifted_below(C))
         check_abc_by_k(A, B, C)
 
 
@@ -418,7 +420,7 @@ def per_k_structure(G, H, kmax):
     out = []
     for k in range(kmax + 1):
         for j in range(k + 1):
-            out.append(chains._set_check(
+            out.append(suites._set_check(
                 G, f"structure-centers-k{k}-j{j}",
                 "chain inside an envelope term is its upper central series",
                 series_level(inner[k], j), series_level(series[k], j), f"k={k} j={j}",
@@ -426,7 +428,7 @@ def per_k_structure(G, H, kmax):
         zs = [series_level(series[k], i) for i in range(k + 1)]
         simplified = one_step_levels(G, terms[k], target, zs)
         for i in range(k + 1):
-            out.append(chains._set_check(
+            out.append(suites._set_check(
                 G, f"structure-simplified-k{k}-i{i}",
                 "one-step commutator form matches the full chain definition",
                 simplified[i], series_level(inner[k], i + 1), f"k={k} i={i}",
@@ -441,7 +443,7 @@ def test_structure_runs_one_literal_pass_per_distinct_term(s5_d32, monkeypatch):
         passes.append(members)
         return one_step_levels(G, members, target, zs)
 
-    monkeypatch.setattr(chains, "one_step_levels", counting)
+    monkeypatch.setattr(suites, "one_step_levels", counting)
     repeated = 0
     for G in s5_d32:
         for _, H, _ in enumerate_subgroups(G):
@@ -459,7 +461,7 @@ def test_structure_runs_one_literal_pass_per_distinct_term(s5_d32, monkeypatch):
 def unshared(fn, *args):
     """fn(*args) with every k-list built afresh and none shared."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chains, "_k_list", lambda kind, k, ok, build: build())
+        mp.setattr(suites, "_k_list", lambda kind, k, ok, build: build())
         return fn(*args)
 
 
@@ -472,7 +474,7 @@ def shared_only_when_all_pass(kind, fn, *args, kmax=4):
     assert [list(r) for r in lists] == [list(r) for r in unshared(fn, *args, kmax)]
     fails = 0
     for k, records in enumerate(lists[:kmax + 1]):
-        shared = chains._ALL_PASS.get((kind, k))
+        shared = suites._ALL_PASS.get((kind, k))
         if all(r.status == "pass" for r in records):
             assert records is shared
         else:
@@ -501,6 +503,14 @@ def last_one_step_level_empty(*args):
     return [*one_step_levels(*args)[:-1], frozenset()]
 
 
+def patch_everywhere(mp, name, value):
+    """Rebind `name` in `chains` and in `suites`, wherever it is bound, so
+    every caller of it reads `value`."""
+    for module in (chains, suites):
+        if hasattr(module, name):
+            mp.setattr(module, name, value)
+
+
 def test_a_failing_k_list_is_not_the_shared_all_pass_tuple(catalog, s5_d32, monkeypatch):
     groups = [*(catalog[name] for name in ("D8", "D16", "S4", "Heis3")), s5_d32[1]]
     subs = {G: [H for _, H, _ in enumerate_subgroups(G)] for G in groups}
@@ -509,7 +519,7 @@ def test_a_failing_k_list_is_not_the_shared_all_pass_tuple(catalog, s5_d32, monk
         for H in subs[G]:
             assert shared_only_when_all_pass("structure", ek_structure_by_k, G, H) == 0
             assert shared_only_when_all_pass("abc", abc_lemma_by_k, H, H, H) == 0
-    assert all(("abc", k) in chains._ALL_PASS and ("structure", k) in chains._ALL_PASS
+    assert all(("abc", k) in suites._ALL_PASS and ("structure", k) in suites._ALL_PASS
                for k in range(5))
     # each patch makes some comparisons fail: B's central series (abc-ii,
     # abc-ii-cut at every j), level 1 inside B or E_k (abc-ii at j = 1 only,
@@ -525,14 +535,14 @@ def test_a_failing_k_list_is_not_the_shared_all_pass_tuple(catalog, s5_d32, monk
         C = G.full_subgroup()
         for name, patch in abc_patches:
             with monkeypatch.context() as mp:
-                mp.setattr(chains, name, patch(G))
+                patch_everywhere(mp, name, patch(G))
                 for A, B in itertools.product(subs[G], subs[G]):
                     if A <= B:
                         n = shared_only_when_all_pass("abc", abc_lemma_by_k, A, B, C)
                         fails[name] = fails.get(name, 0) + n
         for name, patch in structure_patches:
             with monkeypatch.context() as mp:
-                mp.setattr(chains, name, patch)
+                patch_everywhere(mp, name, patch)
                 for H in subs[G]:
                     n = shared_only_when_all_pass("structure", ek_structure_by_k, G, H)
                     fails["structure " + name] = fails.get("structure " + name, 0) + n
@@ -657,6 +667,19 @@ def test_enumerate_subgroups_closes_one_seed_per_pair_orbit(monkeypatch, s5_d32)
         closures.clear()
         enumerate_subgroups(G)
         assert len(closures) <= classes - 1 + pair_orbits
+
+
+def test_enumerate_subgroups_formats_only_the_elements_its_labels_name(monkeypatch, s5_d32):
+    formatted = []
+    monkeypatch.setattr(catalog_module, "format_cycles",
+                        lambda p: formatted.append(p) or format_cycles(p))
+    for G in s5_d32:
+        G = closure(G.generators)  # `elements` not yet made
+        formatted.clear()
+        named = {e for label, _, _ in enumerate_subgroups(G) for e in label[1:-1].split(",") if e}
+        assert "elements" not in vars(G)
+        assert len(named) < G.order
+        assert sorted(map(format_cycles, formatted)) == sorted(named)
 
 
 @pytest.mark.parametrize("gens, counts", [
@@ -824,13 +847,13 @@ def test_filter_results_are_interned(monkeypatch, capsys):
     # after built-in and bench `verify --kmax 4` runs, each group's filter
     # memo holds one object per distinct result
     seen = []
-    run_suites = chains.run_suites
+    run_suites = suites.run_suites
 
     def recording(G, *args):
         seen.append(G)
         return run_suites(G, *args)
 
-    monkeypatch.setattr(chains, "run_suites", recording)
+    monkeypatch.setattr(suites, "run_suites", recording)
     bench = str(ROOT / "perfbench" / "groups" / "verify")
     for argv in (["verify", "--kmax", "4"], ["verify", "--kmax", "4", "--catalog-dir", bench]):
         assert main(argv) == 0

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envchain.catalog import CATALOG_FILES, build_catalog, enumerate_subgroups
-from envchain import chains, cli, symnat
+from envchain import chains, cli, suites, symnat
 from envchain.cli import main
 from envchain.grp import MAX_KMAX, nilpotency_class, parse_group_file
 from envchain.perm import format_cycles
@@ -515,7 +515,7 @@ def verify_catalog(name: str) -> tuple[list[str], dict]:
 def literal_blocks(catalog: dict, suite: str, kmax: int) -> dict:
     """Every enumerated subgroup's blocks from a suites run of its own, keyed
     by (group name, label), in report order."""
-    return {(gname, label): chains.run_suites(G, H, suite, kmax)
+    return {(gname, label): suites.run_suites(G, H, suite, kmax)
             for gname, G in sorted(catalog.items()) for label, H, _ in enumerate_subgroups(G)}
 
 
@@ -557,8 +557,8 @@ def test_verify_reuse_report_equals_the_literal_report(monkeypatch, name, suite)
     blocks = literal_blocks(catalog, suite, args.kmax)
     literal = literal_report(args, blocks)
     runs = []
-    run_suites = chains.run_suites
-    monkeypatch.setattr(chains, "run_suites", lambda G, H, *a: runs.append(H) or run_suites(G, H, *a))
+    run_suites = suites.run_suites
+    monkeypatch.setattr(suites, "run_suites", lambda G, H, *a: runs.append(H) or run_suites(G, H, *a))
     report = cli.cmd_verify(args)
     # the suites ran on each class's first member only
     assert len(runs) == sum(len({first for *_, first in enumerate_subgroups(G)})
@@ -577,8 +577,8 @@ def test_verify_runs_the_envelope_terms_once_per_structure_run(monkeypatch, suit
     # alone runs one for each of its 24 nilpotent first members
     options, _ = verify_catalog("bench")
     args = cli.build_parser().parse_args(["verify", "--suite", suite, "--kmax", "4", *options])
-    ek_term_data, runs = chains.ek_term_data, []
-    monkeypatch.setattr(chains, "ek_term_data", lambda *a: runs.append(a) or ek_term_data(*a))
+    ek_term_data, runs = suites.ek_term_data, []
+    monkeypatch.setattr(suites, "ek_term_data", lambda *a: runs.append(a) or ek_term_data(*a))
     cli.cmd_verify(args)
     assert len(runs) == calls
 
@@ -587,8 +587,8 @@ def test_verify_runs_each_envelope_at_the_deepest_depth_a_suite_reads(monkeypatc
     # kmax for the structure suite, max(class, 1) + 3 for a nilpotent H
     options, catalog = verify_catalog("bench")
     args = cli.build_parser().parse_args(["verify", "--kmax", "4", *options])
-    ek_term_data, runs = chains.ek_term_data, []
-    monkeypatch.setattr(chains, "ek_term_data", lambda *a: runs.append(a) or ek_term_data(*a))
+    ek_term_data, runs = suites.ek_term_data, []
+    monkeypatch.setattr(suites, "ek_term_data", lambda *a: runs.append(a) or ek_term_data(*a))
     cli.cmd_verify(args)
     want = []
     for G in map(catalog.get, sorted(catalog)):
@@ -603,7 +603,7 @@ def test_verify_runs_each_envelope_at_the_deepest_depth_a_suite_reads(monkeypatc
 def test_verify_class_with_a_failing_first_member_runs_member_by_member(monkeypatch):
     # a failure's witness names elements of H, so every member of a class
     # whose first member fails gets a run, and a witness, of its own
-    nilpotent = chains.verify_nilpotent_envelope
+    nilpotent = suites.verify_nilpotent_envelope
 
     def planted(G, H, *rest):
         records = nilpotent(G, H, *rest)
@@ -612,7 +612,7 @@ def test_verify_class_with_a_failing_first_member_runs_member_by_member(monkeypa
         x = G.elements[min(H.indices - {G.identity_idx})]
         return [*records, chains.CheckRecord("planted", "no involution", "fail", format_cycles(x))]
 
-    monkeypatch.setattr(chains, "verify_nilpotent_envelope", planted)
+    monkeypatch.setattr(suites, "verify_nilpotent_envelope", planted)
     _, catalog = verify_catalog("builtin")
     args = cli.build_parser().parse_args(["verify", "--suite", "nilpotent", "--kmax", "1"])
     literal = literal_report(args, literal_blocks(catalog, "nilpotent", 1))

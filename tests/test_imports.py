@@ -42,9 +42,16 @@ def run_main(argv: list[str]) -> str:
 def test_cli_import_leaves_the_engines_out(tmp_path):
     mods = loaded("import envchain.cli", tmp_path)
     assert "envchain.cli" in mods
-    for name in ("envchain.grp", "envchain.chains", "envchain.catalog", "envchain.symnat",
-                 "dataclasses"):
+    for name in ("envchain.grp", "envchain.chains", "envchain.suites", "envchain.catalog",
+                 "envchain.symnat", "dataclasses"):
         assert name not in mods
+
+
+def test_chains_import_leaves_the_suites_out(tmp_path):
+    mods = loaded("import envchain.chains", tmp_path)
+    assert "envchain.chains" in mods
+    assert "envchain.suites" not in mods
+    assert "envchain.catalog" not in mods
 
 
 def test_counterexample_loads_no_finite_engine(tmp_path):
@@ -52,6 +59,7 @@ def test_counterexample_loads_no_finite_engine(tmp_path):
     assert "envchain.symnat" in mods
     assert "envchain.grp" not in mods
     assert "envchain.chains" not in mods
+    assert "envchain.suites" not in mods
     assert "envchain.catalog" not in mods
     assert "dataclasses" not in mods
 
@@ -67,3 +75,7 @@ def test_finite_commands_load_no_model(tmp_path, argv):
     assert "envchain.chains" in mods
     assert "envchain.symnat" not in mods
     assert "dataclasses" not in mods
+    # only verify runs the lemma suites over the catalog's subgroups
+    verify = argv[0] == "verify"
+    assert ("envchain.suites" in mods) == verify
+    assert ("envchain.catalog" in mods) == verify

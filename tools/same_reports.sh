@@ -16,8 +16,10 @@
 # subgroups, and on a subgroup file of no generators and one of the single
 # generator (); S3 on 7 points in S7 at --kmax 2, above grp._TABLE_LIMIT),
 # all json-like, and the text reports of the built-in,
-# bench-catalog and tests/data verify and of each bench-catalog suite on its
-# own (a conjugacy class's records are reused per suite run).  Each tree runs
+# bench-catalog and tests/data verify, of each bench-catalog suite on its
+# own (a conjugacy class's records are reused per suite run), of ekchain on
+# S6's order-16 subgroup at --kmax 4 and of counterexample --levels 8, so
+# each subcommand's text report is compared.  Each tree runs
 # its own src on HEAD_TREE's input files; A6, P256, S7 and the three ekchain
 # subgroup files are written to OUT_DIR/groups.  total_s is zeroed and the text `time:` line, the one
 # timing field, dropped; a nonzero exit is appended as "exit N".  The
@@ -71,8 +73,10 @@ s7-bryant json-like verify --suite bryant --kmax 1 --catalog-dir $out/groups/s7
 model json-like counterexample --levels 8
 model-oracle4 json-like counterexample --levels 8 --oracle-depth 4
 model-scan18 json-like counterexample --levels 12 --scan-max 18
+model-text text counterexample --levels 8
 ek-cyclic json-like ekchain $s6/S6.grp $s6/cyclic.grp --kmax 4
 ek-p16 json-like ekchain $s6/S6.grp $s6/p16.grp --kmax 4
+ek-p16-text text ekchain $s6/S6.grp $s6/p16.grp --kmax 4
 ek-s3 json-like ekchain $s6/S6.grp $s6/s3.grp --kmax 4
 ek-none json-like ekchain $s6/S6.grp $ek/none6.grp --kmax 4
 ek-identity json-like ekchain $s6/S6.grp $ek/identity6.grp --kmax 4
