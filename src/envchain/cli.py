@@ -27,13 +27,23 @@ file or report write errors, 3 resource caps exceeded.
 
 Each subcommand imports only the engine it runs: `ekchain` imports `grp` and
 `chains`; `verify` imports those, `suites` and `catalog`; `counterexample`
-imports `symnat`.
+imports `symnat`, and no `perm`: only `ekchain` formats a permutation.
 At module level this file imports only what they share (`argparse`, `json`,
-`perm`, and `errno`, `os` and `stat`, which the interpreter's start-up has
-already loaded); the option defaults come from the package itself.  Every
-CLI run is a fresh process that pays for each import again, and compiles
-each module again where no bytecode is cached, so an engine loaded but never
-called costs as much as a short run's own work.
+the built-in `gc`, and `errno`, `os` and `stat`, which the interpreter's
+start-up has already loaded); the option defaults come from the package
+itself.  Every CLI run is a fresh process that pays for each import again,
+and compiles each module again where no bytecode is cached, so an engine
+loaded but never called costs as much as a short run's own work.
+
+For the same reason `main`, when it parses `sys.argv` itself (the `envchain`
+script and `python -m envchain.cli`), first moves every object made so far
+(the interpreter's, `site`'s, the stdlib's and this module's, about 12,000)
+to the permanent generation with `gc.freeze()`.  Collections during the run
+and the full passes at interpreter exit then skip them, while objects the
+run makes are still collected: a `counterexample --levels 8` process took
+15 ms from `main`'s return to its end without the freeze and 6 ms with it
+(Python 3.11.7, 2-vCPU VM).  A caller that passes `argv` (tests, library
+use) keeps its heap as it is.
 
 Both formats are written in chunks of `_CHUNK` checks, so the whole text is
 never held at once; `render` joins the same chunks.  Each renderer quotes a
@@ -46,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import os
 import stat
@@ -57,7 +68,6 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from . import DEFAULT_CAP, MAX_KMAX, __version__
-from .perm import format_cycles
 
 if TYPE_CHECKING:
     from .grp import FiniteGroup
@@ -345,6 +355,7 @@ def _check_kmax(kmax: int):
 def cmd_ekchain(args) -> dict:
     from . import chains
     from .grp import default_kmax, nilpotency_class
+    from .perm import format_cycles
 
     _check_cap(args.cap)
     G = _load_group_file(args.group_file, args.cap)
@@ -441,6 +452,8 @@ def cmd_counterexample(args) -> dict:
 
 
 def main(argv=None) -> int:
+    if argv is None:  # a CLI process: see the module docstring
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()

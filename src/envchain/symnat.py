@@ -20,11 +20,24 @@ kernel the constant functions, so level i+1 is spanned by the constant 1 and
 one preimage of each basis vector of level i, and a two-term recurrence over
 one period block gives each preimage directly.
 
+Because forms are canonical, the product skips work on identity factors by
+identity laws alone and returns an object equal to what the general path
+builds: XOR with the zero function gives the other operand; `_pull_bits`
+gives b back when b is zero, or when it pulls through the identity with
+f^0; and `BlockPerm.inverse`, `*` and `conj_by_fpow` return the operand
+when a factor is the identity or the power is 0.  The descent witnesses
+are block swaps and pure-bits elements, so most factors of their
+commutators are identities.
+
 `counterexample_checks` builds the model and makes the `counterexample`
 report's checks and witnesses.  Its periodicity, support and XOR-closure
 checks read the basis masks and build a BitFn only for a failure's witness
 text, and it compares each descent witness's commutator with the paired
-block swap, the one place that comparison is made.
+block swap, the one place that comparison is made.  Every witness gets that
+full symbolic `sym_commutator` check; a verified commutator's text is then
+written straight from its bits as the swaps (2x 2x+1) (`swaps_text`), so
+the model needs no finite `Permutation`: `perm` is imported only by
+`bits_to_permutation`, when it is called.
 """
 
 from __future__ import annotations
@@ -32,9 +45,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from operator import xor
-from typing import Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
-from .perm import Permutation, format_cycles
+if TYPE_CHECKING:
+    from .perm import Permutation
 
 # --- the block index map ----------------------------------------------------
 
@@ -133,6 +147,10 @@ class BitFn:
         return self.sort_key() < other.sort_key()
 
     def __xor__(self, other: "BitFn") -> "BitFn":
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
         pre = max(len(self.prefix), len(other.prefix))
         n = pre + math.lcm(self.period, other.period)
         a, b = self.values(n), other.values(n)
@@ -235,15 +253,23 @@ class BlockPerm:
         return not self._map
 
     def inverse(self) -> "BlockPerm":
+        if not self._map:
+            return self
         return BlockPerm({y: x for x, y in self._map.items()})
 
     def __mul__(self, other: "BlockPerm") -> "BlockPerm":
         """self after other:  (self * other)(x) == self(other(x))."""
+        if not other._map:
+            return self
+        if not self._map:
+            return other
         keys = set(self._map) | set(other._map)
         return BlockPerm({x: self(other(x)) for x in keys})
 
     def conj_by_fpow(self, m: int) -> "BlockPerm":
         """The map x -> f^m(self(f^-m(x))), i.e. this permutation shifted along f."""
+        if m == 0 or not self._map:
+            return self
         return BlockPerm({f_pow(x, m): f_pow(y, m) for x, y in self._map.items()})
 
     def __eq__(self, other) -> bool:
@@ -321,6 +347,8 @@ def _pull_bits(b: BitFn, first: BlockPerm, m: int) -> BitFn:
     it stays eventually periodic because `first` moves finitely many blocks
     and the f-orbit is eventually two arithmetic progressions.
     """
+    if b.is_zero or (m == 0 and first.is_identity):
+        return b
     shift = 2 * abs(m)
     prefix_len = max(
         len(b.prefix) + shift,
@@ -366,6 +394,8 @@ def sym_apply(a: SymElem, x: int) -> int:
 
 def bits_to_permutation(b: BitFn, degree: int | None = None) -> Permutation:
     """The finite permutation B(b) of a finite-support bit function."""
+    from .perm import Permutation
+
     if b.block != (0,):
         raise ValueError("bit function does not have finite support")
     if degree is None:
@@ -377,6 +407,15 @@ def bits_to_permutation(b: BitFn, degree: int | None = None) -> Permutation:
         if bit:
             images[2 * x], images[2 * x + 1] = images[2 * x + 1], images[2 * x]
     return Permutation(images)
+
+
+def swaps_text(b: BitFn) -> str:
+    """`format_cycles(bits_to_permutation(b))` read off the bits: B(b) is
+    the swap (2x 2x+1) for each x with b(x) = 1, and these are its cycles in
+    canonical order."""
+    if b.block != (0,):
+        raise ValueError("bit function does not have finite support")
+    return "".join(f"({2 * x} {2 * x + 1})" for x, bit in enumerate(b.prefix) if bit) or "()"
 
 
 # --- the centralizer-chain model ----------------------------------------------
@@ -762,7 +801,7 @@ def counterexample_checks(levels: int, scan_max: int, oracle_depth: int) -> tupl
         # the one comparison of the commutator: B(swap) P(identity) f^0
         far = w.x0 + 2 ** w.l
         ok = w.commutator == SymElem.from_bits(BitFn([int(t in (w.x0, far)) for t in range(far + 1)]))
-        text = format_cycles(bits_to_permutation(w.commutator.bits)) if ok else w.commutator.to_text()
+        text = swaps_text(w.commutator.bits) if ok else w.commutator.to_text()
         checks.append((
             f"witness-k{k}",
             "descent witness verified; commutator is the paired block swap",

@@ -1,4 +1,5 @@
-"""Each CLI subcommand imports only the engine it runs.
+"""Each CLI subcommand imports only the engine it runs, and only a CLI
+process freezes its start-up heap.
 
 Every check starts a fresh interpreter with `src` on the path, runs one
 import or one `cli.main` call there, and reads which modules it added to
@@ -43,7 +44,7 @@ def test_cli_import_leaves_the_engines_out(tmp_path):
     mods = loaded("import envchain.cli", tmp_path)
     assert "envchain.cli" in mods
     for name in ("envchain.grp", "envchain.chains", "envchain.suites", "envchain.catalog",
-                 "envchain.symnat", "dataclasses"):
+                 "envchain.symnat", "envchain.perm", "dataclasses"):
         assert name not in mods
 
 
@@ -57,6 +58,7 @@ def test_chains_import_leaves_the_suites_out(tmp_path):
 def test_counterexample_loads_no_finite_engine(tmp_path):
     mods = loaded(run_main(["counterexample", "--levels", "3", "--scan-max", "2"]), tmp_path)
     assert "envchain.symnat" in mods
+    assert "envchain.perm" not in mods
     assert "envchain.grp" not in mods
     assert "envchain.chains" not in mods
     assert "envchain.suites" not in mods
@@ -79,3 +81,21 @@ def test_finite_commands_load_no_model(tmp_path, argv):
     verify = argv[0] == "verify"
     assert ("envchain.suites" in mods) == verify
     assert ("envchain.catalog" in mods) == verify
+
+
+_SMALLEST_MODEL = ["counterexample", "--levels", "2", "--scan-max", "1"]
+
+
+def test_main_on_sys_argv_freezes_the_start_up_heap(tmp_path):
+    # the `envchain` script and `python -m envchain.cli` call main() bare
+    body = (f"import gc\nfrom envchain import cli\nsys.argv = ['envchain', *{_SMALLEST_MODEL!r}]\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "assert cli.main() == 0\n"
+            "assert gc.get_freeze_count() > 0, gc.get_freeze_count()")
+    loaded(body, tmp_path)
+
+
+def test_main_on_explicit_argv_leaves_the_heap_unfrozen(tmp_path):
+    # tests and library callers pass argv; their heap stays collectable
+    body = run_main(_SMALLEST_MODEL) + "\nimport gc\nassert gc.get_freeze_count() == 0, gc.get_freeze_count()"
+    loaded(body, tmp_path)

@@ -201,9 +201,11 @@ def test_bitfn_init_matches_the_per_point_canonical_form():
 
 
 def test_bitfn_values_and_xor_match_the_per_point_forms():
+    # one operand in three is the zero function, so `^` returns the other
     rng = random.Random(73)
-    for _ in range(2000):
-        a, b = sn.BitFn(*random_raw(rng)), sn.BitFn(*random_raw(rng))
+    for _ in range(3000):
+        a, b = (sn.BitFn(*random_raw(rng)) if rng.randrange(3) else sn.BitFn.zero()
+                for _ in range(2))
         x = a ^ b
         assert (x.prefix, x.block) == old_xor(a, b)
         n = rng.randint(0, 40)
@@ -242,12 +244,18 @@ def test_from_fn_matches_the_two_pass_sampler():
 
 
 def test_pull_bits_matches_the_per_point_sampler():
+    # b is zero, `first` the identity and m zero one time in three each, so
+    # the identity laws that return b run as well as the sampler
     rng = random.Random(83)
-    for _ in range(600):
-        b = sn.BitFn(*random_raw(rng, max_blk=8))
-        first, m = random_blockperm(rng), rng.randint(-4, 4)
+    shortcut = set()
+    for _ in range(900):
+        b = sn.BitFn(*random_raw(rng, max_blk=8)) if rng.randrange(3) else sn.BitFn.zero()
+        first = random_blockperm(rng) if rng.randrange(3) else sn.BlockPerm.identity()
+        m = rng.randint(-4, 4) if rng.randrange(3) else 0
         out = sn._pull_bits(b, first, m)
         assert (out.prefix, out.block) == old_pull_bits(b, first, m)
+        shortcut.add(b.is_zero or (first.is_identity and m == 0))
+    assert shortcut == {True, False}
 
 
 def test_bitfn_text_roundtrip():
@@ -448,6 +456,60 @@ def test_bits_to_permutation():
     assert format_cycles(sn.bits_to_permutation(b)) == "(0 1)(4 5)"
     with pytest.raises(ValueError):
         sn.bits_to_permutation(sn.BitFn.ones())
+
+
+# --- identity factors ---------------------------------------------------------------
+# The product returns an operand where a factor is the identity (see the
+# module docstring).  These draw identity factors and f^0 one time in three
+# and compare with the general paths; the XOR and `_pull_bits` laws are drawn
+# in their differential tests above.
+
+
+def test_blockperm_identity_laws_match_the_dict_paths():
+    rng = random.Random(101)
+    for _ in range(1500):
+        a, b = (random_blockperm(rng) if rng.randrange(3) else sn.BlockPerm.identity()
+                for _ in range(2))
+        m = rng.randint(-4, 4) if rng.randrange(3) else 0
+        assert a * b == sn.BlockPerm({x: a(b(x)) for x in a.support | b.support})
+        assert a.inverse() == sn.BlockPerm({a(x): x for x in a.support})
+        assert a.conj_by_fpow(m) == sn.BlockPerm(
+            {sn.f_pow(x, m): sn.f_pow(a(x), m) for x in a.support})
+
+
+def test_witness_shaped_products_act_as_composites_on_wide_windows():
+    # a descent witness multiplies a block swap with pure-bits elements; both
+    # are involutions, so [a, b] acts as a b a b
+    rng = random.Random(103)
+
+    def factor():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return sn.SymElem.identity()
+        if kind == 1:
+            x0 = rng.randrange(256)
+            return sn.SymElem.from_blocks(sn.BlockPerm.swap(x0, x0 + 2 ** rng.randint(0, 7)))
+        bits = [rng.randint(0, 1) for _ in range(2 ** rng.randint(0, 7))]
+        return sn.SymElem.from_bits(sn.BitFn.from_pattern(bits))
+
+    for _ in range(60):
+        a, b = factor(), factor()
+        assert sn.sym_inv(a) == a
+        ab, c = sn.sym_mul(a, b), sn.sym_commutator(a, b)
+        for x in range(2048):
+            bx = sn.sym_apply(b, x)
+            assert sn.sym_apply(ab, x) == sn.sym_apply(a, bx)
+            assert sn.sym_apply(c, x) == sn.sym_apply(a, sn.sym_apply(b, sn.sym_apply(a, bx)))
+
+
+def test_swaps_text_matches_the_permutation_text():
+    rng = random.Random(107)
+    for _ in range(500):
+        bits = [rng.randint(0, 1) for _ in range(rng.randint(0, 40))] if rng.randrange(3) else []
+        b = sn.BitFn(bits, (0,))
+        assert sn.swaps_text(b) == format_cycles(sn.bits_to_permutation(b))
+    with pytest.raises(ValueError):
+        sn.swaps_text(sn.BitFn.ones())
 
 
 # --- chain model -------------------------------------------------------------------

@@ -10,8 +10,10 @@
 # tests/data's P128 times <(8 9)>, whose 1,561 subgroups fall in 389 classes;
 # S7's Bryant suite at --kmax 1, the one report of a group above the 1,024 of
 # grp._TABLE_LIMIT, where closures and filters take the untabled paths),
-# three counterexample reports (--levels 8, the same with the level-4
-# enumeration oracle, and --levels 12 scanning to 18) and six ekchain
+# five counterexample reports (--levels 8, the same with the level-4
+# enumeration oracle, --levels 12 scanning to 18, --levels 13, whose model
+# outgrows its budget and ends in the partial report with exit 3, and the
+# smallest model, --levels 2 --scan-max 1) and six ekchain
 # reports (--kmax 4 in S6 on the benchmark's cyclic, order-16 and S3
 # subgroups, and on a subgroup file of no generators and one of the single
 # generator (); S3 on 7 points in S7 at --kmax 2, above grp._TABLE_LIMIT),
@@ -73,6 +75,8 @@ s7-bryant json-like verify --suite bryant --kmax 1 --catalog-dir $out/groups/s7
 model json-like counterexample --levels 8
 model-oracle4 json-like counterexample --levels 8 --oracle-depth 4
 model-scan18 json-like counterexample --levels 12 --scan-max 18
+model-budget json-like counterexample --levels 13
+model-smallest json-like counterexample --levels 2 --scan-max 1
 model-text text counterexample --levels 8
 ek-cyclic json-like ekchain $s6/S6.grp $s6/cyclic.grp --kmax 4
 ek-p16 json-like ekchain $s6/S6.grp $s6/p16.grp --kmax 4
