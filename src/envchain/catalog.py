@@ -73,19 +73,6 @@ def _group_files() -> dict[str, str]:
 
 CATALOG_FILES: dict[str, str] = _group_files()
 
-EXPECTED_ORDERS: dict[str, int] = {
-    "A4": 12,
-    "D16": 16,
-    "D8": 8,
-    "E8": 8,
-    "Heis3": 27,
-    "Q8": 8,
-    "S3": 6,
-    "S4": 24,
-    "Z4xZ2": 8,
-}
-
-
 def build_catalog(cap: int = DEFAULT_CAP) -> dict[str, FiniteGroup]:
     """All catalog groups, keyed by name, in sorted-name order."""
     return {name: parse_group_file(CATALOG_FILES[name], cap=cap) for name in sorted(CATALOG_FILES)}

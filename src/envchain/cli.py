@@ -437,6 +437,8 @@ def cmd_counterexample(args) -> dict:
         raise _UsageError("levels must be >= 2")
     if args.scan_max < 1:
         raise _UsageError("scan-max must be >= 1")
+    if args.oracle_depth < 0:
+        raise _UsageError("oracle-depth must be >= 0")
     report = _new_report("counterexample", {
         "levels": args.levels,
         "scan_max": args.scan_max,

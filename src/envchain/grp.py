@@ -199,12 +199,6 @@ class FiniteGroup:
         """Subgroup from an already-closed element collection."""
         return Subgroup(self, frozenset(self.index(m) for m in members))
 
-    def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, self.all_indices)
-
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, frozenset({self.identity_idx}))
-
     def generated_subgroup(self, gens: Iterable[Union[Permutation, int]]) -> "Subgroup":
         return Subgroup(self, closure_indices(self, [self.index(g) for g in gens]))
 
@@ -471,6 +465,13 @@ def series_level(series: list[frozenset[int]], k: int) -> frozenset[int]:
     return series[k] if k < len(series) else series[-1]
 
 
+def series_class(series: list[frozenset[int]], members: frozenset[int]) -> int | None:
+    """The nilpotency class of `members` read off its upper central series
+    `series`: the least k with Z_k all of `members`, or None when the series
+    stalls below it."""
+    return len(series) - 1 if series[-1] == members else None
+
+
 # --- public operations ------------------------------------------------------
 
 
@@ -544,15 +545,7 @@ def upper_central_series(ambient: Union[FiniteGroup, Subgroup]) -> list[Subgroup
 def nilpotency_class(ambient: Union[FiniteGroup, Subgroup]) -> int | None:
     """Least k with Z_k the whole group, or None when the series stalls below it."""
     group, members = _as_index_view(ambient)
-    series = central_series_indices(group, members)
-    if series[-1] == members:
-        return len(series) - 1
-    return None
-
-
-def is_abelian(ambient: Union[FiniteGroup, Subgroup]) -> bool:
-    group, members = _as_index_view(ambient)
-    return is_abelian_indices(group, members)
+    return series_class(central_series_indices(group, members), members)
 
 
 # --- group files ------------------------------------------------------------

@@ -2,15 +2,18 @@
 
 The verifiers check identities of the chains in `chains`, which no chain
 computation assumes.  Each distinct input runs once and is written under
-every check id that asks it.  `verify_ek_structure` makes one literal
+every check id that asks it.  `run_suites`, the suites `verify` runs on one
+subgroup H, validates H once and makes the inputs the suites share once:
+one `ek_term_data` run, at the deepest depth a suite reads, and one map
+from each distinct index set among H and its envelope terms to that set's
+upper central series.  The verifiers take index sets and read every series,
+and every nilpotency class (`grp.series_class`), from that map; none
+computes a series of its own.  `ek_structure_by_k` makes one literal
 one-step pass per distinct envelope term, and `abc_lemma_by_k` returns its
-checks per k, so a caller runs each distinct (A, B, C) once, at the deepest
-k it needs, and reads smaller k as a prefix.  `run_suites`, the suites
-`verify` runs on one subgroup, makes one envelope run for all of them, at
-the deepest depth a suite reads, and builds the three-group triples from
-it; `group_suites` runs them once per conjugacy class.  Inputs count as the
-same only when their index sets are equal; no identity of the paper is
-used to find them.
+checks per k, so `run_suites` runs each distinct (A, B, C) once, at the
+deepest k it needs, and reads smaller k as a prefix.  `group_suites` runs
+`run_suites` once per conjugacy class.  Inputs count as the same only when
+their index sets are equal; no identity of the paper is used to find them.
 
 Verifiers return lists of `CheckRecord`; failures carry witnesses instead of
 raising.  A check that passes without a witness is one shared record per
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .catalog import enumerate_subgroups
 from .chains import (
@@ -35,7 +38,6 @@ from .chains import (
     _validate_sub,
     ek_term_data,
     iterated_centralizer_levels,
-    iterated_centralizers,
 )
 from .grp import (
     FiniteGroup,
@@ -43,10 +45,13 @@ from .grp import (
     central_series_indices,
     generating_indices,
     is_abelian_indices,
-    nilpotency_class,
+    series_class,
     series_level,
 )
 from .perm import format_cycles
+
+# index set -> its upper central series, as `run_suites` builds it
+Series = Mapping[frozenset[int], list[frozenset[int]]]
 
 # Shared records, built on first use: one per (id, claim) of a check that
 # passed without a witness, and one tuple per (kind, k) of a k-list whose
@@ -106,71 +111,43 @@ def _set_check(
     return CheckRecord(check_id, claim, FAIL, witness="; ".join(parts))
 
 
-def verify_bryant_lemma(G: FiniteGroup, H: Subgroup, kmax: int) -> list[CheckRecord]:
-    """Check the basic laws of the iterated centralizer chain of H in G:
+def verify_bryant_lemma(G: FiniteGroup, hs: frozenset[int], series: Series, kmax: int) -> list[CheckRecord]:
+    """Check the basic laws of the iterated centralizer chain of H = `hs` in G:
 
     (i)  every level is a subgroup,
     (ii) level k meets H exactly in the k-th term of H's upper central series,
     (iii) for H = G the levels are the upper central series of G,
     (iv) a nilpotent H of class c is contained in level c.
+
+    H's series is series[hs].
     """
-    _validate_sub(G, H)
-    chain = iterated_centralizers(G, H, kmax)
-    hs = H.indices
-    h_series = central_series_indices(G, hs)
+    levels, _ = iterated_centralizer_levels(G, G.all_indices, hs, kmax)
+    h_series = series[hs]
     out = []
     for k in range(kmax + 1):
-        ck = chain.level(k).indices
+        ck, zk = series_level(levels, k), series_level(h_series, k)
         # the closure of a greedy generating set equals ck iff ck is closed
         out.append(_verdict(
             f"bryant-i-k{k}", "chain level is a subgroup", generating_indices(G, ck) is not None,
             lambda: f"level {k} = {_describe(G, ck)} is not closed",
         ))
-        out.append(
-            _set_check(
-                G,
-                f"bryant-ii-k{k}",
-                "chain level meets H in the k-th center of H",
-                ck & hs,
-                series_level(h_series, k),
-                f"k={k}",
-            )
-        )
-        if H.is_full():
+        out.append(_set_check(
+            G, f"bryant-ii-k{k}", "chain level meets H in the k-th center of H", ck & hs, zk, f"k={k}",
+        ))
+        if len(hs) == G.order:
             # H's index set is G's here, so H's series is G's
-            out.append(
-                _set_check(
-                    G,
-                    f"bryant-iii-k{k}",
-                    "chain of the whole group is its upper central series",
-                    ck,
-                    series_level(h_series, k),
-                    f"k={k}",
-                )
-            )
-    c = len(h_series) - 1 if h_series[-1] == hs else None  # `nilpotency_class(H)`
-    if c is None:
-        out.append(
-            CheckRecord(
-                "bryant-iv",
-                "class-c nilpotent H lies inside chain level c",
-                SKIPPED,
-                witness="H is not nilpotent",
-            )
-        )
-    elif c > kmax:
-        out.append(
-            CheckRecord(
-                "bryant-iv",
-                "class-c nilpotent H lies inside chain level c",
-                SKIPPED,
-                witness=f"class {c} exceeds kmax={kmax}",
-            )
-        )
+            out.append(_set_check(
+                G, f"bryant-iii-k{k}", "chain of the whole group is its upper central series", ck, zk, f"k={k}",
+            ))
+    c = series_class(h_series, hs)
+    claim = "class-c nilpotent H lies inside chain level c"
+    if c is None or c > kmax:
+        why = "H is not nilpotent" if c is None else f"class {c} exceeds kmax={kmax}"
+        out.append(CheckRecord("bryant-iv", claim, SKIPPED, witness=why))
     else:
         out.append(_verdict(
-            "bryant-iv", "class-c nilpotent H lies inside chain level c",
-            hs <= chain.level(c).indices, lambda: f"class {c}: H has elements outside level {c}",
+            "bryant-iv", claim, hs <= series_level(levels, c),
+            lambda: f"class {c}: H has elements outside level {c}",
         ))
     return out
 
@@ -181,27 +158,36 @@ _ABC_II = "chain of A in B is the series of B and the series of C cut to B"
 _ABC_II_CUT = "central series of B is the central series of C cut to B"
 
 
-def abc_lemma_by_k(A: Subgroup, B: Subgroup, C: Subgroup, kmax: int) -> list[Sequence[CheckRecord]]:
-    """The checks of `verify_abc_lemma`, as one list per k = 0..kmax.
+def abc_lemma_by_k(
+    group: FiniteGroup, a: frozenset[int], b: frozenset[int], c: frozenset[int], series: Series, kmax: int
+) -> list[Sequence[CheckRecord]]:
+    """For nested index sets A <= B <= C, under the hypothesis that the
+    chain of A in C agrees with the upper central series of C up to level k,
+    check that
 
-    The list for k does not depend on kmax: a chain run to a smaller depth
-    is a prefix of a deeper one.  So a deeper call on the same (A, B, C)
-    holds a shallower one as its leading lists.  The conclusions at (k, j)
-    compare the same sets for every k, so each is compared once per j, and
-    a list whose checks all pass is the shared tuple of that k (see
-    `_k_list`).  A list is written record by record only the first time it
-    passes, or when it fails; a failure gets its own witness text for each k.
+    (i)   the chains of A and of B in C agree with that series up to k,
+    (ii)  the chain of A in B is the series of B, which is the series of C cut
+          down to B, up to k,
+    (iii) level k+1 of A in B is level k+1 of A in C cut down to B.
+
+    When the hypothesis fails at some k the conclusions for that k are
+    recorded as skipped.  The series of B and C are series[b] and series[c].
+
+    The checks come as one list per k = 0..kmax.  The list for k does not
+    depend on kmax: a chain run to a smaller depth is a prefix of a deeper
+    one.  So a deeper call on the same (A, B, C) holds a shallower one as
+    its leading lists.  The conclusions at (k, j) compare the same sets for
+    every k, so each is compared once per j, and a list whose checks all
+    pass is the shared tuple of that k (see `_k_list`).  A list is written
+    record by record only the first time it passes, or when it fails; a
+    failure gets its own witness text for each k.
     """
-    group = A.parent
-    if B.parent is not group or C.parent is not group:
-        raise ValueError("A, B, C must share a parent group")
-    if not (A.indices <= B.indices <= C.indices):
+    if not (a <= b <= c):
         raise ValueError("need A <= B <= C")
-    a_in_c, _ = iterated_centralizer_levels(group, C.indices, A.indices, kmax + 1)
-    b_in_c, _ = iterated_centralizer_levels(group, C.indices, B.indices, kmax)
-    a_in_b, _ = iterated_centralizer_levels(group, B.indices, A.indices, kmax + 1)
-    c_series = central_series_indices(group, C.indices)
-    b_series = central_series_indices(group, B.indices)
+    a_in_c, _ = iterated_centralizer_levels(group, c, a, kmax + 1)
+    b_in_c, _ = iterated_centralizer_levels(group, c, b, kmax)
+    a_in_b, _ = iterated_centralizer_levels(group, b, a, kmax + 1)
+    c_series, b_series = series[c], series[b]
     # the first j at which the hypothesis fails; it fails for every k >= j
     hyp_break = next(
         (j for j in range(kmax + 1) if series_level(a_in_c, j) != series_level(c_series, j)),
@@ -216,7 +202,7 @@ def abc_lemma_by_k(A: Subgroup, B: Subgroup, C: Subgroup, kmax: int) -> list[Seq
             for stem, claim, got, want in (
                 ("abc-i", _ABC_I, series_level(b_in_c, j), zc),
                 ("abc-ii", _ABC_II, series_level(a_in_b, j), zb),
-                ("abc-ii-cut", _ABC_II_CUT, zb, zc & B.indices),
+                ("abc-ii-cut", _ABC_II_CUT, zb, zc & b),
             )
         ])
     out = []
@@ -230,7 +216,7 @@ def abc_lemma_by_k(A: Subgroup, B: Subgroup, C: Subgroup, kmax: int) -> list[Seq
             continue
         holds = holds and all(c[-1] for c in conclusions[k])
         level = series_level(a_in_b, k + 1)
-        cut = series_level(a_in_c, k + 1) & B.indices
+        cut = series_level(a_in_c, k + 1) & b
 
         def build():
             records = [_passed(f"abc-hypothesis-k{k}", _ABC_HYPOTHESIS)]
@@ -245,21 +231,6 @@ def abc_lemma_by_k(A: Subgroup, B: Subgroup, C: Subgroup, kmax: int) -> list[Seq
 
         out.append(_k_list("abc", k, holds and level == cut, build))
     return out
-
-
-def verify_abc_lemma(A: Subgroup, B: Subgroup, C: Subgroup, kmax: int) -> list[CheckRecord]:
-    """For nested A <= B <= C, under the hypothesis that the chain of A in C
-    agrees with the upper central series of C up to level k, check that
-
-    (i)   the chains of A and of B in C agree with that series up to k,
-    (ii)  the chain of A in B is the series of B, which is the series of C cut
-          down to B, up to k,
-    (iii) level k+1 of A in B is level k+1 of A in C cut down to B.
-
-    When the hypothesis fails at some k the conclusions for that k are
-    recorded as skipped.  The records of `abc_lemma_by_k`, in order.
-    """
-    return [r for records in abc_lemma_by_k(A, B, C, kmax) for r in records]
 
 
 def one_step_levels(
@@ -288,33 +259,42 @@ def one_step_levels(
     return [frozenset(x for x, m in masks if m >> i & 1) for i in range(len(zs))]
 
 
-def ek_structure_by_k(G: FiniteGroup, H: Subgroup, kmax: int) -> list[Sequence[CheckRecord]]:
-    """The checks of `verify_ek_structure` as lists: for each k = 0..kmax
-    the centers and one-step checks at k, then one list of the ascent and
-    level-shift checks.  A k-list whose checks all pass is the shared tuple
-    of that k (see `_k_list`)."""
-    _validate_sub(G, H)
-    return _structure_lists(G, H, *ek_term_data(G, H.indices, kmax))
-
-
-def _structure_lists(
-    G: FiniteGroup, H: Subgroup, terms: list[frozenset[int]], inner: list[list[frozenset[int]]]
+def ek_structure_by_k(
+    G: FiniteGroup,
+    hs: frozenset[int],
+    terms: list[frozenset[int]],
+    inner: list[list[frozenset[int]]],
+    series: Series,
 ) -> list[Sequence[CheckRecord]]:
-    """`ek_structure_by_k` on the `ek_term_data` of H, to depth len(terms) - 1."""
+    """Structural laws of the envelope chain of H = `hs` in G:
+
+    - inside each term E_k the chain of H up to level k is the upper central
+      series of E_k,
+    - the one-step commutator form {x in E_k : [x, H] <= Z_i(E_k)} agrees with
+      the full normalizer-intersection definition of level i+1, for i <= k,
+    - the k-th centers Z_k(E_k) ascend with k,
+    - level k+1 of H computed inside E_(k+1) and inside E_k agree.
+
+    `terms` and `inner` are the `ek_term_data` of H to depth
+    kmax = len(terms) - 1, and series[E_k] is the series of E_k.  The checks
+    come as lists: for each k = 0..kmax the centers and one-step checks at
+    k, then one list of the ascent and level-shift checks.  A k-list whose
+    checks all pass is the shared tuple of that k (see `_k_list`).
+    """
     kmax = len(terms) - 1
-    target = sorted(H.indices)
-    series = [central_series_indices(G, t) for t in terms]
+    target = sorted(hs)
+    term_series = [series[t] for t in terms]
     # simplified[k][i] depends only on E_k, H and Z_i(E_k): one literal pass
     # per distinct term, at the deepest k holding it, answers every k by its
     # prefix (one_step_levels treats each z on its own)
     deepest = {t: k for k, t in enumerate(terms)}
     passes = {
-        t: one_step_levels(G, t, target, [series_level(series[k], i) for i in range(k + 1)])
+        t: one_step_levels(G, t, target, [series_level(term_series[k], i) for i in range(k + 1)])
         for t, k in deepest.items()
     }
     out = []
     for k in range(kmax + 1):
-        centers = [(series_level(inner[k], j), series_level(series[k], j)) for j in range(k + 1)]
+        centers = [(series_level(inner[k], j), series_level(term_series[k], j)) for j in range(k + 1)]
         simplified = [(passes[terms[k]][i], series_level(inner[k], i + 1)) for i in range(k + 1)]
 
         def build():
@@ -334,8 +314,8 @@ def _structure_lists(
     ascend_fail = None
     for i in range(kmax + 1):
         for j in range(i, kmax + 1):
-            zi = series_level(series[i], i)
-            zj = series_level(series[j], j)
+            zi = series_level(term_series[i], i)
+            zj = series_level(term_series[j], j)
             if not zi <= zj:
                 ascend_fail = (i, j, zi - zj)
                 break
@@ -366,32 +346,20 @@ def _structure_lists(
     return out
 
 
-def verify_ek_structure(G: FiniteGroup, H: Subgroup, kmax: int) -> list[CheckRecord]:
-    """Structural laws of the envelope chain of H in G:
+def verify_nilpotent_envelope(
+    G: FiniteGroup, hs: frozenset[int], terms: list[frozenset[int]], series: Series
+) -> list[CheckRecord]:
+    """For nilpotent H = `hs` of class c the envelope at step max(c, 1) is
+    nilpotent of class at most that, the chain is constant from there on,
+    and for c >= 1 the class is exactly c.  Abelian H additionally get the
+    double-centralizer abelianness check.  Non-nilpotent H are reported as
+    skipped.
 
-    - inside each term E_k the chain of H up to level k is the upper central
-      series of E_k,
-    - the one-step commutator form {x in E_k : [x, H] <= Z_i(E_k)} agrees with
-      the full normalizer-intersection definition of level i+1, for i <= k,
-    - the k-th centers Z_k(E_k) ascend with k,
-    - level k+1 of H computed inside E_(k+1) and inside E_k agree.
-
-    The records of `ek_structure_by_k`, in order.
+    `terms` are H's envelope terms from an `ek_term_data` run at depth
+    max(c, 1) + 3 or deeper, and series[X] is the series of X for X = H and
+    X = E_max(c, 1); each class is read off its series.
     """
-    return [r for records in ek_structure_by_k(G, H, kmax) for r in records]
-
-
-def verify_nilpotent_envelope(G: FiniteGroup, H: Subgroup, terms: list | None = None) -> list[CheckRecord]:
-    """For nilpotent H of class c the envelope at step max(c, 1) is nilpotent
-    of class at most that, the chain is constant from there on, and for c >= 1
-    the class is exactly c.  Abelian H additionally get the double-centralizer
-    abelianness check.  Non-nilpotent H are reported as skipped.
-
-    `terms` are H's envelope terms from a caller's `ek_term_data` run at
-    depth max(c, 1) + 3 or deeper; by default this makes that run.
-    """
-    _validate_sub(G, H)
-    c = nilpotency_class(H)
+    c = series_class(series[hs], hs)
     if c is None:
         return [
             CheckRecord(
@@ -402,16 +370,13 @@ def verify_nilpotent_envelope(G: FiniteGroup, H: Subgroup, terms: list | None = 
             )
         ]
     step = max(c, 1)
-    if terms is None:
-        terms, _ = ek_term_data(G, H.indices, step + 3)
     out = []
     if c <= 1:
         out.append(_verdict(
             "envelope-abelian", "double centralizer of an abelian subgroup is abelian",
             is_abelian_indices(G, terms[1]), lambda: f"E_1 = {_describe(G, terms[1])} is not abelian",
         ))
-    e_sub = Subgroup(G, terms[step])
-    e_class = nilpotency_class(e_sub)
+    e_class = series_class(series[terms[step]], terms[step])
     out.append(_verdict(
         "envelope-nilpotent", "envelope at the class of H is nilpotent of class at most that",
         e_class is not None and e_class <= step,
@@ -446,35 +411,41 @@ def run_suites(G: FiniteGroup, H: Subgroup, suite: str, kmax: int) -> list[tuple
 
     One `ek_term_data` run, at the deepest depth a suite reads (kmax, or
     max(c, 1) + 3 for the nilpotent suite on H of class c), gives each suite
-    its prefix.  Its terms give the structure lists and the nested triples
-    H <= E_(k+1) <= E_k of the three-group lemma, whose hypothesis holds by
-    the chain/center identity; the degenerate triples (H, H, H) and (H, H, G)
-    cover the trivial cases.
+    its prefix, and one map holds the upper central series of each distinct
+    index set among H and those terms.  The terms give the structure lists
+    and the nested triples H <= E_(k+1) <= E_k of the three-group lemma,
+    whose hypothesis holds by the chain/center identity; the degenerate
+    triples (H, H, H) and (H, H, G) cover the trivial cases.
     """
     _validate_sub(G, H)
+    hs = H.indices
     structure = suite in ("structure", "all")
-    c = nilpotency_class(H) if suite in ("nilpotent", "all") else None
+    nilpotent = suite in ("nilpotent", "all")
+    series = {hs: central_series_indices(G, hs)}
+    c = series_class(series[hs], hs) if nilpotent else None
     run_depth = max(kmax if structure else 0, 0 if c is None else max(c, 1) + 3)
-    terms, inner = ek_term_data(G, H.indices, run_depth) if run_depth else ([], [])
+    terms, inner = ek_term_data(G, hs, run_depth) if run_depth else ([], [])
+    for t in terms:
+        if t not in series:
+            series[t] = central_series_indices(G, t)
     blocks: list[tuple[str, Sequence[CheckRecord]]] = []
     if suite in ("bryant", "all"):
-        blocks.append(("", verify_bryant_lemma(G, H, kmax)))
+        blocks.append(("", verify_bryant_lemma(G, hs, series, kmax)))
     if structure:
-        blocks += [("", r) for r in _structure_lists(G, H, terms[:kmax + 1], inner[:kmax + 1])]
-        E = [Subgroup(G, t) for t in terms]
-        triples = [("abc(H,H,H)-", (H, H, H), 1), ("abc(H,H,G)-", (H, H, E[0]), min(kmax, 2))]
-        triples += [(f"abc(H,E{k + 1},E{k})-", (H, E[k + 1], E[k]), k) for k in range(kmax)]
+        blocks += [("", r) for r in ek_structure_by_k(G, hs, terms[:kmax + 1], inner[:kmax + 1], series)]
+        triples = [("abc(H,H,H)-", (hs, hs, hs), 1), ("abc(H,H,G)-", (hs, hs, terms[0]), min(kmax, 2))]
+        triples += [(f"abc(H,E{k + 1},E{k})-", (hs, terms[k + 1], terms[k]), k) for k in range(kmax)]
         # Triples repeat once the envelope chain stalls, and a run at depth k
         # holds every smaller depth as its leading lists: run each distinct
         # triple once, at the deepest k asked of it.
-        depth: dict[tuple[Subgroup, ...], int] = {}
+        depth: dict[tuple[frozenset[int], ...], int] = {}
         for _, abc, k in triples:
             depth[abc] = max(k, depth.get(abc, k))
-        runs = {abc: abc_lemma_by_k(*abc, k) for abc, k in depth.items()}
+        runs = {abc: abc_lemma_by_k(G, *abc, series, k) for abc, k in depth.items()}
         for tag, abc, k in triples:
             blocks += [(tag, records) for records in runs[abc][:k + 1]]
-    if suite in ("nilpotent", "all"):
-        blocks.append(("", verify_nilpotent_envelope(G, H, terms)))
+    if nilpotent:
+        blocks.append(("", verify_nilpotent_envelope(G, hs, terms, series)))
     return blocks
 
 

@@ -116,10 +116,6 @@ class BitFn:
     def is_zero(self) -> bool:
         return not self.prefix and self.block == (0,)
 
-    @property
-    def pure_periodic(self) -> bool:
-        return not self.prefix
-
     def __call__(self, x: int) -> int:
         if x < len(self.prefix):
             return self.prefix[x]
@@ -161,17 +157,6 @@ class BitFn:
 
     def __repr__(self) -> str:
         return f"BitFn({self.to_text()!r})"
-
-    @classmethod
-    def from_text(cls, text: str) -> "BitFn":
-        if text.count("|") != 1:
-            raise ValueError(f"expected 'prefix|block', got {text!r}")
-        pre, blk = text.split("|")
-        if not blk:
-            raise ValueError("period block must be nonempty")
-        if not set(pre + blk) <= {"0", "1"}:
-            raise ValueError(f"bits must be 0 or 1 in {text!r}")
-        return cls(map(int, pre), map(int, blk))
 
     @classmethod
     def zero(cls) -> "BitFn":

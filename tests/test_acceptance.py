@@ -89,7 +89,7 @@ def test_criterion_3_counterexample_chain():
     sizes = model.sizes()
     strict_ok = len(sizes) == 8 and all(a < b for a, b in zip(sizes, sizes[1:]))
     periodic_ok = all(
-        b.pure_periodic and (2 ** i) % b.period == 0
+        not b.prefix and (2 ** i) % b.period == 0
         for i in range(1, 9)
         for b in model.level(i)
     )

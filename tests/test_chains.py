@@ -23,9 +23,7 @@ from envchain.suites import (
     abc_lemma_by_k,
     ek_structure_by_k,
     one_step_levels,
-    verify_abc_lemma,
     verify_bryant_lemma,
-    verify_ek_structure,
     verify_nilpotent_envelope,
 )
 from envchain.cli import main
@@ -38,6 +36,7 @@ from envchain.grp import (
     nilpotency_class,
     normalizer_indices,
     parse_group_file,
+    series_class,
     series_level,
 )
 from envchain.perm import Permutation, commutator, compose, conjugate, format_cycles, parse_cycles
@@ -75,6 +74,24 @@ def subgroup(G, *texts):
     return G.generated_subgroup([parse_cycles(t, G.degree) for t in texts])
 
 
+def series_map(G, *sets):
+    """Each set's upper central series, keyed by the set, as `run_suites`
+    hands them to the verifiers."""
+    return {s: central_series_indices(G, s) for s in sets}
+
+
+def run_inputs(G, hs, depth):
+    """The envelope run of H = `hs` to `depth`, (terms, inner), and the
+    series of H and of each term: what `run_suites` gives its verifiers.
+    It reads `suites.ek_term_data` at call time, so a patched run reaches it."""
+    terms, inner = suites.ek_term_data(G, hs, depth)
+    return terms, inner, series_map(G, hs, *terms)
+
+
+def flat(lists):
+    return [r for records in lists for r in records]
+
+
 # --- iterated centralizers ----------------------------------------------------
 
 
@@ -86,7 +103,7 @@ def test_level_zero_is_trivial(catalog):
 
 def test_q8_chain_of_whole_group_starts_at_center(catalog):
     Q8 = catalog["Q8"]
-    chain = iterated_centralizers(Q8, Q8.full_subgroup(), 3)
+    chain = iterated_centralizers(Q8, Subgroup(Q8, Q8.all_indices), 3)
     # level 1 of the whole group is its center {1, -1}
     minus_one = Permutation([1, 0, 3, 2, 5, 4, 7, 6])
     assert set(chain.levels[1].elements) == {Permutation.identity(8), minus_one}
@@ -127,7 +144,7 @@ def test_chain_matches_naive_oracle(catalog):
 def test_target_must_share_parent(catalog):
     G, G2 = catalog["S3"], catalog["S4"]
     with pytest.raises(ValueError):
-        iterated_centralizers(G, G2.trivial_subgroup(), 2)
+        iterated_centralizers(G, Subgroup(G2, frozenset({G2.identity_idx})), 2)
 
 
 # --- envelope chains -----------------------------------------------------------
@@ -145,7 +162,7 @@ def test_ek_chain_s3_transposition(catalog):
 def test_ek_chain_whole_group_is_constant(catalog):
     for name in ("S3", "D8", "A4"):
         G = catalog[name]
-        rep = ek_chain(G, G.full_subgroup(), 3)
+        rep = ek_chain(G, Subgroup(G, G.all_indices), 3)
         assert rep.orders == (G.order,) * 4
 
 
@@ -226,10 +243,14 @@ def assert_all_ok(records):
     assert not bad, bad
 
 
+def bryant(G, hs, kmax):
+    return verify_bryant_lemma(G, hs, series_map(G, hs), kmax)
+
+
 def test_bryant_on_d8_rotations(catalog):
     D8 = catalog["D8"]
     H = subgroup(D8, "(0 1 2 3)")
-    records = verify_bryant_lemma(D8, H, 4)
+    records = bryant(D8, H.indices, 4)
     assert_all_ok(records)
     # the class-1 containment clause really ran
     assert any(r.id == "bryant-iv" and r.status == "pass" for r in records)
@@ -237,22 +258,22 @@ def test_bryant_on_d8_rotations(catalog):
 
 def test_bryant_clause_iii_when_subgroup_is_whole_group(catalog):
     G = catalog["D16"]
-    records = verify_bryant_lemma(G, G.full_subgroup(), 4)
+    records = bryant(G, G.all_indices, 4)
     assert_all_ok(records)
     assert any(r.id.startswith("bryant-iii") for r in records)
 
 
 def test_bryant_skips_iv_for_non_nilpotent(catalog):
     S3 = catalog["S3"]
-    records = verify_bryant_lemma(S3, S3.full_subgroup(), 3)
+    records = bryant(S3, S3.all_indices, 3)
     assert any(r.id == "bryant-iv" and r.status == "skipped" for r in records)
     assert_all_ok(records)
 
 
 def test_abc_degenerate_triple(catalog):
     G = catalog["D8"]
-    H = subgroup(G, "(0 1 2 3)")
-    records = verify_abc_lemma(H, H, H, 2)
+    h = subgroup(G, "(0 1 2 3)").indices
+    records = flat(abc_lemma_by_k(G, h, h, h, series_map(G, h), 2))
     assert_all_ok(records)
     assert any(r.id.startswith("abc-hypothesis") and r.status == "pass" for r in records)
 
@@ -261,9 +282,9 @@ def test_abc_center_triple_hypothesis_fails(catalog):
     # centralizing the center of D8 gives all of D8, not the center, so the
     # nested-groups hypothesis fails at j=1 and the clauses are skipped
     D8 = catalog["D8"]
-    A = subgroup(D8, "(0 2)(1 3)")
-    B = subgroup(D8, "(0 1 2 3)")
-    records = verify_abc_lemma(A, B, D8.full_subgroup(), 1)
+    a = subgroup(D8, "(0 2)(1 3)").indices
+    b = subgroup(D8, "(0 1 2 3)").indices
+    records = flat(abc_lemma_by_k(D8, a, b, D8.all_indices, series_map(D8, b, D8.all_indices), 1))
     k1 = [r for r in records if r.id == "abc-hypothesis-k1"]
     assert k1 and k1[0].status == "skipped"
     assert "hypothesis not met" in k1[0].witness
@@ -273,13 +294,9 @@ def test_abc_envelope_triples_hold(catalog):
     for name in ("D8", "S4", "Heis3"):
         G = catalog[name]
         for _, H, _ in enumerate_subgroups(G)[:6]:
-            terms, _ = ek_term_data(G, H.indices, 3)
-            from envchain.grp import Subgroup
-
+            terms, _, series = run_inputs(G, H.indices, 3)
             for k in range(3):
-                records = verify_abc_lemma(
-                    H, Subgroup(G, terms[k + 1]), Subgroup(G, terms[k]), k
-                )
+                records = flat(abc_lemma_by_k(G, H.indices, terms[k + 1], terms[k], series, k))
                 assert_all_ok(records)
                 assert all(
                     r.status == "pass"
@@ -290,26 +307,56 @@ def test_abc_envelope_triples_hold(catalog):
 
 def test_abc_requires_nesting(catalog):
     G = catalog["S3"]
-    A = subgroup(G, "(0 1)")
-    B = subgroup(G, "(0 1 2)")
+    a = subgroup(G, "(0 1)").indices
+    b = subgroup(G, "(0 1 2)").indices
     with pytest.raises(ValueError):
-        verify_abc_lemma(A, B, G.full_subgroup(), 1)
+        abc_lemma_by_k(G, a, b, G.all_indices, series_map(G, b, G.all_indices), 1)
 
 
 # --- each lemma run once per distinct input ------------------------------------
 
 
-def per_k_abc(A, B, C, kmax):
+def test_run_suites_computes_each_central_series_once(monkeypatch, capsys):
+    # over the bench catalog at --kmax 4, each `run_suites` call computes
+    # the series of each distinct index set among H and its envelope terms
+    # once, and no other series; `nilpotency_class` would compute one too
+    runs = []
+    run_suites, ek_term_data_ = suites.run_suites, suites.ek_term_data
+
+    def recording_run(G, H, *args):
+        runs.append((H.indices, [], []))
+        return run_suites(G, H, *args)
+
+    def recording_terms(*args):
+        terms, inner = ek_term_data_(*args)
+        runs[-1][1].extend(terms)
+        return terms, inner
+
+    def recording_series(G, s):
+        runs[-1][2].append(s)
+        return central_series_indices(G, s)
+
+    monkeypatch.setattr(suites, "run_suites", recording_run)
+    monkeypatch.setattr(suites, "ek_term_data", recording_terms)
+    for module in (grp, suites):
+        monkeypatch.setattr(module, "central_series_indices", recording_series)
+    bench = str(ROOT / "perfbench" / "groups" / "verify")
+    assert main(["verify", "--kmax", "4", "--catalog-dir", bench]) == 0
+    capsys.readouterr()
+    assert len(runs) == 33
+    for h, terms, computed in runs:
+        assert sorted(computed, key=sorted) == sorted({h, *terms}, key=sorted)
+    assert sum(len(computed) for *_, computed in runs) == 72
+
+
+def per_k_abc(group, a, b, c, series, kmax):
     """The three-group lemma as it was written before `abc_lemma_by_k`: the
-    hypothesis and every conclusion compared afresh for each (k, j).  It
-    reads `suites.central_series_indices` at call time, so a patched series
-    reaches it too."""
-    group = A.parent
-    a_in_c, _ = iterated_centralizer_levels(group, C.indices, sorted(A.indices), kmax + 1)
-    b_in_c, _ = iterated_centralizer_levels(group, C.indices, sorted(B.indices), kmax)
-    a_in_b, _ = iterated_centralizer_levels(group, B.indices, sorted(A.indices), kmax + 1)
-    c_series = suites.central_series_indices(group, C.indices)
-    b_series = suites.central_series_indices(group, B.indices)
+    hypothesis and every conclusion compared afresh for each (k, j), on the
+    series of B and C that `series` gives."""
+    a_in_c, _ = iterated_centralizer_levels(group, c, sorted(a), kmax + 1)
+    b_in_c, _ = iterated_centralizer_levels(group, c, sorted(b), kmax)
+    a_in_b, _ = iterated_centralizer_levels(group, b, sorted(a), kmax + 1)
+    c_series, b_series = series[c], series[b]
     check = suites._set_check
     out = []
     for k in range(kmax + 1):
@@ -335,60 +382,57 @@ def per_k_abc(A, B, C, kmax):
                              series_level(a_in_b, j), zb, f"k={k} j={j}"))
             out.append(check(group, f"abc-ii-cut-k{k}-j{j}",
                              "central series of B is the central series of C cut to B",
-                             zb, zc & B.indices, f"k={k} j={j}"))
+                             zb, zc & b, f"k={k} j={j}"))
         out.append(check(group, f"abc-iii-k{k}",
                          "level k+1 of A in B is level k+1 of A in C cut to B",
                          series_level(a_in_b, k + 1),
-                         series_level(a_in_c, k + 1) & B.indices, f"k={k}"))
+                         series_level(a_in_c, k + 1) & b, f"k={k}"))
     return out
 
 
-def check_abc_by_k(A, B, C, kmax=4):
+def check_abc_by_k(group, a, b, c, series, kmax=4):
     """The run at depth k, in a fresh copy of the group, is the leading k+1
-    lists of the run at kmax, and flattened it is `verify_abc_lemma` and the
-    per-(k, j) loop.  Returns the deepest run's records."""
-    deep = abc_lemma_by_k(A, B, C, kmax)
+    lists of the run at kmax, and flattened it is the per-(k, j) loop.
+    Returns the deepest run's records."""
+    deep = abc_lemma_by_k(group, a, b, c, series, kmax)
     assert len(deep) == kmax + 1
-    G = closure(list(A.parent.generators))
-    A2, B2, C2 = (Subgroup(G, X.indices) for X in (A, B, C))
+    G = closure(list(group.generators))
     for k in range(kmax + 1):
-        shallow = abc_lemma_by_k(A2, B2, C2, k)
+        shallow = abc_lemma_by_k(G, a, b, c, series, k)
         assert shallow == deep[:k + 1]
-        flat = [r for records in shallow for r in records]
-        assert verify_abc_lemma(A, B, C, k) == flat == per_k_abc(A2, B2, C2, k)
-    return [r for records in deep for r in records]
+        assert flat(shallow) == per_k_abc(G, a, b, c, series, k)
+    return flat(deep)
 
 
-def shifted_below(C):
-    """`central_series_indices` with every series but C's moved one term up,
-    so that the hypothesis can hold while conclusion (ii) fails."""
-    def wrong(group, sub):
-        series = central_series_indices(group, sub)
-        return series if sub == C.indices else [*series[1:], sub]
-    return wrong
+def shifted_below(G, c, *sets):
+    """`series_map(G, c, *sets)` with every series but C's moved one term
+    up, so that the hypothesis can hold while conclusion (ii) fails."""
+    return {s: series if s == c else [*series[1:], s]
+            for s, series in series_map(G, c, *sets).items()}
 
 
 def test_abc_by_k_on_the_d8_centre_triple(catalog):
     D8 = catalog["D8"]
-    A, B = subgroup(D8, "(0 2)(1 3)"), subgroup(D8, "(0 1 2 3)")
-    records = check_abc_by_k(A, B, D8.full_subgroup())
+    a, b = subgroup(D8, "(0 2)(1 3)").indices, subgroup(D8, "(0 1 2 3)").indices
+    c = D8.all_indices
+    records = check_abc_by_k(D8, a, b, c, series_map(D8, b, c))
     hyp = [r for r in records if r.id.startswith("abc-hypothesis")]
     assert [r.status for r in hyp] == ["pass"] + ["skipped"] * 4
     assert {r.witness for r in hyp[1:]} == {"hypothesis not met at j=1"}
 
 
-def test_abc_by_k_fails_as_the_per_k_loop(catalog, monkeypatch):
+def test_abc_by_k_fails_as_the_per_k_loop(catalog):
     # a wrong series for every B < G: each failing conclusion keeps its
     # per-k witness (S3 < S4 meets the hypothesis at every k)
     fails = set()
     for name in ("D8", "S4"):
         G = catalog[name]
-        C = G.full_subgroup()
-        monkeypatch.setattr(suites, "central_series_indices", shifted_below(C))
-        subs = [H for _, H, _ in enumerate_subgroups(G)]
-        for A, B in itertools.product(subs, subs):
-            if A <= B:
-                records = check_abc_by_k(A, B, C)
+        c = G.all_indices
+        subs = [H.indices for _, H, _ in enumerate_subgroups(G)]
+        series = shifted_below(G, c, *subs)
+        for a, b in itertools.product(subs, subs):
+            if a <= b:
+                records = check_abc_by_k(G, a, b, c, series)
                 fails.update(r.id for r in records if r.status == "fail")
     # both conclusions on B's series fail, the same (clause, j) at every k
     assert {f"abc-ii-k{k}-j0" for k in range(5)} <= fails
@@ -403,15 +447,12 @@ def test_abc_by_k_matches_prefixes_and_the_per_k_loop(data):
     a = data.draw(subgroups(G))
     b = closure_indices(G, [*a, *data.draw(elements)])
     c = closure_indices(G, [*b, *data.draw(elements)])
-    A, B, C = (Subgroup(G, x) for x in (a, b, c))
-    check_abc_by_k(A, B, C)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(suites, "central_series_indices", shifted_below(C))
-        check_abc_by_k(A, B, C)
+    check_abc_by_k(G, a, b, c, series_map(G, b, c))
+    check_abc_by_k(G, a, b, c, shifted_below(G, c, b))
 
 
 def per_k_structure(G, H, kmax):
-    """The records of `verify_ek_structure` for k = 0..kmax up to the ascent
+    """The records of `ek_structure_by_k` for k = 0..kmax up to the ascent
     check, as written before it shared passes: one literal one-step pass for
     each k."""
     terms, inner = ek_term_data(G, H.indices, kmax)
@@ -448,7 +489,7 @@ def test_structure_runs_one_literal_pass_per_distinct_term(s5_d32, monkeypatch):
     for G in s5_d32:
         for _, H, _ in enumerate_subgroups(G):
             passes.clear()
-            got = verify_ek_structure(G, H, 4)
+            got = flat(ek_structure_by_k(G, H.indices, *run_inputs(G, H.indices, 4)))
             want = per_k_structure(G, H, 4)
             assert got[:len(want)] == want
             assert got[len(want)].id == "structure-centers-ascend"
@@ -458,20 +499,20 @@ def test_structure_runs_one_literal_pass_per_distinct_term(s5_d32, monkeypatch):
     assert repeated > 100
 
 
-def unshared(fn, *args):
-    """fn(*args) with every k-list built afresh and none shared."""
+def unshared(run):
+    """run() with every k-list built afresh and none shared."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(suites, "_k_list", lambda kind, k, ok, build: build())
-        return fn(*args)
+        return run()
 
 
-def shared_only_when_all_pass(kind, fn, *args, kmax=4):
-    """fn(*args) holds the checks of its unshared form.  Each of its k-lists
-    whose checks all pass is the one shared tuple of k; every other one is
-    a list of its own, and each failure in it carries a witness.  Returns
-    how many k-lists fail."""
-    lists = fn(*args, kmax)
-    assert [list(r) for r in lists] == [list(r) for r in unshared(fn, *args, kmax)]
+def shared_only_when_all_pass(kind, run, kmax=4):
+    """run(), lists of `kind` to depth `kmax`, holds the checks of its
+    unshared form.  Each of its k-lists whose checks all pass is the one
+    shared tuple of k; every other one is a list of its own, and each
+    failure in it carries a witness.  Returns how many k-lists fail."""
+    lists = run()
+    assert [list(r) for r in lists] == [list(r) for r in unshared(run)]
     fails = 0
     for k, records in enumerate(lists[:kmax + 1]):
         shared = suites._ALL_PASS.get((kind, k))
@@ -513,57 +554,77 @@ def patch_everywhere(mp, name, value):
 
 def test_a_failing_k_list_is_not_the_shared_all_pass_tuple(catalog, s5_d32, monkeypatch):
     groups = [*(catalog[name] for name in ("D8", "D16", "S4", "Heis3")), s5_d32[1]]
-    subs = {G: [H for _, H, _ in enumerate_subgroups(G)] for G in groups}
+    subs = {G: [H.indices for _, H, _ in enumerate_subgroups(G)] for G in groups}
+
+    def structure(G, h):
+        return lambda: ek_structure_by_k(G, h, *run_inputs(G, h, 4))
+
     # the all-pass tuples of every k exist before any list fails
     for G in groups:
-        for H in subs[G]:
-            assert shared_only_when_all_pass("structure", ek_structure_by_k, G, H) == 0
-            assert shared_only_when_all_pass("abc", abc_lemma_by_k, H, H, H) == 0
+        series = series_map(G, *subs[G])
+        for h in subs[G]:
+            assert shared_only_when_all_pass("structure", structure(G, h)) == 0
+            assert shared_only_when_all_pass("abc", lambda: abc_lemma_by_k(G, h, h, h, series, 4)) == 0
     assert all(("abc", k) in suites._ALL_PASS and ("structure", k) in suites._ALL_PASS
                for k in range(5))
-    # each patch makes some comparisons fail: B's central series (abc-ii,
-    # abc-ii-cut at every j), level 1 inside B or E_k (abc-ii at j = 1 only,
-    # in D32 with the hypothesis holding past k = 2; abc-iii at k = 0; and
-    # the structure checks), the centers alone, the one-step levels alone
-    abc_patches = [("central_series_indices", lambda G: shifted_below(G.full_subgroup())),
-                   ("iterated_centralizer_levels", lambda G: level_one_empty)]
+    # each family makes some comparisons fail: B's central series, passed
+    # shifted (abc-ii, abc-ii-cut at every j), level 1 inside B or E_k
+    # (abc-ii at j = 1 only, in D32 with the hypothesis holding past k = 2;
+    # abc-iii at k = 0; and the structure checks), the centers alone, the
+    # one-step levels alone.  (name, series, patch): a patch rebinds `name`.
+    abc_families = [("shifted series", shifted_below, None),
+                    ("iterated_centralizer_levels", series_map, level_one_empty)]
     structure_patches = [("iterated_centralizer_levels", level_one_empty),
                          ("ek_term_data", centers_off),
                          ("one_step_levels", last_one_step_level_empty)]
     fails = {}
     for G in groups:
-        C = G.full_subgroup()
-        for name, patch in abc_patches:
+        c = G.all_indices
+        for name, series_of, patch in abc_families:
+            series = series_of(G, c, *subs[G])
             with monkeypatch.context() as mp:
-                patch_everywhere(mp, name, patch(G))
-                for A, B in itertools.product(subs[G], subs[G]):
-                    if A <= B:
-                        n = shared_only_when_all_pass("abc", abc_lemma_by_k, A, B, C)
+                if patch:
+                    patch_everywhere(mp, name, patch)
+                for a, b in itertools.product(subs[G], subs[G]):
+                    if a <= b:
+                        n = shared_only_when_all_pass(
+                            "abc", lambda: abc_lemma_by_k(G, a, b, c, series, 4))
                         fails[name] = fails.get(name, 0) + n
         for name, patch in structure_patches:
             with monkeypatch.context() as mp:
                 patch_everywhere(mp, name, patch)
-                for H in subs[G]:
-                    n = shared_only_when_all_pass("structure", ek_structure_by_k, G, H)
+                for h in subs[G]:
+                    n = shared_only_when_all_pass("structure", structure(G, h))
                     fails["structure " + name] = fails.get("structure " + name, 0) + n
     assert len(fails) == 5 and min(fails.values()) > 10, fails
 
 
+def structure_records(G, H, kmax):
+    return flat(ek_structure_by_k(G, H.indices, *run_inputs(G, H.indices, kmax)))
+
+
 def test_structure_on_d8_reflection(catalog):
     D8 = catalog["D8"]
-    records = verify_ek_structure(D8, subgroup(D8, "(1 3)"), 2)
+    records = structure_records(D8, subgroup(D8, "(1 3)"), 2)
     assert_all_ok(records)
 
 
 def test_structure_across_catalog(catalog):
     for name, G in catalog.items():
         for _, H, _ in enumerate_subgroups(G)[:5]:
-            assert_all_ok(verify_ek_structure(G, H, 3))
+            assert_all_ok(structure_records(G, H, 3))
+
+
+def nilpotent_envelope(G, H):
+    """The nilpotent suite on H, from an envelope run at depth
+    max(class, 1) + 3, the least it reads."""
+    terms, _, series = run_inputs(G, H.indices, max(nilpotency_class(H) or 0, 1) + 3)
+    return verify_nilpotent_envelope(G, H.indices, terms, series)
 
 
 def test_nilpotent_envelope_d8_rotations(catalog):
     D8 = catalog["D8"]
-    records = verify_nilpotent_envelope(D8, subgroup(D8, "(0 1 2 3)"))
+    records = nilpotent_envelope(D8, subgroup(D8, "(0 1 2 3)"))
     assert_all_ok(records)
     assert any(r.id == "envelope-class-exact" and r.status == "pass" for r in records)
 
@@ -572,7 +633,7 @@ def test_nilpotent_envelope_d16_class2_subgroup(catalog):
     D16 = catalog["D16"]
     H = subgroup(D16, "(0 2 4 6)(1 3 5 7)", "(1 7)(2 6)(3 5)")
     assert nilpotency_class(H) == 2
-    records = verify_nilpotent_envelope(D16, H)
+    records = nilpotent_envelope(D16, H)
     assert_all_ok(records)
     # cross-check the stabilized envelope against a from-scratch recomputation
     terms, _ = ek_term_data(D16, H.indices, 5)
@@ -582,16 +643,35 @@ def test_nilpotent_envelope_d16_class2_subgroup(catalog):
 
 def test_nilpotent_envelope_skips_non_nilpotent(catalog):
     S3 = catalog["S3"]
-    records = verify_nilpotent_envelope(S3, S3.full_subgroup())
+    records = nilpotent_envelope(S3, Subgroup(S3, S3.all_indices))
     assert records[0].status == "skipped"
 
 
 def test_nilpotent_envelope_trivial_subgroup(catalog):
     # the class-0 case runs through the abelian step: E_1 is the center
     D8 = catalog["D8"]
-    records = verify_nilpotent_envelope(D8, D8.trivial_subgroup())
+    records = nilpotent_envelope(D8, Subgroup(D8, frozenset({D8.identity_idx})))
     assert_all_ok(records)
     assert any(r.id == "envelope-class-exact" and r.status == "skipped" for r in records)
+
+
+def test_verifiers_read_classes_off_the_series_they_are_given(catalog):
+    # a series that claims D8 has class 1 (Z_1 = D8): level 1 of its chain
+    # is its centre, so the class-c containment fails
+    D8 = catalog["D8"]
+    g = D8.all_indices
+    records = verify_bryant_lemma(D8, g, {g: [frozenset({D8.identity_idx}), g]}, 4)
+    assert [(r.status, r.witness) for r in records if r.id == "bryant-iv"] == [
+        ("fail", "class 1: H has elements outside level 1")]
+    # a series of E_1 that stalls below it: E_1, the Klein group around a
+    # reflection H, reads as not nilpotent
+    h = subgroup(D8, "(1 3)").indices
+    terms, _, series = run_inputs(D8, h, 4)
+    assert len(terms[1]) == 4 and series_class(series[terms[1]], terms[1]) == 1
+    series[terms[1]] = series[terms[1]][:1]
+    got = {r.id: (r.status, r.witness) for r in verify_nilpotent_envelope(D8, h, terms, series)}
+    assert got["envelope-nilpotent"] == ("fail", "class(E_1) = None, expected <= 1")
+    assert got["envelope-class-exact"] == ("fail", "class(E_1) = None, expected 1")
 
 
 def test_nilpotency_class_matches_naive(catalog):

@@ -436,7 +436,7 @@ def test_counterexample_wrong_witness_commutator_fails(capsys, monkeypatch, part
         if k != 1:
             return w
         c = w.commutator
-        bad.append({"bits": c._replace(bits=c.bits ^ symnat.BitFn.from_text("1|0")),
+        bad.append({"bits": c._replace(bits=c.bits ^ symnat.BitFn((1,), (0,))),
                     "sigma": c._replace(sigma=symnat.BlockPerm.swap(0, 1)),
                     "power": c._replace(power=1)}[part])
         return w._replace(commutator=bad[0])
@@ -463,6 +463,24 @@ def test_counterexample_scan_max_bound(capsys, scan_max):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "envchain: error: scan-max must be >= 1\n"
+
+
+@pytest.mark.parametrize("depth", ["-1", "-5"])
+def test_counterexample_oracle_depth_bound(capsys, depth):
+    code = main(["counterexample", "--levels", "3", "--oracle-depth", depth])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "envchain: error: oracle-depth must be >= 0\n"
+
+
+def test_counterexample_oracle_depth_zero_runs_no_oracle(capsys):
+    code, out = run(capsys, "counterexample", "--levels", "3", "--oracle-depth", "0",
+                    "--format", "json-like")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["command"]["args"]["oracle_depth"] == 0
+    assert not any(c["id"].startswith("model-oracle") for c in doc["checks"])
 
 
 # Digests recorded before the chain model moved to basis form; a change that
@@ -605,11 +623,11 @@ def test_verify_class_with_a_failing_first_member_runs_member_by_member(monkeypa
     # whose first member fails gets a run, and a witness, of its own
     nilpotent = suites.verify_nilpotent_envelope
 
-    def planted(G, H, *rest):
-        records = nilpotent(G, H, *rest)
-        if H.order != 2:
+    def planted(G, hs, *rest):
+        records = nilpotent(G, hs, *rest)
+        if len(hs) != 2:
             return records
-        x = G.elements[min(H.indices - {G.identity_idx})]
+        x = G.elements[min(hs - {G.identity_idx})]
         return [*records, chains.CheckRecord("planted", "no involution", "fail", format_cycles(x))]
 
     monkeypatch.setattr(suites, "verify_nilpotent_envelope", planted)
@@ -650,7 +668,7 @@ def test_counterexample_model_budget_check(capsys, monkeypatch):
 
 def bitfn_periodicity_bad(basis, W):
     bad = [b for b in (symnat._from_mask(m, W) for m in basis)
-           if not b.pure_periodic or W % b.period != 0]
+           if b.prefix or W % b.period != 0]
     return f"e.g. {sorted(bad)[0].to_text()}" if bad else None
 
 
