@@ -22,11 +22,16 @@ filter and builds the same fresh lists a cold run does.  A filter result is
 reused only for the very same inputs, never across different terms, and
 every identity is still checked.
 
+`ek_chain` is the whole of `ekchain`'s computation: it computes H's
+nilpotency class once, resolves the default window from it, and returns
+it in the report with the terms.
+
 `verify`'s lemma suites live in `suites`, off `ekchain`'s import path.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple
 
 from .grp import (
@@ -80,7 +85,8 @@ class EkChainReport(NamedTuple):
     is an observation, not a stabilization proof (a constant stretch can be
     followed by a strict drop in general).  `guaranteed_stable` is set only
     when H is nilpotent and the window reaches its class, in which case the
-    chain is provably constant from that step on.
+    chain is provably constant from that step on.  `subgroup_class` is H's
+    nilpotency class, None when H is not nilpotent.
     """
 
     ambient: FiniteGroup
@@ -90,6 +96,7 @@ class EkChainReport(NamedTuple):
     stable_run: int
     guaranteed_stable: bool
     stability_reason: str
+    subgroup_class: int | None
 
 
 # --- core index-level computations -----------------------------------------
@@ -167,9 +174,18 @@ def iterated_centralizers(G: FiniteGroup, A: Subgroup, kmax: int) -> IteratedCen
     )
 
 
-def ek_chain(G: FiniteGroup, H: Subgroup, kmax: int) -> EkChainReport:
-    """The envelope chain E_0..E_kmax of H in G."""
+def ek_chain(G: FiniteGroup, H: Subgroup, kmax: int | None = None) -> EkChainReport:
+    """The envelope chain E_0..E_kmax of H in G.
+
+    H's class c is computed once.  kmax defaults to max(c, 1) for nilpotent
+    H, the step from which the chain is provably constant, else to the log
+    window int(2 log2 |G|) + 2.  A default is below the CLI's `MAX_KMAX` of
+    64 for every |G| < 2^31, so it needs no check of its own.
+    """
     _validate_sub(G, H)
+    c = nilpotency_class(H)
+    if kmax is None:
+        kmax = int(2 * math.log2(max(G.order, 2))) + 2 if c is None else max(c, 1)
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     terms, _ = ek_term_data(G, H.indices, kmax)
@@ -179,7 +195,6 @@ def ek_chain(G: FiniteGroup, H: Subgroup, kmax: int) -> EkChainReport:
         if t != last:
             break
         run += 1
-    c = nilpotency_class(H)
     if c is None:
         guaranteed = False
         reason = "subgroup is not nilpotent; only the observed run is reported"
@@ -202,6 +217,7 @@ def ek_chain(G: FiniteGroup, H: Subgroup, kmax: int) -> EkChainReport:
         stable_run=run,
         guaranteed_stable=guaranteed,
         stability_reason=reason,
+        subgroup_class=c,
     )
 
 

@@ -7,11 +7,15 @@ Three subcommands:
   counterexample  the infinite-descent chain model and its witnesses
 
 This module parses arguments, loads groups and writes reports; the engines
-make every check.  `chains.ek_chain_checks` gives the `ekchain` checks,
-`suites.group_suites` the `verify` blocks of each subgroup of a catalog
-group, running the suites once per conjugacy class, and
+make every check.  `chains.ek_chain` computes the `ekchain` chain, its
+default window and H's class, and `chains.ek_chain_checks` gives its
+checks; `cmd_ekchain` checks only a given `--kmax`.
+`suites.group_suites` gives the `verify` blocks of each subgroup of a
+catalog group, running the suites once per conjugacy class, and
 `symnat.counterexample_checks` the chain model with its checks and
 witnesses.
+
+Group files are read as UTF-8, a leading byte-order mark dropped.
 
 Reports are deterministic byte-for-byte apart from the timing fields, in both
 text and json-like form.  A report holds its checks as blocks
@@ -30,10 +34,11 @@ Each subcommand imports only the engine it runs: `ekchain` imports `grp` and
 imports `symnat`, and no `perm`: only `ekchain` formats a permutation.
 At module level this file imports only what they share (`argparse`, `json`,
 the built-in `gc`, and `errno`, `os` and `stat`, which the interpreter's
-start-up has already loaded); the option defaults come from the package
-itself.  Every CLI run is a fresh process that pays for each import again,
-and compiles each module again where no bytecode is cached, so an engine
-loaded but never called costs as much as a short run's own work.
+start-up has already loaded); the option defaults and `_Memo` come from
+the package itself.  Every CLI run is a fresh process that pays for each
+import again, and compiles each module again where no bytecode is cached,
+so an engine loaded but never called costs as much as a short run's own
+work.
 
 For the same reason `main`, when it parses `sys.argv` itself (the `envchain`
 script and `python -m envchain.cli`), first moves every object made so far
@@ -67,7 +72,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
-from . import DEFAULT_CAP, MAX_KMAX, __version__
+from . import DEFAULT_CAP, MAX_KMAX, _Memo, __version__
 
 if TYPE_CHECKING:
     from .grp import FiniteGroup
@@ -143,18 +148,6 @@ class _Blocks(list):
     written; `size` counts the checks in all of them."""
 
     size = 0
-
-
-class _Memo(dict):
-    """fn(key), computed once per distinct key."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
 
 
 def _new_report(cmd: str, params: dict) -> dict:
@@ -320,7 +313,7 @@ def _read_group_file(path: str) -> tuple[int, list]:
         # before `open`: opening a FIFO for reading waits for a writer
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise _UsageError(f"cannot read {path}: not a regular file")
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
@@ -354,7 +347,6 @@ def _check_kmax(kmax: int):
 
 def cmd_ekchain(args) -> dict:
     from . import chains
-    from .grp import default_kmax, nilpotency_class
     from .perm import format_cycles
 
     _check_cap(args.cap)
@@ -367,22 +359,21 @@ def cmd_ekchain(args) -> dict:
     if missing:
         raise _UsageError(f"subgroup generator {format_cycles(missing[0])} is not in the group")
     H = G.generated_subgroup(gens)
-    h_class = nilpotency_class(H)
-    kmax = args.kmax if args.kmax is not None else default_kmax(G.order, h_class)
-    _check_kmax(kmax)
+    if args.kmax is not None:
+        _check_kmax(args.kmax)
+    rep = chains.ek_chain(G, H, args.kmax)  # a default window needs no check
     report = _new_report("ekchain", {
         "group_file": args.group_file,
         "subgroup_file": args.subgroup_file,
-        "kmax": kmax,
+        "kmax": len(rep.terms) - 1,
         "cap": args.cap,
     })
-    rep = chains.ek_chain(G, H, kmax)
     _add_checks(report, "", chains.ek_chain_checks(rep))
     report["witnesses"].append({
         "type": "ekchain",
         "group_order": G.order,
         "subgroup_order": H.order,
-        "subgroup_class": "not nilpotent" if h_class is None else h_class,
+        "subgroup_class": "not nilpotent" if rep.subgroup_class is None else rep.subgroup_class,
         "orders": list(rep.orders),
         "stable_run": rep.stable_run,
         "guaranteed_stable": rep.guaranteed_stable,

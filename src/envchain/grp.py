@@ -43,7 +43,6 @@ theorem).
 
 from __future__ import annotations
 
-import math
 from array import array
 from functools import cached_property
 from itertools import compress
@@ -598,9 +597,3 @@ def read_group_file(text: str) -> tuple[int, list[Permutation]]:
         raise GroupFileError("missing 'degree: <n>' line", 1)
     return degree, gens
 
-
-def default_kmax(group_order: int, h_class: int | None) -> int:
-    """Chain-depth default: the nilpotency class when known, else a log window."""
-    if h_class is not None:
-        return max(h_class, 1)
-    return int(2 * math.log2(max(group_order, 2))) + 2

@@ -5,10 +5,11 @@ computation assumes.  Each distinct input runs once and is written under
 every check id that asks it.  `run_suites`, the suites `verify` runs on one
 subgroup H, validates H once and makes the inputs the suites share once:
 one `ek_term_data` run, at the deepest depth a suite reads, and one map
-from each distinct index set among H and its envelope terms to that set's
-upper central series.  The verifiers take index sets and read every series,
-and every nilpotency class (`grp.series_class`), from that map; none
-computes a series of its own.  `ek_structure_by_k` makes one literal
+that computes an index set's upper central series the first time a
+verifier reads it (`envchain._Memo`), so a series no chosen suite reads is
+never computed.  The verifiers take index sets and read every series, and
+every nilpotency class (`grp.series_class`), from that map; none computes
+a series of its own.  `ek_structure_by_k` makes one literal
 one-step pass per distinct envelope term, and `abc_lemma_by_k` returns its
 checks per k, so `run_suites` runs each distinct (A, B, C) once, at the
 deepest k it needs, and reads smaller k as a prefix.  `group_suites` runs
@@ -25,10 +26,12 @@ a record and witness of its own.  Only `verify` imports this module.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
+from . import _Memo
 from .catalog import enumerate_subgroups
 from .chains import (
     FAIL,
@@ -50,7 +53,7 @@ from .grp import (
 )
 from .perm import format_cycles
 
-# index set -> its upper central series, as `run_suites` builds it
+# index set -> its upper central series, as `run_suites` reads it
 Series = Mapping[frozenset[int], list[frozenset[int]]]
 
 # Shared records, built on first use: one per (id, claim) of a check that
@@ -86,7 +89,7 @@ def _k_list(kind: str, k: int, ok: bool, build) -> Sequence[CheckRecord]:
 
 
 def _describe(group: FiniteGroup, indices: frozenset[int], limit: int = 6) -> str:
-    els = [format_cycles(group.elements[i]) for i in sorted(indices)[:limit]]
+    els = [format_cycles(group.element(i)) for i in sorted(indices)[:limit]]
     more = ", ..." if len(indices) > limit else ""
     return "{" + ", ".join(els) + more + "}"
 
@@ -411,8 +414,9 @@ def run_suites(G: FiniteGroup, H: Subgroup, suite: str, kmax: int) -> list[tuple
 
     One `ek_term_data` run, at the deepest depth a suite reads (kmax, or
     max(c, 1) + 3 for the nilpotent suite on H of class c), gives each suite
-    its prefix, and one map holds the upper central series of each distinct
-    index set among H and those terms.  The terms give the structure lists
+    its prefix, and one map computes the upper central series of H or of a
+    term the first time a verifier reads it: the nilpotent suite alone
+    reads only H's and E_max(c,1)'s.  The terms give the structure lists
     and the nested triples H <= E_(k+1) <= E_k of the three-group lemma,
     whose hypothesis holds by the chain/center identity; the degenerate
     triples (H, H, H) and (H, H, G) cover the trivial cases.
@@ -421,13 +425,10 @@ def run_suites(G: FiniteGroup, H: Subgroup, suite: str, kmax: int) -> list[tuple
     hs = H.indices
     structure = suite in ("structure", "all")
     nilpotent = suite in ("nilpotent", "all")
-    series = {hs: central_series_indices(G, hs)}
+    series = _Memo(partial(central_series_indices, G))
     c = series_class(series[hs], hs) if nilpotent else None
     run_depth = max(kmax if structure else 0, 0 if c is None else max(c, 1) + 3)
     terms, inner = ek_term_data(G, hs, run_depth) if run_depth else ([], [])
-    for t in terms:
-        if t not in series:
-            series[t] = central_series_indices(G, t)
     blocks: list[tuple[str, Sequence[CheckRecord]]] = []
     if suite in ("bryant", "all"):
         blocks.append(("", verify_bryant_lemma(G, hs, series, kmax)))

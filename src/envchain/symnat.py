@@ -30,14 +30,15 @@ are block swaps and pure-bits elements, so most factors of their
 commutators are identities.
 
 `counterexample_checks` builds the model and makes the `counterexample`
-report's checks and witnesses.  Its periodicity, support and XOR-closure
-checks read the basis masks and build a BitFn only for a failure's witness
-text, and it compares each descent witness's commutator with the paired
-block swap, the one place that comparison is made.  Every witness gets that
-full symbolic `sym_commutator` check; a verified commutator's text is then
-written straight from its bits as the swaps (2x 2x+1) (`swaps_text`), so
-the model needs no finite `Permutation`: `perm` is imported only by
-`bits_to_permutation`, when it is called.
+report's checks and witnesses, each pass/fail record through `_verdict`,
+which builds a witness text only on failure.  Its periodicity, support and
+XOR-closure checks read the basis masks and build a BitFn only for a
+failure's witness text, and it compares each descent witness's commutator
+with the paired block swap, the one place that comparison is made.  Every
+witness gets that full symbolic `sym_commutator` check; a verified
+commutator's text is then written straight from its bits as the swaps
+(2x 2x+1) (`swaps_text`), so the model needs no finite `Permutation`:
+`perm` is imported only by `bits_to_permutation`, when it is called.
 """
 
 from __future__ import annotations
@@ -698,16 +699,24 @@ def descent_witness(k: int, scan_max: int, model: IterChainModel) -> DescentWitn
 # --- the `counterexample` report ----------------------------------------------
 
 
+def _verdict(check_id: str, claim: str, ok: bool, witness: Callable[[], str] | None = None) -> tuple:
+    """The record of check `check_id`: a pass when `ok`, else a failure
+    with witness(), None when no witness is given.  The witness text is
+    built only on failure."""
+    return (check_id, claim, "pass", None) if ok else (check_id, claim, "fail", witness and witness())
+
+
 def counterexample_checks(levels: int, scan_max: int, oracle_depth: int) -> tuple[list[tuple], list[dict], bool]:
     """The chain model to depth `levels` and the `counterexample` report's
     checks on it: (records, witnesses, partial).
 
     Each record is an (id, claim, status, witness) tuple, witness None when
-    there is none; the witnesses are the report's dicts, the level sizes
-    first.  When the model grows past its budget, `partial` is True, the
-    model holds the levels that fit and the first record is the failed
-    budget check.  `iterated_centralizer_model` and `descent_witness` are
-    looked up on each call, so a test may replace them.
+    there is none, and each pass/fail record comes from `_verdict`; the
+    witnesses are the report's dicts, the level sizes first.  When the
+    model grows past its budget, `partial` is True, the model holds the
+    levels that fit and the first record is the failed budget check.
+    `iterated_centralizer_model` and `descent_witness` are looked up on
+    each call, so a test may replace them.
     """
     checks: list[tuple] = []
     partial = False
@@ -715,23 +724,14 @@ def counterexample_checks(levels: int, scan_max: int, oracle_depth: int) -> tupl
         model = iterated_centralizer_model(levels)
     except ModelBudgetError as exc:
         model, partial = exc.partial, True
-        checks.append(("model-budget", "chain model fits the memory budget", "fail", str(exc)))
+        checks.append(_verdict("model-budget", "chain model fits the memory budget", False, exc.__str__))
     if model.depth >= 1:
-        ok = sorted(model.span(1)) == [0, 0b11]
-        checks.append((
-            "model-level1",
-            "level 1 is exactly the constant functions",
-            "pass" if ok else "fail",
-            None if ok else "level 1 = {" + ", ".join(sorted(b.to_text() for b in model.level(1))) + "}",
-        ))
+        checks.append(_verdict(
+            "model-level1", "level 1 is exactly the constant functions", sorted(model.span(1)) == [0, 0b11],
+            lambda: "level 1 = {" + ", ".join(sorted(b.to_text() for b in model.level(1))) + "}"))
     sizes = model.sizes()
-    strict = all(a < b for a, b in zip(sizes, sizes[1:]))
-    checks.append((
-        "model-sizes-strict",
-        "level sizes strictly increase",
-        "pass" if strict else "fail",
-        None if strict else f"sizes={sizes}",
-    ))
+    checks.append(_verdict("model-sizes-strict", "level sizes strictly increase",
+                           all(a < b for a, b in zip(sizes, sizes[1:])), lambda: f"sizes={sizes}"))
     for i in range(1, model.depth + 1):
         # The checks run on the basis masks and carry to the span.  A mask
         # within one 2^i block is a function purely periodic with period
@@ -740,35 +740,19 @@ def counterexample_checks(levels: int, scan_max: int, oracle_depth: int) -> tupl
         # members, 0 among them, exactly when its b vectors are independent.
         window = 2 ** i
         basis = model.basis(i)
-        bad = [m for m in basis if m >> window]
-        checks.append((
-            f"model-periodicity-i{i}",
-            "members are purely periodic with period dividing 2^i",
-            "pass" if not bad else "fail",
-            None if not bad else f"e.g. {min(_from_mask(m, window) for m in bad).to_text()}",
-        ))
-        bad = [m for m in basis if m and not m & ((1 << window) - 1)]
-        checks.append((
-            f"model-support-i{i}",
-            "nontrivial members hit every period window (infinite support)",
-            "pass" if not bad else "fail",
-            None if not bad else f"e.g. {min(_from_mask(m, window) for m in bad).to_text()}",
-        ))
-        closed = _rank(basis) == len(basis)
-        checks.append((
-            f"model-xor-closed-i{i}",
-            "level is a group under pointwise XOR",
-            "pass" if closed else "fail",
-            None,
-        ))
+        for name, claim, bad in (
+            ("periodicity", "members are purely periodic with period dividing 2^i",
+             [m for m in basis if m >> window]),
+            ("support", "nontrivial members hit every period window (infinite support)",
+             [m for m in basis if m and not m & ((1 << window) - 1)]),
+        ):
+            checks.append(_verdict(f"model-{name}-i{i}", claim, not bad,
+                                   lambda: f"e.g. {min(_from_mask(m, window) for m in bad).to_text()}"))
+        checks.append(_verdict(f"model-xor-closed-i{i}", "level is a group under pointwise XOR",
+                               _rank(basis) == len(basis)))
     for i in range(1, min(oracle_depth, model.depth, 4) + 1):
-        ok = brute_force_level(i) == model.level(i)
-        checks.append((
-            f"model-oracle-i{i}",
-            "solver level equals brute-force enumeration",
-            "pass" if ok else "fail",
-            None,
-        ))
+        checks.append(_verdict(f"model-oracle-i{i}", "solver level equals brute-force enumeration",
+                               brute_force_level(i) == model.level(i)))
     witnesses: list[dict] = [{"type": "levels", "sizes": sizes}]
     for k in range(0, max(model.depth - 1, 0)):
         try:
@@ -787,12 +771,8 @@ def counterexample_checks(levels: int, scan_max: int, oracle_depth: int) -> tupl
         far = w.x0 + 2 ** w.l
         ok = w.commutator == SymElem.from_bits(BitFn([int(t in (w.x0, far)) for t in range(far + 1)]))
         text = swaps_text(w.commutator.bits) if ok else w.commutator.to_text()
-        checks.append((
-            f"witness-k{k}",
-            "descent witness verified; commutator is the paired block swap",
-            "pass" if ok else "fail",
-            None if ok else f"commutator={text}",
-        ))
+        checks.append(_verdict(f"witness-k{k}", "descent witness verified; commutator is the paired block swap",
+                               ok, lambda: f"commutator={text}"))
         witnesses.append({
             "type": "descent",
             "k": k,

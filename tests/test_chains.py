@@ -2,6 +2,7 @@
 naive oracle."""
 
 import itertools
+import math
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,18 @@ def test_ek_chain_matches_naive_oracle_large_sample(catalog):
             assert got == naive_ek_terms(whole, frozenset(H.elements), 3)
 
 
+def test_ek_chain_default_window_is_the_class_or_a_log_window(catalog):
+    # max(c, 1) for nilpotent H of class c, else int(2 log2 |G|) + 2
+    for G in catalog.values():
+        for _, H, _ in enumerate_subgroups(G):
+            c = nilpotency_class(H)
+            rep = ek_chain(G, H)
+            assert rep.subgroup_class == c
+            assert len(rep.terms) - 1 == (int(2 * math.log2(max(G.order, 2))) + 2 if c is None else max(c, 1))
+            assert rep.guaranteed_stable == (c is not None)
+            assert rep == ek_chain(G, H, len(rep.terms) - 1)
+
+
 def test_non_nilpotent_subgroup_not_guaranteed(catalog):
     S4 = catalog["S4"]
     rep = ek_chain(S4, subgroup(S4, "(0 1)", "(0 1 2)"), 3)
@@ -347,6 +360,17 @@ def test_run_suites_computes_each_central_series_once(monkeypatch, capsys):
     for h, terms, computed in runs:
         assert sorted(computed, key=sorted) == sorted({h, *terms}, key=sorted)
     assert sum(len(computed) for *_, computed in runs) == 72
+    # the nilpotent suite alone reads only H's series and, for H of class
+    # c, E_max(c,1)'s; its envelope run, at depth max(c, 1) + 3, is made
+    # only for nilpotent H, and no other term's series is computed
+    runs.clear()
+    assert main(["verify", "--suite", "nilpotent", "--kmax", "4", "--catalog-dir", bench]) == 0
+    capsys.readouterr()
+    assert len(runs) == 33
+    for h, terms, computed in runs:
+        read = {h, terms[len(terms) - 4]} if terms else {h}
+        assert sorted(computed, key=sorted) == sorted(read, key=sorted)
+    assert sum(len(computed) for *_, computed in runs) == 39
 
 
 def per_k_abc(group, a, b, c, series, kmax):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envchain.catalog import CATALOG_FILES, build_catalog, enumerate_subgroups
-from envchain import chains, cli, suites, symnat
+from envchain import chains, cli, grp, suites, symnat
 from envchain.cli import main
 from envchain.grp import MAX_KMAX, nilpotency_class, parse_group_file
 from envchain.perm import format_cycles
@@ -135,6 +135,39 @@ def test_ekchain_unreadable_group_file_exit_2(capsys, tmp_path, s3_files, conten
         captured.err.startswith(f"envchain: error: cannot read {bad}: ")
 
 
+def test_group_file_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
+    # editors on Windows often save UTF-8 with a leading byte-order mark
+    (tmp_path / "catalog").mkdir()
+    g, h, c = tmp_path / "S3.grp", tmp_path / "h.grp", tmp_path / "catalog" / "S3.grp"
+    argvs = [(*cmd, "--format", fmt) for fmt in ("text", "json-like")
+             for cmd in (("ekchain", str(g), str(h)), ("verify", "--catalog-dir", str(c.parent)))]
+    reports = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        for path, text in ((g, CATALOG_FILES["S3"]), (c, CATALOG_FILES["S3"]), (h, "degree: 3\n(0 1)\n")):
+            path.write_bytes(mark + text.encode())
+        runs = [run(capsys, *argv) for argv in argvs]
+        reports.append([(code, strip_timing_text(out) if argv[-1] == "text" else strip_timing_json(out))
+                        for argv, (code, out) in zip(argvs, runs)])
+    assert reports[0] == reports[1]
+    assert [code for code, _ in reports[1]] == [0] * 4
+
+
+@pytest.mark.parametrize("content", [
+    b"\xef\xbb\xbf\xef\xbb\xbfdegree: 3\n(0 1)\n",  # a second mark
+    b"degree: 3\n\xef\xbb\xbf(0 1)\n",  # a mark at the start of a later line
+    b"degree: 3\n(0 1)\xef\xbb\xbf\n",
+])
+def test_group_file_with_a_byte_order_mark_elsewhere_exit_2(capsys, tmp_path, s3_files, content):
+    g, _ = s3_files
+    bad = tmp_path / "bad.grp"
+    bad.write_bytes(content)
+    code = main(["ekchain", g, str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"envchain: error: {bad}: line ")
+
+
 def test_ekchain_degree_over_bound_exit_2(capsys, tmp_path, s3_files):
     g, _ = s3_files
     wide = tmp_path / "wide.grp"
@@ -153,6 +186,27 @@ def test_ekchain_kmax_over_bound_exit_2(capsys, s3_files):
     captured = capsys.readouterr()
     assert code == 2
     assert f"exceeds the limit {MAX_KMAX}" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("kmax", [[], ["--kmax", "3"]], ids=["default", "given"])
+def test_ekchain_computes_the_subgroup_class_once(capsys, monkeypatch, kmax):
+    # one central series for H's class, read for the default window, the
+    # stability reason and the report
+    s6 = ROOT / "perfbench" / "groups" / "s6"
+    series, central_series_indices = [], grp.central_series_indices
+    monkeypatch.setattr(grp, "central_series_indices",
+                        lambda *a: series.append(a) or central_series_indices(*a))
+    code, out = run(capsys, "ekchain", str(s6 / "S6.grp"), str(s6 / "p16.grp"), *kmax)
+    assert code == 0
+    assert len(series) == 1
+    assert "subgroup_class=2" in out and f"kmax={kmax[1] if kmax else 2}" in out
+
+
+@pytest.mark.parametrize("kmax", ["0", "65"])
+def test_ekchain_kmax_out_of_range_runs_no_chain(capsys, monkeypatch, s3_files, kmax):
+    monkeypatch.setattr(chains, "ek_chain", lambda *a: pytest.fail("a chain ran"))
+    assert main(["ekchain", *s3_files, "--kmax", kmax]) == 2
+    assert capsys.readouterr().err.startswith("envchain: error: kmax ")
 
 
 def test_ekchain_cap_exceeded(capsys, s3_files):
@@ -623,12 +677,15 @@ def test_verify_class_with_a_failing_first_member_runs_member_by_member(monkeypa
     # whose first member fails gets a run, and a witness, of its own
     nilpotent = suites.verify_nilpotent_envelope
 
+    groups = []
+
     def planted(G, hs, *rest):
+        groups.append(G)
         records = nilpotent(G, hs, *rest)
         if len(hs) != 2:
             return records
-        x = G.elements[min(hs - {G.identity_idx})]
-        return [*records, chains.CheckRecord("planted", "no involution", "fail", format_cycles(x))]
+        witness = suites._describe(G, hs - {G.identity_idx})
+        return [*records, chains.CheckRecord("planted", "no involution", "fail", witness)]
 
     monkeypatch.setattr(suites, "verify_nilpotent_envelope", planted)
     _, catalog = verify_catalog("builtin")
@@ -639,8 +696,10 @@ def test_verify_class_with_a_failing_first_member_runs_member_by_member(monkeypa
     assert cli.render(report, "json-like") == cli.render(literal, "json-like")
     # S3's three transpositions are one class, and each names its own
     assert sorted(witness for cid, _, status, witness in flat_checks(report)
-                  if status == "fail" and cid.startswith("S3:")) == ["(0 1)", "(0 2)", "(1 2)"]
+                  if status == "fail" and cid.startswith("S3:")) == ["{(0 1)}", "{(0 2)}", "{(1 2)}"]
     assert cli._exit_code(report) == 1
+    # a witness formats only the elements it names
+    assert groups and not any("elements" in G.__dict__ for G in groups)
 
 
 def test_counterexample_model_budget_check(capsys, monkeypatch):
@@ -802,6 +861,32 @@ def test_counterexample_malformed_model_reports(capsys, monkeypatch):
     code, out = run(capsys, "counterexample", "--levels", "2")
     assert code == 1
     assert "[fail] model-level1\n    level 1 = {|0, |10}\n" in out
+
+
+def test_counterexample_model_size_and_oracle_failures(capsys, monkeypatch):
+    # level 2 holds only the constants: its size does not grow, and it is
+    # not the level the enumeration finds
+    model = symnat.IterChainModel([[], [0b11], [0b1111]])
+    monkeypatch.setattr(symnat, "iterated_centralizer_model", lambda levels: model)
+    code, out = run(capsys, "counterexample", "--levels", "2", "--oracle-depth", "2")
+    assert code == 1
+    assert strip_timing_text(out).split("\n")[2:] == [
+        "[pass] model-level1",
+        "[fail] model-sizes-strict",
+        "    sizes=[2, 2]",
+        "[pass] model-periodicity-i1",
+        "[pass] model-support-i1",
+        "[pass] model-xor-closed-i1",
+        "[pass] model-periodicity-i2",
+        "[pass] model-support-i2",
+        "[pass] model-xor-closed-i2",
+        "[pass] model-oracle-i1",
+        "[fail] model-oracle-i2",
+        "[skipped] witness-k0",
+        "    no witness for k=0 with k' <= 1; model depth 2 is too shallow to scan to 12",
+        "witness levels: sizes=[2, 2]",
+        "summary: checks=11 pass=8 fail=2 skipped=1",
+    ]
 
 
 # --- raw report bytes --------------------------------------------------------

@@ -9,24 +9,29 @@
 # tests/data; A6, whose 491 subgroups fall in 21 conjugacy classes; P256,
 # tests/data's P128 times <(8 9)>, whose 1,561 subgroups fall in 389 classes;
 # S7's Bryant suite at --kmax 1, the one report of a group above the 1,024 of
-# grp._TABLE_LIMIT, where closures and filters take the untabled paths),
+# grp._TABLE_LIMIT, where closures and filters take the untabled paths; and
+# the built-in catalog at --cap 5, which exits 3 with no report),
 # five counterexample reports (--levels 8, the same with the level-4
 # enumeration oracle, --levels 12 scanning to 18, --levels 13, whose model
 # outgrows its budget and ends in the partial report with exit 3, and the
-# smallest model, --levels 2 --scan-max 1) and six ekchain
-# reports (--kmax 4 in S6 on the benchmark's cyclic, order-16 and S3
-# subgroups, and on a subgroup file of no generators and one of the single
-# generator (); S3 on 7 points in S7 at --kmax 2, above grp._TABLE_LIMIT),
+# smallest model, --levels 2 --scan-max 1) and ten ekchain runs
+# (--kmax 4 in S6 on the benchmark's cyclic, order-16 and S3 subgroups, and
+# on a subgroup file of no generators and one of the single generator ();
+# S3 on 7 points in S7 at --kmax 2, above grp._TABLE_LIMIT; the default
+# window in S6 for S3, the log window at kmax 20, and for the order-16
+# subgroup, its class 2; and --kmax 0 and 65, which exit 2 with no report),
 # all json-like, and the text reports of the built-in,
 # bench-catalog and tests/data verify, of each bench-catalog suite on its
 # own (a conjugacy class's records are reused per suite run), of ekchain on
 # S6's order-16 subgroup at --kmax 4 and of counterexample --levels 8, so
 # each subcommand's text report is compared.  Each tree runs
 # its own src on HEAD_TREE's input files; A6, P256, S7 and the three ekchain
-# subgroup files are written to OUT_DIR/groups.  total_s is zeroed and the text `time:` line, the one
-# timing field, dropped; a nonzero exit is appended as "exit N".  The
-# reports go to OUT_DIR/parent and OUT_DIR/head (OUT_DIR defaults to a new
-# temporary directory), and the script exits nonzero on any byte difference.
+# subgroup files are written to OUT_DIR/groups.  total_s is zeroed and the
+# text `time:` line, the one timing field, dropped; a nonzero exit is
+# appended as "exit N", and each run's stderr is kept beside its report as
+# NAME.stderr.  The reports and their stderr go to OUT_DIR/parent and
+# OUT_DIR/head (OUT_DIR defaults to a new temporary directory), and the
+# script exits nonzero on any byte difference in either.
 set -eu
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -55,7 +60,7 @@ for side in parent head; do
   mkdir -p "$out/$side"
   while read -r name format args; do
     (cd "$tree" && PYTHONPATH=src python3 -m envchain.cli $args --format $format \
-      || echo "exit $?") \
+      2> "$out/$side/$name.stderr" || echo "exit $?") \
       | sed -E -e 's/"total_s": [0-9.e+-]+/"total_s": 0/' -e '/^time: /d' \
       > "$out/$side/$name"
   done <<LIST
@@ -85,7 +90,12 @@ ek-s3 json-like ekchain $s6/S6.grp $s6/s3.grp --kmax 4
 ek-none json-like ekchain $s6/S6.grp $ek/none6.grp --kmax 4
 ek-identity json-like ekchain $s6/S6.grp $ek/identity6.grp --kmax 4
 ek-s7-s3 json-like ekchain $out/groups/s7/S7.grp $ek/s3-7.grp --kmax 2
+ek-s3-default json-like ekchain $s6/S6.grp $s6/s3.grp
+ek-p16-default json-like ekchain $s6/S6.grp $s6/p16.grp
+ek-kmax0 json-like ekchain $s6/S6.grp $s6/p16.grp --kmax 0
+ek-kmax65 json-like ekchain $s6/S6.grp $s6/p16.grp --kmax 65
+verify-cap5 json-like verify --cap 5
 LIST
 done
 diff -r "$out/parent" "$out/head"
-echo "same reports: $(ls "$out/head" | wc -l) reports in $out"
+echo "same reports: $(ls "$out/head" | grep -vc '\.stderr$') reports and their stderr in $out"
