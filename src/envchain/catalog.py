@@ -6,13 +6,16 @@ time so the cycle strings never drift from the intended group.
 
 `enumerate_subgroups` lists the subgroups `verify` checks, each with its
 label and the first member of its conjugacy class, so that `verify` runs its
-suites on one member of each class (see `suites.group_suites`).
+suites on one member of each class (see `suites.group_suites`).  Both of its
+orbit passes, over elements under conjugation and over the seeds paired
+with an element, are `grp.orbit_labels`.
 """
 
 from __future__ import annotations
 
 from . import DEFAULT_CAP
-from .grp import FiniteGroup, Subgroup, centralizer, closure_indices, generating_indices, parse_group_file
+from .grp import (FiniteGroup, Subgroup, centralizer, closure_indices, generating_indices, orbit_labels,
+                  parse_group_file)
 from .perm import Permutation, format_cycles, parse_cycles
 
 
@@ -106,19 +109,6 @@ def enumerate_subgroups(G: FiniteGroup) -> list[tuple[str, Subgroup, Subgroup]]:
         row = G.row(g)
         return list(map(inv, map(row.__getitem__, map(inv, row))))
 
-    def least_in_orbit(maps: list[list[int]]) -> list[int]:  # of each x, under the maps
-        least = [-1] * n
-        for x in range(n):
-            if least[x] < 0:
-                least[x] = x
-                orbit = [x]
-                for y in orbit:
-                    for m in maps:
-                        if least[m[y]] < 0:
-                            least[m[y]] = x
-                            orbit.append(m[y])
-        return least
-
     gmaps = [conj(G.index(g)) for g in G.generators]
     class_of: dict[frozenset[int], frozenset[int]] = {}  # subgroup -> the closure finding its class
 
@@ -134,12 +124,12 @@ def enumerate_subgroups(G: FiniteGroup) -> list[tuple[str, Subgroup, Subgroup]]:
                         orbit.append(L)
 
     add_class(frozenset({e}))
-    rep = least_in_orbit(gmaps)
+    rep = orbit_labels(n, gmaps)
     for r in range(n):
         if rep[r] == r != e:
             add_class(closure_indices(G, (r,)))
             C = centralizer(G, (r,)).indices  # x ↦ x^c for c generating C, and x ↦ xr:
-            least = least_in_orbit([conj(c) for c in generating_indices(G, C)] + [G.row(r)])
+            least = orbit_labels(n, [conj(c) for c in generating_indices(G, C)] + [G.row(r)])
             for s in range(n):  # the orbit of e is <r>
                 if least[s] == s != e and rep[s] >= r:
                     add_class(closure_indices(G, (r, s)))

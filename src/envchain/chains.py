@@ -24,7 +24,9 @@ every identity is still checked.
 
 `ek_chain` is the whole of `ekchain`'s computation: it computes H's
 nilpotency class once, resolves the default window from it, and returns
-it in the report with the terms.
+it in the report with the terms.  `ek_chain_checks` writes the report's
+checks through the package's one pass/fail rule, `envchain._verdict`,
+and `CheckRecord` is the package's, imported here.
 
 `verify`'s lemma suites live in `suites`, off `ekchain`'s import path.
 """
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
+from . import CheckRecord, _verdict
 from .grp import (
     FiniteGroup,
     Subgroup,
@@ -42,20 +45,6 @@ from .grp import (
     normalizer_indices,
     series_level,
 )
-
-PASS = "pass"
-FAIL = "fail"
-SKIPPED = "skipped"
-
-
-class CheckRecord(NamedTuple):
-    """One check as the (id, claim, status, witness) tuple a report stores."""
-
-    id: str
-    claim: str
-    status: str
-    witness: str | None = None
-
 
 class IteratedCentralizerChain(NamedTuple):
     """Levels C^0 <= C^1 <= ... of a target subgroup inside an ambient group.
@@ -225,7 +214,7 @@ def ek_chain_checks(rep: EkChainReport) -> list[CheckRecord]:
     """The `ekchain` report's checks on a chain from `ek_chain`: the terms
     descend, each contains H, and the first is the whole group."""
     terms = rep.terms
-    return [CheckRecord(check_id, claim, PASS if ok else FAIL) for check_id, claim, ok in (
+    return [_verdict(check_id, claim, ok) for check_id, claim, ok in (
         ("ekchain-descending", "terms form a descending chain",
          all(b <= a for a, b in zip(terms, terms[1:]))),
         ("ekchain-contains-subgroup", "every term contains the subgroup",

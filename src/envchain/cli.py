@@ -19,23 +19,26 @@ Group files are read as UTF-8, a leading byte-order mark dropped.
 
 Reports are deterministic byte-for-byte apart from the timing fields, in both
 text and json-like form.  A report holds its checks as blocks
-(prefix, records), each record an (id, claim, status, witness) tuple, witness
-None when there is none, and each written with the block's prefix before its
-id.  The engines hand over their records as they are, so a record or a
+(prefix, records), each record an `envchain.CheckRecord` (an (id, claim,
+status, witness) tuple, witness None when there is none), and each written
+with the block's prefix before its id.  The engines hand over their records as they are, so a record or a
 whole k-list that passes is one object shared by every block holding it
 (see `suites`), and `verify`'s blocks share whole records lists too.
 json-like output is byte-for-byte `json.dumps(report, sort_keys=True,
 indent=2)` with the checks as one list of dicts, written from a template
 (see `render`).  Exit codes: 0 all checks pass, 1 check failures, 2 usage,
-file or report write errors, 3 resource caps exceeded.
+file or report write errors, 3 resource limits exceeded: `main` catches the
+package's one `envchain.LimitError`, which `grp.ClosureCapError` is and
+`_add_checks` raises past `MAX_CHECKS`, and a partial model report exits 3
+too.
 
 Each subcommand imports only the engine it runs: `ekchain` imports `grp` and
 `chains`; `verify` imports those, `suites` and `catalog`; `counterexample`
 imports `symnat`, and no `perm`: only `ekchain` formats a permutation.
 At module level this file imports only what they share (`argparse`, `json`,
 the built-in `gc`, and `errno`, `os` and `stat`, which the interpreter's
-start-up has already loaded); the option defaults and `_Memo` come from
-the package itself.  Every CLI run is a fresh process that pays for each
+start-up has already loaded); the option defaults, the status words,
+`LimitError` and `_Memo` come from the package itself.  Every CLI run is a fresh process that pays for each
 import again, and compiles each module again where no bytecode is cached,
 so an engine loaded but never called costs as much as a short run's own
 work.
@@ -72,7 +75,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
-from . import DEFAULT_CAP, MAX_KMAX, _Memo, __version__
+from . import DEFAULT_CAP, FAIL, MAX_KMAX, PASS, SKIPPED, LimitError, _Memo, __version__
 
 if TYPE_CHECKING:
     from .grp import FiniteGroup
@@ -87,14 +90,6 @@ _CHUNK = 4096
 
 class _UsageError(Exception):
     pass
-
-
-class _LimitError(RuntimeError):
-    """A resource cap was exceeded (exit 3)."""
-
-
-class ReportLimitError(_LimitError):
-    """A report grew past `MAX_CHECKS` checks."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,11 +157,11 @@ def _new_report(cmd: str, params: dict) -> dict:
 
 def _add_checks(report: dict, prefix: str, records: Sequence[tuple]):
     """Store (id, claim, status, witness) records as one block, ids to be
-    written under `prefix`; a `chains.CheckRecord` is such a tuple.  The
+    written under `prefix`; an `envchain.CheckRecord` is such a tuple.  The
     records are kept as given, shared tuples included."""
     blocks = report["checks"]
     if blocks.size + len(records) > MAX_CHECKS:
-        raise ReportLimitError(f"report exceeded the limit of {MAX_CHECKS} checks")
+        raise LimitError(f"report exceeded the limit of {MAX_CHECKS} checks")
     blocks.size += len(records)
     blocks.append((prefix, records))
 
@@ -178,7 +173,7 @@ def _summary(report: dict) -> dict:
     """Check counts by status.  Blocks share records objects, so each
     distinct one is counted once and weighted by the blocks holding it; the
     report holds every one of them, so their ids stay distinct."""
-    n = {"pass": 0, "fail": 0, "skipped": 0}
+    n = dict.fromkeys((PASS, FAIL, SKIPPED), 0)
     uses = Counter(id(records) for _, records in report["checks"])
     held = {id(records): records for _, records in report["checks"]}
     for key, records in held.items():
@@ -248,7 +243,7 @@ def _text_chunks(report: dict):
         kv = " ".join(f"{k}={w[k]}" for k in sorted(w) if k != "type")
         lines.append(f"witness {w['type']}: {kv}\n")
     n = _summary(report)
-    lines.append(f"summary: checks={sum(n.values())} pass={n['pass']} fail={n['fail']} skipped={n['skipped']}\n")
+    lines.append(f"summary: checks={sum(n.values())} pass={n[PASS]} fail={n[FAIL]} skipped={n[SKIPPED]}\n")
     if report["timings"]:
         lines.append(f"time: {report['timings'].get('total_s', 0.0)}s\n")
     yield "".join(lines)
@@ -299,7 +294,7 @@ def render(report: dict, fmt: str) -> str:
 
 
 def _exit_code(report: dict) -> int:
-    return 1 if _summary(report)["fail"] else 0
+    return 1 if _summary(report)[FAIL] else 0
 
 
 # --- commands ----------------------------------------------------------------
@@ -324,13 +319,10 @@ def _read_group_file(path: str) -> tuple[int, list]:
 
 
 def _load_group_file(path: str, cap: int) -> FiniteGroup:
-    from .grp import ClosureCapError, closure
+    from .grp import closure
 
     degree, gens = _read_group_file(path)
-    try:
-        return closure(gens, cap=cap, degree=degree)
-    except ClosureCapError as exc:
-        raise _LimitError(str(exc)) from exc
+    return closure(gens, cap=cap, degree=degree)
 
 
 def _check_cap(cap: int):
@@ -389,15 +381,11 @@ def cmd_verify(args) -> dict:
 
     from . import suites
     from .catalog import build_catalog
-    from .grp import ClosureCapError
 
     _check_cap(args.cap)
     _check_kmax(args.kmax)
     if args.catalog_dir is None:
-        try:
-            catalog = build_catalog(cap=args.cap)
-        except ClosureCapError as exc:
-            raise _LimitError(str(exc)) from exc
+        catalog = build_catalog(cap=args.cap)
     else:
         catalog = {}
         root = Path(args.catalog_dir)
@@ -455,7 +443,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"envchain: error: {exc}", file=sys.stderr)
         return 2
-    except _LimitError as exc:
+    except LimitError as exc:
         print(f"envchain: resource limit: {exc}", file=sys.stderr)
         return 3
     report["timings"]["total_s"] = round(time.perf_counter() - start, 6)

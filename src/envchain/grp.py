@@ -39,6 +39,12 @@ normalizer of a set that is not a subgroup to one `conj_idx` call per pair.
 `closure_indices` grows a closure a whole frontier per generator row and
 stops at the whole group once it holds more than n/2 elements (Lagrange's
 theorem).
+
+`closure` stops with a `ClosureCapError`, a kind of the package's
+`envchain.LimitError`, once the group holds more than the caller's cap or
+more than `MAX_ENTRIES` image entries (order × degree): a group's storage
+grows with both.  `orbit_labels` is the one orbit walk; the coset labels
+here and `catalog`'s conjugacy-class passes both read it.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from itertools import compress
 from operator import eq, itemgetter
 from typing import Iterable, Sequence, Union
 
-from . import DEFAULT_CAP, MAX_KMAX  # defined there so the CLI need not import grp
+from . import DEFAULT_CAP, MAX_KMAX, LimitError  # defined there so the CLI need not import grp
 from .perm import (
     CycleParseError,
     DegreeMismatchError,
@@ -61,17 +67,24 @@ from .perm import (
 # Largest degree a group file may declare; a larger one is a GroupFileError.
 MAX_DEGREE = 10_000
 
+# Most image entries (order × degree) a closed group may store: the cap alone
+# would let a 10,000-cycle of degree 10,000 store 10^8 of them.
+MAX_ENTRIES = 1 << 23
+
 # Orders up to this bound store product rows and commutator entries once read
 # and filter by coset labels (2-byte ints); above it every entry is recomputed
 # on each read.
 _TABLE_LIMIT = 1024
 
 
-class ClosureCapError(RuntimeError):
-    """Closure grew past the requested cap."""
+class ClosureCapError(LimitError):
+    """Closure grew past the requested cap, or, when `degree` is given, past
+    `MAX_ENTRIES` stored image entries at that degree (`cap` elements)."""
 
-    def __init__(self, cap: int, reached: int):
-        super().__init__(f"closure exceeded cap {cap} (at least {reached} elements)")
+    def __init__(self, cap: int, reached: int, degree: int | None = None):
+        limit = f"cap {cap}" if degree is None else (
+            f"the bound of {MAX_ENTRIES} stored image entries (order x degree) at degree {degree}")
+        super().__init__(f"closure exceeded {limit} (at least {reached} elements)")
         self.cap = cap
         self.reached = reached
 
@@ -221,7 +234,9 @@ class Subgroup:
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
-        return tuple(self.parent.elements[i] for i in sorted(self.indices))
+        """The members as `Permutation`s, in index order; made from their
+        own image tuples, so the parent's `elements` is never built."""
+        return tuple(map(self.parent.element, sorted(self.indices)))
 
     def __contains__(self, p: Union[Permutation, int]) -> bool:
         if isinstance(p, int):
@@ -245,7 +260,7 @@ class Subgroup:
         return len(self.indices) == self.parent.order
 
     def __repr__(self) -> str:
-        gens = ",".join(format_cycles(g) for g in self.elements[:4])
+        gens = ",".join(format_cycles(self.parent.element(i)) for i in sorted(self.indices)[:4])
         more = "..." if self.order > 4 else ""
         return f"Subgroup(order={self.order}, {{{gens}{more}}})"
 
@@ -328,10 +343,28 @@ def generating_indices(group: FiniteGroup, sub: frozenset[int]) -> tuple[int, ..
     return gens if closed else None
 
 
+def orbit_labels(n: int, maps: Sequence[Sequence[int]]) -> list[int]:
+    """lab[x] = the least point of x's orbit under `maps`, permutations of
+    range(n) each given as its list of images.  Each orbit is walked once,
+    from its least point."""
+    lab = [-1] * n
+    for x in range(n):
+        if lab[x] < 0:
+            lab[x] = x
+            orbit = [x]
+            for y in orbit:
+                for m in maps:
+                    z = m[y]
+                    if lab[z] < 0:
+                        lab[z] = x
+                        orbit.append(z)
+    return lab
+
+
 def _coset_labels(group: FiniteGroup, sub: frozenset[int], gens: Sequence[int]) -> array:
     """lab[g] = the least index in the left coset g·sub, for a subgroup `sub`
-    generated by `gens` (each coset is the orbit of its least element under
-    right multiplication by the generators).  Memoized per group.
+    generated by `gens`: each coset is an orbit under right multiplication
+    by the generators (`orbit_labels` over their rows).  Memoized per group.
 
     Stored as 2-byte ints (every index is below `_TABLE_LIMIT`): a list of n
     pointers is a C-heap block that lives as long as the group, and on the
@@ -339,19 +372,7 @@ def _coset_labels(group: FiniteGroup, sub: frozenset[int], gens: Sequence[int]) 
     to the system before the report was rendered."""
     lab = group._labels.get(sub)
     if lab is None:
-        rows = [group.row(t) for t in gens]
-        lab = [-1] * group.order
-        for g in range(group.order):
-            if lab[g] < 0:
-                lab[g] = g
-                coset = [g]
-                for a in coset:
-                    for r in rows:
-                        b = r[a]
-                        if lab[b] < 0:
-                            lab[b] = g
-                            coset.append(b)
-        lab = group._labels[sub] = array("H", lab)
+        lab = group._labels[sub] = array("H", orbit_labels(group.order, [group.row(t) for t in gens]))
     return lab
 
 
@@ -477,8 +498,10 @@ def series_class(series: list[frozenset[int]], members: frozenset[int]) -> int |
 def closure(generators: Sequence[Permutation], cap: int = DEFAULT_CAP, degree: int | None = None) -> FiniteGroup:
     """The group generated by `generators`, enumerated breadth-first.
 
-    Raises `ClosureCapError` as soon as the element count passes `cap`.
-    `degree` is only required when no generators are given.
+    Raises `ClosureCapError` as soon as the element count passes `cap`, or
+    the stored image entries (order × degree) pass `MAX_ENTRIES`: both are
+    one element limit for `_bfs`.  `degree` is only required when no
+    generators are given.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
@@ -489,9 +512,15 @@ def closure(generators: Sequence[Permutation], cap: int = DEFAULT_CAP, degree: i
     for g in generators:
         if g.degree != degree:
             raise DegreeMismatchError(f"generator degree {g.degree} != {degree}")
-    # (g a)(x) = g[a[x]] on image tuples
-    els = _bfs(tuple(range(degree)), [g.images for g in generators],
-               lambda g, a: tuple(map(g.__getitem__, a)), cap)
+    limit = min(cap, MAX_ENTRIES // max(degree, 1))
+    try:
+        # (g a)(x) = g[a[x]] on image tuples
+        els = _bfs(tuple(range(degree)), [g.images for g in generators],
+                   lambda g, a: tuple(map(g.__getitem__, a)), limit)
+    except ClosureCapError as exc:
+        if limit == cap:
+            raise
+        raise ClosureCapError(limit, exc.reached, degree) from None
     return FiniteGroup(degree, generators, els)
 
 

@@ -17,11 +17,13 @@ deepest k it needs, and reads smaller k as a prefix.  `group_suites` runs
 their index sets are equal; no identity of the paper is used to find them.
 
 Verifiers return lists of `CheckRecord`; failures carry witnesses instead of
-raising.  A check that passes without a witness is one shared record per
-(id, claim) for the process, and a k-list of `abc_lemma_by_k` or
-`ek_structure_by_k` whose checks all pass is one shared tuple per k, each
-built on first use.  Every comparison still runs; a failure or a skip gets
-a record and witness of its own.  Only `verify` imports this module.
+raising.  Every pass/fail record, `_set_check`'s set comparisons included,
+comes from the package's one rule, `envchain._verdict`, so a check that
+passes is one shared record per (id, claim) for the process; a k-list of
+`abc_lemma_by_k` or `ek_structure_by_k` whose checks all pass is one shared
+tuple per k, built on first use.  Every comparison still runs; a failure or
+a skip gets a record and witness of its own.  Only `verify` imports this
+module.
 """
 
 from __future__ import annotations
@@ -31,17 +33,9 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
-from . import _Memo
+from . import FAIL, SKIPPED, CheckRecord, _Memo, _verdict
 from .catalog import enumerate_subgroups
-from .chains import (
-    FAIL,
-    PASS,
-    SKIPPED,
-    CheckRecord,
-    _validate_sub,
-    ek_term_data,
-    iterated_centralizer_levels,
-)
+from .chains import _validate_sub, ek_term_data, iterated_centralizer_levels
 from .grp import (
     FiniteGroup,
     Subgroup,
@@ -56,24 +50,9 @@ from .perm import format_cycles
 # index set -> its upper central series, as `run_suites` reads it
 Series = Mapping[frozenset[int], list[frozenset[int]]]
 
-# Shared records, built on first use: one per (id, claim) of a check that
-# passed without a witness, and one tuple per (kind, k) of a k-list whose
-# checks all passed.  Every comparison still runs; only the record is shared.
-_PASSED: dict[tuple[str, str], CheckRecord] = {}
+# Shared tuples, built on first use: one per (kind, k) of a k-list whose
+# checks all passed.  Every comparison still runs; only the records are shared.
 _ALL_PASS: dict[tuple[str, int], tuple[CheckRecord, ...]] = {}
-
-
-def _passed(check_id: str, claim: str) -> CheckRecord:
-    """The one record of check `check_id` passing without a witness."""
-    record = _PASSED.get((check_id, claim))
-    if record is None:
-        record = _PASSED[check_id, claim] = CheckRecord(check_id, claim, PASS)
-    return record
-
-
-def _verdict(check_id: str, claim: str, ok: bool, witness) -> CheckRecord:
-    """The shared pass record when `ok`, else a failure with witness()."""
-    return _passed(check_id, claim) if ok else CheckRecord(check_id, claim, FAIL, witness())
 
 
 def _k_list(kind: str, k: int, ok: bool, build) -> Sequence[CheckRecord]:
@@ -102,16 +81,14 @@ def _set_check(
     want: frozenset[int],
     context: str,
 ) -> CheckRecord:
-    if got == want:
-        return _passed(check_id, claim)
-    extra = got - want
-    missing = want - got
-    parts = [context]
-    if extra:
-        parts.append(f"unexpected {_describe(group, extra)}")
-    if missing:
-        parts.append(f"missing {_describe(group, missing)}")
-    return CheckRecord(check_id, claim, FAIL, witness="; ".join(parts))
+    """The verdict on got == want; a failure's witness names, after
+    `context`, the elements `got` has beyond `want` and those it lacks."""
+
+    def witness() -> str:
+        diffs = (("unexpected", got - want), ("missing", want - got))
+        return "; ".join([context, *(f"{word} {_describe(group, d)}" for word, d in diffs if d)])
+
+    return _verdict(check_id, claim, got == want, witness)
 
 
 def verify_bryant_lemma(G: FiniteGroup, hs: frozenset[int], series: Series, kmax: int) -> list[CheckRecord]:
@@ -222,7 +199,7 @@ def abc_lemma_by_k(
         cut = series_level(a_in_c, k + 1) & b
 
         def build():
-            records = [_passed(f"abc-hypothesis-k{k}", _ABC_HYPOTHESIS)]
+            records = [_verdict(f"abc-hypothesis-k{k}", _ABC_HYPOTHESIS, True)]
             for j in range(k + 1):
                 for stem, claim, got, want, _ in conclusions[j]:
                     records.append(_set_check(group, f"{stem}-k{k}-j{j}", claim, got, want, f"k={k} j={j}"))

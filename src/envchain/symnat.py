@@ -30,8 +30,8 @@ are block swaps and pure-bits elements, so most factors of their
 commutators are identities.
 
 `counterexample_checks` builds the model and makes the `counterexample`
-report's checks and witnesses, each pass/fail record through `_verdict`,
-which builds a witness text only on failure.  Its periodicity, support and
+report's checks and witnesses, each pass/fail record through the package's
+`envchain._verdict`, which builds a witness text only on failure.  Its periodicity, support and
 XOR-closure checks read the basis masks and build a BitFn only for a
 failure's witness text, and it compares each descent witness's commutator
 with the paired block swap, the one place that comparison is made.  Every
@@ -47,6 +47,8 @@ import math
 from functools import lru_cache
 from operator import xor
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+
+from . import SKIPPED, CheckRecord, _verdict
 
 if TYPE_CHECKING:
     from .perm import Permutation
@@ -699,26 +701,19 @@ def descent_witness(k: int, scan_max: int, model: IterChainModel) -> DescentWitn
 # --- the `counterexample` report ----------------------------------------------
 
 
-def _verdict(check_id: str, claim: str, ok: bool, witness: Callable[[], str] | None = None) -> tuple:
-    """The record of check `check_id`: a pass when `ok`, else a failure
-    with witness(), None when no witness is given.  The witness text is
-    built only on failure."""
-    return (check_id, claim, "pass", None) if ok else (check_id, claim, "fail", witness and witness())
-
-
-def counterexample_checks(levels: int, scan_max: int, oracle_depth: int) -> tuple[list[tuple], list[dict], bool]:
+def counterexample_checks(levels: int, scan_max: int, oracle_depth: int) -> tuple[list[CheckRecord], list[dict], bool]:
     """The chain model to depth `levels` and the `counterexample` report's
     checks on it: (records, witnesses, partial).
 
-    Each record is an (id, claim, status, witness) tuple, witness None when
-    there is none, and each pass/fail record comes from `_verdict`; the
-    witnesses are the report's dicts, the level sizes first.  When the
+    Each record is a `CheckRecord`, and each pass/fail record comes from
+    `envchain._verdict`; the witnesses are the report's dicts, the level
+    sizes first.  When the
     model grows past its budget, `partial` is True, the model holds the
     levels that fit and the first record is the failed budget check.
     `iterated_centralizer_model` and `descent_witness` are looked up on
     each call, so a test may replace them.
     """
-    checks: list[tuple] = []
+    checks: list[CheckRecord] = []
     partial = False
     try:
         model = iterated_centralizer_model(levels)
@@ -760,12 +755,9 @@ def counterexample_checks(levels: int, scan_max: int, oracle_depth: int) -> tupl
         except DescentScanError as exc:
             # A shallow model leaves the scan undecided; only a scan that
             # genuinely reached scan_max counts as a failure.
-            checks.append((
-                f"witness-k{k}",
-                "a strict-descent witness exists in the scanned range",
-                "fail" if exc.exhausted else "skipped",
-                str(exc),
-            ))
+            check_id, claim = f"witness-k{k}", "a strict-descent witness exists in the scanned range"
+            checks.append(_verdict(check_id, claim, False, exc.__str__) if exc.exhausted
+                          else CheckRecord(check_id, claim, SKIPPED, str(exc)))
             continue
         # the one comparison of the commutator: B(swap) P(identity) f^0
         far = w.x0 + 2 ** w.l

@@ -121,3 +121,18 @@ def naive_subgroup_classes(G, idx_sets: list[frozenset[int]]) -> dict[frozenset[
         if s not in first:
             first.update(dict.fromkeys(naive_conjugates(G, s), s))
     return first
+
+
+def naive_orbit_least(n: int, maps) -> list[int]:
+    """The least point of each x's orbit under `maps` (lists of images),
+    each orbit grown from x alone until no map adds a point."""
+    out = []
+    for x in range(n):
+        orbit = {x}
+        while True:
+            new = {m[y] for m in maps for y in orbit} - orbit
+            if not new:
+                break
+            orbit |= new
+        out.append(min(orbit))
+    return out

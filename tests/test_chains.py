@@ -1016,3 +1016,24 @@ def test_ek_chain_in_s6_reads_no_commutator():
         ek_chain(G, H, 4)
         nilpotency_class(H)
     assert G._comm is None
+
+
+@pytest.mark.parametrize("group, got, want, witness", [
+    ("S3", {0, 1}, {0}, "k=1; unexpected {(1 2)}"),
+    ("S3", {0}, {0, 2, 3}, "k=1; missing {(0 1), (0 1 2)}"),
+    ("S3", {0, 1}, {0, 2}, "k=1; unexpected {(1 2)}; missing {(0 1)}"),
+    # more than six elements: the first six by index, then "..."
+    ("S4", set(range(9)), {0}, "k=1; unexpected {(2 3), (1 2), (1 2 3), (1 3 2), (1 3), (0 1), ...}"),
+], ids=["unexpected", "missing", "both", "unexpected-seven"])
+def test_set_check_failure_witness(group, got, want, witness):
+    G = parse_group_file(CATALOG_FILES[group])
+    record = suites._set_check(G, "id", "claim", frozenset(got), frozenset(want), "k=1")
+    assert record == ("id", "claim", "fail", witness)
+    assert type(record) is CheckRecord
+
+
+def test_set_check_pass_is_the_shared_record():
+    G = parse_group_file(CATALOG_FILES["S3"])
+    record = suites._set_check(G, "id", "claim", frozenset({0, 1}), frozenset({1, 0}), "k=1")
+    assert record == ("id", "claim", "pass", None)
+    assert record is suites._set_check(G, "id", "claim", G.all_indices, G.all_indices, "k=2")

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envchain.catalog import CATALOG_FILES, build_catalog, enumerate_subgroups
-from envchain import chains, cli, grp, suites, symnat
+from envchain import CheckRecord, _PASSED, chains, cli, grp, suites, symnat
 from envchain.cli import main
 from envchain.grp import MAX_KMAX, nilpotency_class, parse_group_file
 from envchain.perm import format_cycles
@@ -345,12 +345,27 @@ def test_verify_catalog_entry_that_is_a_directory_exit_2(capsys, tmp_path):
     assert captured.err.startswith(f"envchain: error: cannot read {tmp_path / 'x.grp'}: ")
 
 
-def run_with_timeout(*argv) -> subprocess.CompletedProcess:
-    """The CLI in a fresh process, killed after 60 s, so a read that blocks
-    fails the test instead of hanging the suite."""
+def run_with_timeout(*argv, timeout=60) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process, killed after `timeout` s, so a read that
+    blocks fails the test instead of hanging the suite."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, "-m", "envchain.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("command", ["ekchain", "verify"])
+def test_group_storage_bound_exit_3(tmp_path, command):
+    # a 10,000-cycle passes the default cap of 20,000 elements, but its
+    # group would store 10^8 image entries: closure stops at grp.MAX_ENTRIES
+    (tmp_path / "C.grp").write_text("degree: 10000\n(" + " ".join(map(str, range(10000))) + ")\n")
+    g = str(tmp_path / "C.grp")
+    argv = {"ekchain": ["ekchain", g, g, "--kmax", "1"], "verify": ["verify", "--catalog-dir", str(tmp_path)]}
+    proc = run_with_timeout(*argv[command], timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"envchain: resource limit: closure exceeded the bound of {grp.MAX_ENTRIES} stored image "
+        f"entries (order x degree) at degree 10000 (at least {grp.MAX_ENTRIES // 10000 + 1} elements)\n")
 
 
 def test_ekchain_fifo_group_file_exit_2(tmp_path):
@@ -1091,3 +1106,38 @@ def test_render_real_reports_match_dict_form(s3_files, argv):
     report["timings"]["total_s"] = 1.25
     assert report["checks"]
     assert_renders_as_dicts(report)
+
+
+def test_every_report_record_is_a_check_record(monkeypatch, s3_files):
+    def report(*argv):
+        args = cli.build_parser().parse_args([{"S3": s3_files[0], "H": s3_files[1]}.get(a, a) for a in argv])
+        return args.func(args)
+
+    reports = [report("ekchain", "S3", "H", "--kmax", "3"),
+               report("verify", "--kmax", "2"),
+               report("counterexample", "--levels", "8"),
+               report("counterexample", "--levels", "13")]
+    assert reports[-1]["partial"] is True
+
+    def exhausted(k, scan_max, model):
+        raise symnat.DescentScanError(f"no witness for k={k}", exhausted=True)
+
+    monkeypatch.setattr(symnat, "descent_witness", exhausted)
+    reports.append(report("counterexample", "--levels", "4"))
+    for rep in reports:
+        records = [r for _, records in rep["checks"] for r in records]
+        assert records and all(type(r) is CheckRecord for r in records)
+    # in the last, planted report an exhausted scan is a failure with the
+    # scan's text as its witness
+    assert [r for r in records if r.id.startswith("witness-")] == [
+        (f"witness-k{k}", "a strict-descent witness exists in the scanned range", "fail",
+         f"no witness for k={k}") for k in range(3)]
+    assert chains.CheckRecord is CheckRecord
+
+
+def test_passing_model_checks_are_the_shared_records():
+    first, _, _ = symnat.counterexample_checks(5, 4, 2)
+    again, _, _ = symnat.counterexample_checks(5, 4, 2)
+    assert [r.id for r in first] == [r.id for r in again]
+    passed = [(a, b) for a, b in zip(first, again) if a.status == "pass"]
+    assert passed and all(a is b is _PASSED[a.id, a.claim] for a, b in passed)

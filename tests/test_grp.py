@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from envchain import grp
+from envchain import LimitError, grp
 from envchain.catalog import build_catalog
 from envchain.grp import (
     _TABLE_LIMIT,
@@ -25,10 +25,11 @@ from envchain.grp import (
     nilpotency_class,
     normalizer,
     normalizer_indices,
+    orbit_labels,
     parse_group_file,
     upper_central_series,
 )
-from envchain.perm import Permutation, commutator, compose, parse_cycles
+from envchain.perm import Permutation, commutator, compose, format_cycles, parse_cycles
 
 from naive import (
     naive_center_series,
@@ -36,6 +37,7 @@ from naive import (
     naive_closure,
     naive_commutator_filter,
     naive_normalizer,
+    naive_orbit_least,
 )
 from strategies import (
     DIFFERENTIAL, big_group, groups, groups_and_pools, indices, perms, subgroups,
@@ -127,6 +129,53 @@ def test_closure_cap(d8):
     with pytest.raises(ClosureCapError) as exc:
         closure(d8.generators, cap=1)  # the identity and both generators
     assert exc.value.reached == 3
+
+
+def test_closure_storage_bound(d8, monkeypatch):
+    # D8 on 4 points stores 8 x 4 = 32 image entries: at a bound of 32 it
+    # closes, below it the cap-like stop names the bound and the degree
+    monkeypatch.setattr(grp, "MAX_ENTRIES", 32)
+    assert closure(d8.generators).order == 8
+    monkeypatch.setattr(grp, "MAX_ENTRIES", 31)
+    with pytest.raises(ClosureCapError) as exc:
+        closure(d8.generators)
+    assert isinstance(exc.value, LimitError)
+    assert (exc.value.cap, exc.value.reached) == (7, 8)
+    assert str(exc.value) == ("closure exceeded the bound of 31 stored image entries "
+                              "(order x degree) at degree 4 (at least 8 elements)")
+    # a smaller cap is named as the cap
+    with pytest.raises(ClosureCapError, match=r"^closure exceeded cap 5 \(at least 6 elements\)$"):
+        closure(d8.generators, cap=5)
+
+
+def test_subgroup_elements_and_repr_build_no_parent_elements():
+    G = make(["(0 1)", "(0 1 2 3 4 5)"], 6)
+    H = G.generated_subgroup([parse_cycles("(0 1 2 3)", 6), parse_cycles("(0 2)", 6)])
+    text = repr(H)
+    elements = H.elements
+    assert "elements" not in G.__dict__
+    assert elements == tuple(G.elements[i] for i in sorted(H.indices))
+    first = ",".join(format_cycles(p) for p in elements[:4])
+    assert text == f"Subgroup(order=8, {{{first}...}})"
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_orbit_labels_match_naive(data):
+    # coset rows: right multiplication by a subgroup's generators, whose
+    # orbits are its left cosets; conjugation maps: its classes under them
+    G = data.draw(groups())
+    n = G.order
+    H = data.draw(subgroups(G))
+    gens = generating_indices(G, H)
+    rows = [G.row(t) for t in gens]
+    conj = [[G.conj_idx(x, c) for x in range(n)]
+            for c in data.draw(st.lists(st.integers(0, n - 1), max_size=3))]
+    for maps in (rows, conj, rows + conj, []):
+        assert orbit_labels(n, maps) == naive_orbit_least(n, maps)
+    lab = grp._coset_labels(G, H, gens)
+    assert list(lab) == orbit_labels(n, rows)
+    assert all(lab[g] == min(G.mul_idx(g, h) for h in H) for g in range(n))
 
 
 def test_closure_deterministic_order(s3):

@@ -10,16 +10,18 @@
 # tests/data's P128 times <(8 9)>, whose 1,561 subgroups fall in 389 classes;
 # S7's Bryant suite at --kmax 1, the one report of a group above the 1,024 of
 # grp._TABLE_LIMIT, where closures and filters take the untabled paths; and
-# the built-in catalog at --cap 5, which exits 3 with no report),
+# the built-in catalog at --cap 5 and at --kmax 64, which exit 3 with no
+# report, one on the closure cap and one on cli.MAX_CHECKS),
 # five counterexample reports (--levels 8, the same with the level-4
 # enumeration oracle, --levels 12 scanning to 18, --levels 13, whose model
 # outgrows its budget and ends in the partial report with exit 3, and the
-# smallest model, --levels 2 --scan-max 1) and ten ekchain runs
+# smallest model, --levels 2 --scan-max 1) and eleven ekchain runs
 # (--kmax 4 in S6 on the benchmark's cyclic, order-16 and S3 subgroups, and
 # on a subgroup file of no generators and one of the single generator ();
 # S3 on 7 points in S7 at --kmax 2, above grp._TABLE_LIMIT; the default
 # window in S6 for S3, the log window at kmax 20, and for the order-16
-# subgroup, its class 2; and --kmax 0 and 65, which exit 2 with no report),
+# subgroup, its class 2; --kmax 0 and 65, which exit 2 with no report; and
+# S6 at --cap 100, which exits 3 with no report from the group-file loader),
 # all json-like, and the text reports of the built-in,
 # bench-catalog and tests/data verify, of each bench-catalog suite on its
 # own (a conjugacy class's records are reused per suite run), of ekchain on
@@ -95,6 +97,8 @@ ek-p16-default json-like ekchain $s6/S6.grp $s6/p16.grp
 ek-kmax0 json-like ekchain $s6/S6.grp $s6/p16.grp --kmax 0
 ek-kmax65 json-like ekchain $s6/S6.grp $s6/p16.grp --kmax 65
 verify-cap5 json-like verify --cap 5
+verify-kmax64 json-like verify --kmax 64
+ek-cap100 json-like ekchain $s6/S6.grp $s6/p16.grp --cap 100
 LIST
 done
 diff -r "$out/parent" "$out/head"
