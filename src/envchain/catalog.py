@@ -16,10 +16,10 @@ from __future__ import annotations
 from . import DEFAULT_CAP
 from .grp import (FiniteGroup, Subgroup, centralizer, closure_indices, generating_indices, orbit_labels,
                   parse_group_file)
-from .perm import Permutation, format_cycles, parse_cycles
+from .perm import format_cycles, parse_cycles
 
 
-def _heisenberg3_generators() -> list[Permutation]:
+def _heisenberg3_generators() -> list[tuple[int, ...]]:
     """Upper unitriangular 3x3 matrices over Z/3 acting on themselves.
 
     Elements are triples (a, b, c) with (a,b,c)*(a',b',c') =
@@ -38,19 +38,19 @@ def _heisenberg3_generators() -> list[Permutation]:
         images = [0] * 27
         for v in all_elems:
             images[idx(v)] = idx(mul(g, v))
-        gens.append(Permutation(images))
+        gens.append(tuple(images))
     return gens
 
 
-def _quaternion_generators() -> list[Permutation]:
+def _quaternion_generators() -> list[tuple[int, ...]]:
     """Q8 = {1,-1,i,-i,j,-j,k,-k} acting on itself by left multiplication."""
     # index: 1,-1,i,-i,j,-j,k,-k -> 0..7
-    left_i = Permutation([2, 3, 1, 0, 6, 7, 5, 4])
-    left_j = Permutation([4, 5, 7, 6, 1, 0, 2, 3])
+    left_i = (2, 3, 1, 0, 6, 7, 5, 4)
+    left_j = (4, 5, 7, 6, 1, 0, 2, 3)
     return [left_i, left_j]
 
 
-def _group_file(degree: int, generators: list[Permutation], header: str) -> str:
+def _group_file(degree: int, generators: list[tuple[int, ...]], header: str) -> str:
     return "\n".join([f"# {header}", f"degree: {degree}", *map(format_cycles, generators)]) + "\n"
 
 

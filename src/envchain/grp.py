@@ -6,9 +6,10 @@ normalizers, central series) are exact set filters.  Element order is always
 the sorted image-tuple order, which keeps every derived object deterministic.
 
 A group holds each element as its image tuple only, indexed 0..n-1 by one
-dict, and makes `Permutation`s only when `elements` is read; `chains` runs on
-the plain int indices.  A product is the index of an image tuple, computed
-with one `itemgetter` per element, and [g, h] = (hg)^-1 (gh).  Up to order 1024
+dict: `elements`, `element`, `index`, `in` and `closure` take and give image
+tuples, and `chains` runs on the plain int indices.  A product is the index
+of an image tuple, computed with one `itemgetter` per element, and
+[g, h] = (hg)^-1 (gh).  Up to order 1024
 (`_TABLE_LIMIT`) products are stored as rows, row(j)[i] = i·j, each built in
 one C-level pass on first use, and the n² commutator table is allocated on
 the first commutator read and fills one entry per read.  Larger groups store
@@ -50,7 +51,6 @@ here and `catalog`'s conjugacy-class passes both read it.
 from __future__ import annotations
 
 from array import array
-from functools import cached_property
 from itertools import compress
 from operator import eq, itemgetter
 from typing import Iterable, Sequence, Union
@@ -59,7 +59,6 @@ from . import DEFAULT_CAP, MAX_KMAX, LimitError  # defined there so the CLI need
 from .perm import (
     CycleParseError,
     DegreeMismatchError,
-    Permutation,
     format_cycles,
     parse_cycles,
 )
@@ -100,10 +99,11 @@ class GroupFileError(ValueError):
 class FiniteGroup:
     """An explicitly enumerated permutation group, built from its elements' image tuples."""
 
-    def __init__(self, degree: int, generators: Sequence[Permutation], images: Iterable[tuple[int, ...]]):
+    def __init__(self, degree: int, generators: Sequence[tuple[int, ...]], images: Iterable[tuple[int, ...]]):
         self.degree = degree
         self.generators = tuple(generators)
-        self._images = images = sorted(images)
+        # every element's image tuple, in index order
+        self.elements = images = tuple(sorted(images))
         self.order = n = len(images)
         # every index, one object: memo keys holding it match by identity
         self.all_indices = frozenset(range(n))
@@ -113,8 +113,9 @@ class FiniteGroup:
         self.identity_idx = idx[tuple(range(degree))]
         # products straight from image tuples: (a*b)(x) = a[b[x]], so
         # itemgetter(*b)(a) is the image tuple of a*b
-        if degree == 1:
-            # itemgetter with one index returns a scalar; S_1 is trivial, a*b = a
+        if degree <= 1:
+            # itemgetter with one index returns a scalar and with none raises;
+            # S_0 and S_1 are trivial, a*b = a
             self._getters = [tuple] * n
         else:
             self._getters = [itemgetter(*b) for b in images]
@@ -136,26 +137,20 @@ class FiniteGroup:
         # every filter result, one object per distinct value (hash-consing)
         self._interned = {self.all_indices: self.all_indices}
 
-    @cached_property
-    def elements(self) -> tuple[Permutation, ...]:
-        """Every element as a `Permutation`, in index order, made on first read."""
-        return tuple(map(Permutation, self._images))
+    def element(self, i: int) -> tuple[int, ...]:
+        return self.elements[i]
 
-    def element(self, i: int) -> Permutation:
-        """elements[i], made from its image tuple alone."""
-        return Permutation(self._images[i])
-
-    def index(self, p: Union[Permutation, int]) -> int:
-        """The index of `p`; an int is taken as an index already."""
+    def index(self, p: Union[tuple[int, ...], int]) -> int:
+        """The index of the image tuple `p`; an int is taken as an index already."""
         if isinstance(p, int):
             return p
-        i = self._idx.get(p.images)
+        i = self._idx.get(p)
         if i is None:
             raise ValueError(f"element {format_cycles(p)} is not in the group")
         return i
 
-    def __contains__(self, p: Permutation) -> bool:
-        return p.images in self._idx
+    def __contains__(self, p: tuple[int, ...]) -> bool:
+        return p in self._idx
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, degree={self.degree})"
@@ -170,7 +165,7 @@ class FiniteGroup:
         rows = self._rows
         r = None if rows is None else rows[j]
         if r is None:
-            r = list(map(self._idx.__getitem__, map(self._getters[j], self._images)))
+            r = list(map(self._idx.__getitem__, map(self._getters[j], self.elements)))
             if rows is not None:
                 rows[j] = r
         return r
@@ -179,7 +174,7 @@ class FiniteGroup:
         """Index of elements[i] * elements[j] (j acts first)."""
         rows = self._rows
         if rows is None:
-            return self._idx[self._getters[j](self._images[i])]
+            return self._idx[self._getters[j](self.elements[i])]
         r = rows[j]
         return (self.row(j) if r is None else r)[i]
 
@@ -207,11 +202,11 @@ class FiniteGroup:
 
     # --- subgroup constructors -------------------------------------------
 
-    def subgroup(self, members: Iterable[Union[Permutation, int]]) -> "Subgroup":
+    def subgroup(self, members: Iterable[Union[tuple[int, ...], int]]) -> "Subgroup":
         """Subgroup from an already-closed element collection."""
         return Subgroup(self, frozenset(self.index(m) for m in members))
 
-    def generated_subgroup(self, gens: Iterable[Union[Permutation, int]]) -> "Subgroup":
+    def generated_subgroup(self, gens: Iterable[Union[tuple[int, ...], int]]) -> "Subgroup":
         return Subgroup(self, closure_indices(self, [self.index(g) for g in gens]))
 
 
@@ -233,15 +228,14 @@ class Subgroup:
         return len(self.indices)
 
     @property
-    def elements(self) -> tuple[Permutation, ...]:
-        """The members as `Permutation`s, in index order; made from their
-        own image tuples, so the parent's `elements` is never built."""
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """The members' image tuples, in index order."""
         return tuple(map(self.parent.element, sorted(self.indices)))
 
-    def __contains__(self, p: Union[Permutation, int]) -> bool:
+    def __contains__(self, p: Union[tuple[int, ...], int]) -> bool:
         if isinstance(p, int):
             return p in self.indices
-        return self.parent._idx.get(p.images) in self.indices
+        return self.parent._idx.get(p) in self.indices
 
     def __eq__(self, other) -> bool:
         return (
@@ -260,7 +254,7 @@ class Subgroup:
         return len(self.indices) == self.parent.order
 
     def __repr__(self) -> str:
-        gens = ",".join(format_cycles(self.parent.element(i)) for i in sorted(self.indices)[:4])
+        gens = ",".join(map(format_cycles, self.elements[:4]))
         more = "..." if self.order > 4 else ""
         return f"Subgroup(order={self.order}, {{{gens}{more}}})"
 
@@ -495,28 +489,38 @@ def series_class(series: list[frozenset[int]], members: frozenset[int]) -> int |
 # --- public operations ------------------------------------------------------
 
 
-def closure(generators: Sequence[Permutation], cap: int = DEFAULT_CAP, degree: int | None = None) -> FiniteGroup:
-    """The group generated by `generators`, enumerated breadth-first.
+def closure(generators: Sequence[tuple[int, ...]], cap: int = DEFAULT_CAP,
+            degree: int | None = None) -> FiniteGroup:
+    """The group generated by `generators`, image tuples, enumerated
+    breadth-first.
 
-    Raises `ClosureCapError` as soon as the element count passes `cap`, or
-    the stored image entries (order × degree) pass `MAX_ENTRIES`: both are
-    one element limit for `_bfs`.  `degree` is only required when no
-    generators are given.
+    The one way elements enter a group: each generator must be a bijection
+    of 0..n-1 (else `ValueError`) of the group's degree (else
+    `DegreeMismatchError`), checked before the search starts.  Raises
+    `ClosureCapError` as soon as the element count passes `cap`, or the
+    stored image entries (order × degree) pass `MAX_ENTRIES`: both are one
+    element limit for `_bfs`.  `degree` is only required when no generators
+    are given.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
+    generators = tuple(map(tuple, generators))
     if degree is None:
         if not generators:
             raise ValueError("need a degree when there are no generators")
-        degree = generators[0].degree
+        degree = len(generators[0])
     for g in generators:
-        if g.degree != degree:
-            raise DegreeMismatchError(f"generator degree {g.degree} != {degree}")
+        seen = [False] * len(g)
+        for x in g:
+            if not isinstance(x, int) or not 0 <= x < len(g) or seen[x]:
+                raise ValueError(f"images {g!r} are not a bijection of 0..{len(g) - 1}")
+            seen[x] = True
+        if len(g) != degree:
+            raise DegreeMismatchError(f"generator degree {len(g)} != {degree}")
     limit = min(cap, MAX_ENTRIES // max(degree, 1))
     try:
         # (g a)(x) = g[a[x]] on image tuples
-        els = _bfs(tuple(range(degree)), [g.images for g in generators],
-                   lambda g, a: tuple(map(g.__getitem__, a)), limit)
+        els = _bfs(tuple(range(degree)), generators, lambda g, a: tuple(map(g.__getitem__, a)), limit)
     except ClosureCapError as exc:
         if limit == cap:
             raise
@@ -586,7 +590,7 @@ def parse_group_file(text: str, cap: int = DEFAULT_CAP) -> FiniteGroup:
     return closure(gens, cap=cap, degree=degree)
 
 
-def read_group_file(text: str) -> tuple[int, list[Permutation]]:
+def read_group_file(text: str) -> tuple[int, list[tuple[int, ...]]]:
     """The degree and generators of a group file, without closing them:
 
         # comment
@@ -594,10 +598,11 @@ def read_group_file(text: str) -> tuple[int, list[Permutation]]:
         (0 1 2 3)
         (1 3)
 
-    One generator per line in cycle notation; '#' starts a comment.
+    One generator per line in cycle notation, read as its image tuple; '#'
+    starts a comment.
     """
     degree = None
-    gens: list[Permutation] = []
+    gens: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

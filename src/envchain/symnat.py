@@ -37,8 +37,8 @@ failure's witness text, and it compares each descent witness's commutator
 with the paired block swap, the one place that comparison is made.  Every
 witness gets that full symbolic `sym_commutator` check; a verified
 commutator's text is then written straight from its bits as the swaps
-(2x 2x+1) (`swaps_text`), so the model needs no finite `Permutation`:
-`perm` is imported only by `bits_to_permutation`, when it is called.
+(2x 2x+1) (`swaps_text`), so the model makes no finite permutation;
+`bits_to_permutation` makes one, as its image tuple, only when called.
 """
 
 from __future__ import annotations
@@ -46,12 +46,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from operator import xor
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import SKIPPED, CheckRecord, _verdict
-
-if TYPE_CHECKING:
-    from .perm import Permutation
 
 # --- the block index map ----------------------------------------------------
 
@@ -380,10 +377,9 @@ def sym_apply(a: SymElem, x: int) -> int:
     return x ^ a.bits(x // 2)
 
 
-def bits_to_permutation(b: BitFn, degree: int | None = None) -> Permutation:
-    """The finite permutation B(b) of a finite-support bit function."""
-    from .perm import Permutation
-
+def bits_to_permutation(b: BitFn, degree: int | None = None) -> tuple[int, ...]:
+    """The image tuple of the finite permutation B(b) of a finite-support
+    bit function."""
     if b.block != (0,):
         raise ValueError("bit function does not have finite support")
     if degree is None:
@@ -394,7 +390,7 @@ def bits_to_permutation(b: BitFn, degree: int | None = None) -> Permutation:
     for x, bit in enumerate(b.prefix):
         if bit:
             images[2 * x], images[2 * x + 1] = images[2 * x + 1], images[2 * x]
-    return Permutation(images)
+    return tuple(images)
 
 
 def swaps_text(b: BitFn) -> str:

@@ -1,39 +1,72 @@
 """Independent naive oracle: every chain notion recomputed by direct set
-filtering over raw Permutation objects, with no index tables and no caching.
+filtering over image tuples, with no index tables and no caching.
 
 Deliberately duplicates none of the package's machinery so that agreement is
-meaningful.
+meaningful.  A permutation is the tuple of its images, p[x] being the image
+of x, as everywhere in the package; composition is a left action:
+``compose(a, b)`` applies ``b`` first, then ``a``.
 """
 
 from __future__ import annotations
 
-from envchain.perm import Permutation, commutator, compose, conjugate
+Perm = tuple[int, ...]
 
 
-def naive_closure(gens: set[Permutation], degree: int) -> frozenset[Permutation]:
-    els = {Permutation.identity(degree)} | set(gens)
+def identity(degree: int) -> Perm:
+    return tuple(range(degree))
+
+
+def compose(a: Perm, b: Perm) -> Perm:
+    """a after b:  compose(a, b)[x] == a[b[x]]."""
+    assert len(a) == len(b), "permutations of different degrees"
+    return tuple(a[x] for x in b)
+
+
+def inverse(a: Perm) -> Perm:
+    inv = [0] * len(a)
+    for i, x in enumerate(a):
+        inv[x] = i
+    return tuple(inv)
+
+
+def conjugate(h: Perm, g: Perm) -> Perm:
+    """g^-1 h g."""
+    return compose(compose(inverse(g), h), g)
+
+
+def commutator(g: Perm, h: Perm) -> Perm:
+    """[g, h] = g^-1 h^-1 g h."""
+    return compose(compose(compose(inverse(g), inverse(h)), g), h)
+
+
+def support(a: Perm) -> frozenset[int]:
+    """The set of moved points; empty for the identity."""
+    return frozenset(i for i, x in enumerate(a) if i != x)
+
+
+def naive_closure(gens: set[Perm], degree: int) -> frozenset[Perm]:
+    els = {identity(degree)} | set(gens)
     while True:
-        new = {compose(a, b) for a in els for b in els} | {g.inverse() for g in els}
+        new = {compose(a, b) for a in els for b in els} | {inverse(g) for g in els}
         if new <= els:
             return frozenset(els)
         els |= new
 
 
-def naive_centralizer(ambient: frozenset[Permutation], targets) -> frozenset[Permutation]:
+def naive_centralizer(ambient: frozenset[Perm], targets) -> frozenset[Perm]:
     return frozenset(g for g in ambient if all(compose(g, t) == compose(t, g) for t in targets))
 
 
-def naive_commutator_filter(members, xs, into) -> frozenset[Permutation]:
+def naive_commutator_filter(members, xs, into) -> frozenset[Perm]:
     return frozenset(g for g in members if all(commutator(g, x) in into for x in xs))
 
 
-def naive_normalizer(ambient: frozenset[Permutation], sub: frozenset[Permutation]) -> frozenset[Permutation]:
+def naive_normalizer(ambient: frozenset[Perm], sub: frozenset[Perm]) -> frozenset[Perm]:
     return frozenset(g for g in ambient if {conjugate(s, g) for s in sub} == sub)
 
 
-def naive_center_series(sub: frozenset[Permutation]) -> list[frozenset[Permutation]]:
-    degree = next(iter(sub)).degree
-    series = [frozenset({Permutation.identity(degree)})]
+def naive_center_series(sub: frozenset[Perm]) -> list[frozenset[Perm]]:
+    series = [frozenset({identity(len(next(iter(sub))))})]
     while True:
         prev = series[-1]
         nxt = frozenset(g for g in sub if all(commutator(g, x) in prev for x in sub))
@@ -46,16 +79,15 @@ def _at(series, k):
     return series[k] if k < len(series) else series[-1]
 
 
-def naive_nilpotency_class(sub: frozenset[Permutation]):
+def naive_nilpotency_class(sub: frozenset[Perm]):
     series = naive_center_series(sub)
     return len(series) - 1 if series[-1] == sub else None
 
 
 def naive_iterated_levels(
-    within: frozenset[Permutation], target: frozenset[Permutation], kmax: int
-) -> list[frozenset[Permutation]]:
-    degree = next(iter(within)).degree
-    levels = [frozenset({Permutation.identity(degree)})]
+    within: frozenset[Perm], target: frozenset[Perm], kmax: int
+) -> list[frozenset[Perm]]:
+    levels = [frozenset({identity(len(next(iter(within))))})]
     for k in range(1, kmax + 1):
         cand = within
         for n in range(k):
@@ -70,8 +102,8 @@ def naive_iterated_levels(
 
 
 def naive_ek_terms(
-    whole: frozenset[Permutation], sub: frozenset[Permutation], kmax: int
-) -> list[frozenset[Permutation]]:
+    whole: frozenset[Perm], sub: frozenset[Perm], kmax: int
+) -> list[frozenset[Perm]]:
     terms = [whole]
     for k in range(kmax):
         ek = terms[-1]
@@ -102,14 +134,10 @@ def naive_enumerate_subgroups(G) -> list[tuple[str, frozenset[int]]]:
 
 def naive_conjugates(G, idxs: frozenset[int]) -> set[frozenset[int]]:
     """Every conjugate g^-1 H g of the subgroup H with index set `idxs`, by
-    every element g of G, as index sets; `perm` arithmetic throughout, as in
-    `perm.conjugate`."""
+    every element g of G, as index sets; tuple arithmetic throughout, by
+    `conjugate`."""
     H = [G.elements[i] for i in idxs]
-    out = set()
-    for g in G.elements:
-        gi = g.inverse()
-        out.add(frozenset(G.index(compose(compose(gi, h), g)) for h in H))
-    return out
+    return {frozenset(G.index(conjugate(h, g)) for h in H) for g in G.elements}
 
 
 def naive_subgroup_classes(G, idx_sets: list[frozenset[int]]) -> dict[frozenset[int], frozenset[int]]:

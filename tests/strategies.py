@@ -1,6 +1,6 @@
 """Hypothesis strategies for the differential tests: small permutation groups
 and index sets inside them, with helpers to move between index sets and the
-raw permutation sets the naive oracle works on."""
+image-tuple sets the naive oracle works on."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
 from envchain.grp import _TABLE_LIMIT, FiniteGroup, closure, closure_indices
-from envchain.perm import Permutation, parse_cycles
+from envchain.perm import parse_cycles
 
 # Orders up to this keep every naive filter well under a second.
 MAX_ORDER = 120
@@ -26,8 +26,8 @@ DIFFERENTIAL = settings(
 def groups(draw) -> FiniteGroup:
     """The group generated by 1-3 random permutations of S_n, n <= 6."""
     n = draw(st.integers(3, 6))
-    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
-    G = closure([Permutation(g) for g in gens])
+    gens = draw(st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3))
+    G = closure(gens)
     assume(G.order <= MAX_ORDER)
     return G
 
@@ -79,7 +79,7 @@ def whole(G: FiniteGroup, pool=None) -> frozenset[int]:
     return frozenset(range(G.order) if pool is None else pool)
 
 
-def perms(G: FiniteGroup, indices) -> frozenset[Permutation]:
+def perms(G: FiniteGroup, indices) -> frozenset[tuple[int, ...]]:
     return frozenset(G.elements[i] for i in indices)
 
 

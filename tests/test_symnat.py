@@ -451,6 +451,8 @@ def test_sym_elem_text():
 
 def test_bits_to_permutation():
     b = sn.BitFn((1, 0, 1), (0,))
+    assert sn.bits_to_permutation(b) == (1, 0, 2, 3, 5, 4)
+    assert sn.bits_to_permutation(b, 8) == (1, 0, 2, 3, 5, 4, 6, 7)
     assert format_cycles(sn.bits_to_permutation(b)) == "(0 1)(4 5)"
     with pytest.raises(ValueError):
         sn.bits_to_permutation(sn.BitFn.ones())

@@ -15,20 +15,23 @@
 # five counterexample reports (--levels 8, the same with the level-4
 # enumeration oracle, --levels 12 scanning to 18, --levels 13, whose model
 # outgrows its budget and ends in the partial report with exit 3, and the
-# smallest model, --levels 2 --scan-max 1) and eleven ekchain runs
+# smallest model, --levels 2 --scan-max 1) and thirteen ekchain runs
 # (--kmax 4 in S6 on the benchmark's cyclic, order-16 and S3 subgroups, and
 # on a subgroup file of no generators and one of the single generator ();
 # S3 on 7 points in S7 at --kmax 2, above grp._TABLE_LIMIT; the default
 # window in S6 for S3, the log window at kmax 20, and for the order-16
-# subgroup, its class 2; --kmax 0 and 65, which exit 2 with no report; and
-# S6 at --cap 100, which exits 3 with no report from the group-file loader),
+# subgroup, its class 2; --kmax 0 and 65, which exit 2 with no report;
+# S6 at --cap 100, which exits 3 with no report from the group-file loader;
+# and two that exit 2 with an error naming a permutation in cycle notation:
+# the subgroup generator (0 1 2) outside <(0 1)>, and a group file whose
+# line (0 1)(1 2) repeats a point),
 # all json-like, and the text reports of the built-in,
 # bench-catalog and tests/data verify, of each bench-catalog suite on its
 # own (a conjugacy class's records are reused per suite run), of ekchain on
 # S6's order-16 subgroup at --kmax 4 and of counterexample --levels 8, so
 # each subcommand's text report is compared.  Each tree runs
-# its own src on HEAD_TREE's input files; A6, P256, S7 and the three ekchain
-# subgroup files are written to OUT_DIR/groups.  total_s is zeroed and the
+# its own src on HEAD_TREE's input files; A6, P256, S7 and the six ekchain
+# group and subgroup files are written to OUT_DIR/groups.  total_s is zeroed and the
 # text `time:` line, the one timing field, dropped; a nonzero exit is
 # appended as "exit N", and each run's stderr is kept beside its report as
 # NAME.stderr.  The reports and their stderr go to OUT_DIR/parent and
@@ -51,6 +54,9 @@ printf 'degree: 7\n(0 1)\n(0 1 2 3 4 5 6)\n' > "$out/groups/s7/S7.grp"
 printf 'degree: 6\n' > "$out/groups/ek/none6.grp"
 printf 'degree: 6\n()\n' > "$out/groups/ek/identity6.grp"
 printf 'degree: 7\n(0 1)\n(0 1 2)\n' > "$out/groups/ek/s3-7.grp"
+printf 'degree: 3\n(0 1)\n' > "$out/groups/ek/c2-3.grp"
+printf 'degree: 3\n(0 1 2)\n' > "$out/groups/ek/c3-3.grp"
+printf 'degree: 3\n(0 1)(1 2)\n' > "$out/groups/ek/malformed-3.grp"
 ek=$out/groups/ek
 verify=$head/perfbench/groups/verify
 s6=$head/perfbench/groups/s6
@@ -99,6 +105,8 @@ ek-kmax65 json-like ekchain $s6/S6.grp $s6/p16.grp --kmax 65
 verify-cap5 json-like verify --cap 5
 verify-kmax64 json-like verify --kmax 64
 ek-cap100 json-like ekchain $s6/S6.grp $s6/p16.grp --cap 100
+ek-outside json-like ekchain $ek/c2-3.grp $ek/c3-3.grp
+ek-malformed json-like ekchain $ek/malformed-3.grp $ek/c3-3.grp
 LIST
 done
 diff -r "$out/parent" "$out/head"
