@@ -188,9 +188,9 @@ def _check_chunks(blocks, pair, quote):
     Record r under prefix p is written as head + quote(p) + tail, where
     (head, tail) = pair(r).  Both renderers write the id after fixed text and
     escape (or not) one code point at a time, so the prefix is quoted once
-    per block and each distinct record, and each distinct run of records, is
-    encoded once; equal records count as the same, shared ones match by
-    identity.  Quoted prefixes are kept for one chunk; record memos that hold
+    per block, or per piece of a block that spans chunks, and each distinct
+    record, and each distinct run of records, is encoded once; equal records
+    count as the same, shared ones match by identity.  Record memos that hold
     more than `_CHUNK` records' text are emptied at the next chunk boundary,
     so a report of distinct records is never held whole (a `verify` report
     holds under 1,000).
@@ -204,18 +204,17 @@ def _check_chunks(blocks, pair, quote):
         heads, tails = zip(*map(pairs.__getitem__, records))
         return [heads[0], *map(str.__add__, tails, heads[1:]), tails[-1]]
 
-    runs, quoted = _Memo(joined), _Memo(quote)
+    runs = _Memo(joined)
     parts, n = [], 0
     for prefix, records in blocks:
         records = tuple(records)
         while records:
             piece, records = records[:_CHUNK - n], records[_CHUNK - n:]
-            parts.append(quoted[prefix].join(runs[piece]))
+            parts.append(quote(prefix).join(runs[piece]))
             n += len(piece)
             if n == _CHUNK:
                 yield "".join(parts)
                 parts, n = [], 0
-                quoted.clear()
                 if held + len(pairs) > _CHUNK:
                     pairs.clear()
                     runs.clear()

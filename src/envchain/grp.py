@@ -37,9 +37,9 @@ inv, so each x is one `compress`/`map`/`eq` pass over the remaining
 candidates with no bytecode per element.  An unverified target, or an order
 above the limit, falls back to one `comm_idx` call per pair, and the
 normalizer of a set that is not a subgroup to one `conj_idx` call per pair.
-`closure_indices` grows a closure a whole frontier per generator row and
-stops at the whole group once it holds more than n/2 elements (Lagrange's
-theorem).
+`_bfs` is the one closure walk: `closure` runs it on image tuples, and
+`closure_indices` on indices, where it stops at the whole group once it
+holds more than n/2 elements (Lagrange's theorem).
 
 `closure` stops with a `ClosureCapError`, a kind of the package's
 `envchain.LimitError`, once the group holds more than the caller's cap or
@@ -175,8 +175,7 @@ class FiniteGroup:
         rows = self._rows
         if rows is None:
             return self._idx[self._getters[j](self.elements[i])]
-        r = rows[j]
-        return (self.row(j) if r is None else r)[i]
+        return (rows[j] or self.row(j))[i]  # a built row is never empty
 
     def inv_idx(self, i: int) -> int:
         return self._inv[i]
@@ -263,8 +262,10 @@ class Subgroup:
 
 
 def _bfs(e, seeds, mul, cap: int) -> set:
-    """`e` and every product of seeds, breadth-first with `mul(seed, a)`;
-    raises `ClosureCapError` as soon as the set holds more than `cap`."""
+    """`e` and every product of seeds, breadth-first with `mul(a, seed)`;
+    raises `ClosureCapError` as soon as the set holds more than `cap`.
+    On indices, multiplying by a seed on the right reads only the seeds'
+    product rows."""
     gens = frontier = sorted(set(seeds) - {e})
     els = {e, *gens}
     if len(els) > cap:
@@ -273,7 +274,7 @@ def _bfs(e, seeds, mul, cap: int) -> set:
         new = []
         for a in frontier:
             for g in gens:
-                c = mul(g, a)
+                c = mul(a, g)
                 if c not in els:
                     els.add(c)
                     new.append(c)
@@ -285,32 +286,14 @@ def _bfs(e, seeds, mul, cap: int) -> set:
 
 
 def closure_indices(group: FiniteGroup, seeds: Iterable[int]) -> frozenset[int]:
-    """Subgroup of `group` generated by the seed indices.
-
-    A set holding more than half the group is the whole group: by
-    Lagrange's theorem a subgroup's order divides the group's.  Up to
-    `_TABLE_LIMIT` each frontier is multiplied by each seed in one C-level
-    pass over the seed's row.  Larger groups use the breadth-first `_bfs`,
-    capped at half the group."""
-    n, e = group.order, group.identity_idx
-    if n > _TABLE_LIMIT:
-        try:
-            return frozenset(_bfs(e, seeds, group.mul_idx, n // 2))
-        except ClosureCapError:
-            return group.all_indices
-    frontier = sorted(set(seeds) - {e})
-    rows = [group.row(g) for g in frontier]
-    els = {e, *frontier}
-    while frontier:
-        if 2 * len(els) > n:
-            return group.all_indices
-        new = set()
-        for r in rows:
-            new.update(map(r.__getitem__, frontier))
-        new -= els
-        els |= new
-        frontier = new
-    return frozenset(els)
+    """Subgroup of `group` generated by the seed indices, by `_bfs` capped
+    at half the group: a set holding more than half the group is the whole
+    group, since by Lagrange's theorem a subgroup's order divides the
+    group's."""
+    try:
+        return frozenset(_bfs(group.identity_idx, seeds, group.mul_idx, group.order // 2))
+    except ClosureCapError:
+        return group.all_indices
 
 
 def _greedy_generators(group: FiniteGroup, sub: frozenset[int]) -> tuple[tuple[int, ...], bool]:
@@ -519,8 +502,8 @@ def closure(generators: Sequence[tuple[int, ...]], cap: int = DEFAULT_CAP,
             raise DegreeMismatchError(f"generator degree {len(g)} != {degree}")
     limit = min(cap, MAX_ENTRIES // max(degree, 1))
     try:
-        # (g a)(x) = g[a[x]] on image tuples
-        els = _bfs(tuple(range(degree)), generators, lambda g, a: tuple(map(g.__getitem__, a)), limit)
+        # (a g)(x) = a[g[x]] on image tuples
+        els = _bfs(tuple(range(degree)), generators, lambda a, g: tuple(map(a.__getitem__, g)), limit)
     except ClosureCapError as exc:
         if limit == cap:
             raise
@@ -599,13 +582,18 @@ def read_group_file(text: str) -> tuple[int, list[tuple[int, ...]]]:
         (1 3)
 
     One generator per line in cycle notation, read as its image tuple; '#'
-    starts a comment.
+    starts a comment.  A generator line that repeats an earlier one is
+    skipped, since it parses the same.  Each distinct generator is kept
+    once, in the order of its first line, and past `MAX_ENTRIES // degree +
+    1` of them no new one is kept: that many already pass the closure's
+    storage bound.
     """
     degree = None
-    gens: list[tuple[int, ...]] = []
+    lines: set[str] = set()  # generator lines already read
+    gens: dict[tuple[int, ...], None] = {}  # an ordered set
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
+        if not line or line in lines:  # only generator lines enter `lines`
             continue
         if degree is None:
             if not line.startswith("degree:"):
@@ -623,11 +611,14 @@ def read_group_file(text: str) -> tuple[int, list[tuple[int, ...]]]:
             if degree > MAX_DEGREE:
                 raise GroupFileError(f"degree {degree} exceeds the limit {MAX_DEGREE}", lineno)
             continue
+        lines.add(line)
         try:
-            gens.append(parse_cycles(line, degree))
+            g = parse_cycles(line, degree)
         except CycleParseError as exc:
             raise GroupFileError(str(exc), lineno) from exc
+        if len(gens) <= MAX_ENTRIES // degree:
+            gens[g] = None
     if degree is None:
         raise GroupFileError("missing 'degree: <n>' line", 1)
-    return degree, gens
+    return degree, list(gens)
 

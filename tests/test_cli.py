@@ -345,12 +345,13 @@ def test_verify_catalog_entry_that_is_a_directory_exit_2(capsys, tmp_path):
     assert captured.err.startswith(f"envchain: error: cannot read {tmp_path / 'x.grp'}: ")
 
 
-def run_with_timeout(*argv, timeout=60) -> subprocess.CompletedProcess:
+def run_with_timeout(*argv, timeout=60, preexec_fn=None) -> subprocess.CompletedProcess:
     """The CLI in a fresh process, killed after `timeout` s, so a read that
-    blocks fails the test instead of hanging the suite."""
+    blocks fails the test instead of hanging the suite; `preexec_fn` runs in
+    the child before the interpreter starts."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, "-m", "envchain.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run([sys.executable, "-m", "envchain.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout, preexec_fn=preexec_fn)
 
 
 @pytest.mark.parametrize("command", ["ekchain", "verify"])
@@ -366,6 +367,22 @@ def test_group_storage_bound_exit_3(tmp_path, command):
     assert proc.stderr == (
         f"envchain: resource limit: closure exceeded the bound of {grp.MAX_ENTRIES} stored image "
         f"entries (order x degree) at degree 10000 (at least {grp.MAX_ENTRIES // 10000 + 1} elements)\n")
+
+
+def test_repeated_generator_lines_read_in_bounded_memory(tmp_path):
+    # 20,000 identity lines at degree 10,000 held as one image tuple each
+    # would take 1.6 GB; the child may map 1 GB of address space
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    (tmp_path / "f.grp").write_text("degree: 10000\n" + "()\n" * 20000)
+    g = str(tmp_path / "f.grp")
+    proc = run_with_timeout("ekchain", g, g, "--format", "json-like", timeout=30, preexec_fn=limit_memory)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    (witness,) = json.loads(proc.stdout)["witnesses"]
+    assert (witness["group_order"], witness["subgroup_order"]) == (1, 1)
 
 
 def test_ekchain_fifo_group_file_exit_2(tmp_path):

@@ -411,6 +411,27 @@ def test_group_file_roundtrip():
     assert G.order == 8 and G.degree == 4
 
 
+def test_group_file_keeps_each_generator_once(monkeypatch):
+    # first occurrences in file order; (1 0) spells the same generator as (0 1)
+    text = "degree: 3\n(0 1)\n()\n(0 1)\n(1 0)\n(0 1 2)\n()\n"
+    assert grp.read_group_file(text) == (3, [(1, 0, 2), (0, 1, 2), (1, 2, 0)])
+    # 6 image entries hold 2 elements at degree 3: a third distinct
+    # generator is kept, so the closure stops, and no fourth is
+    monkeypatch.setattr(grp, "MAX_ENTRIES", 6)
+    text = "degree: 3\n(0 1)\n(1 2)\n(0 2)\n(0 1 2)\n"
+    assert grp.read_group_file(text)[1] == [(1, 0, 2), (0, 2, 1), (2, 1, 0)]
+    with pytest.raises(ClosureCapError, match=r"\(at least 4 elements\)$"):
+        parse_group_file(text)
+    # lines past the last kept generator are still read and checked
+    with pytest.raises(GroupFileError) as exc:
+        grp.read_group_file(text + "(0 5)\n")
+    assert exc.value.line == 6
+    # only generator lines are skipped as repeats: a second degree line is read
+    with pytest.raises(GroupFileError) as exc:
+        grp.read_group_file("degree: 3\n(0 1)\ndegree: 3\n")
+    assert exc.value.line == 3
+
+
 def test_group_file_errors():
     with pytest.raises(GroupFileError) as exc:
         parse_group_file("(0 1)\n")
@@ -629,20 +650,36 @@ def test_closure_indices_matches_naive(data):
 
 
 def test_closure_above_table_limit_stops_at_half_the_group(monkeypatch):
-    # S7 lies above the limit: its generators give its own index set
+    # every order takes the one breadth-first walk, capped at half the
+    # group: S7 lies above the limit, and its generators give its own index set
     G, _ = big_group()
     assert closure_indices(G, [G.index(g) for g in G.generators]) is G.all_indices
-    # with the limit lowered, S4 and S5 take the same breadth-first path
-    monkeypatch.setattr(grp, "_TABLE_LIMIT", 0)
+    # S4 and S5 with the limit lowered store no rows; at the real limit they do
     rng = random.Random(55)
-    for texts, degree in ((["(0 1)", "(0 1 2 3)"], 4), (["(0 1)", "(0 1 2 3 4)"], 5)):
-        G = make(texts, degree)
-        gens = [G.index(g) for g in G.generators]
-        assert closure_indices(G, gens) is G.all_indices
-        # words of even length give A_n, of index 2: the sharpest case for the stop
-        cases = [[G.mul_idx(a, b) for a in gens for b in gens]]
-        cases += [[rng.randrange(G.order) for _ in range(rng.randint(1, 2))] for _ in range(30)]
-        for seeds in cases:
-            got = closure_indices(G, seeds)
-            assert perms(G, got) == naive_closure(perms(G, seeds), degree)
-            assert (got is G.all_indices) == (len(got) == G.order)
+    for limit in (0, _TABLE_LIMIT):
+        monkeypatch.setattr(grp, "_TABLE_LIMIT", limit)
+        for texts, degree in ((["(0 1)", "(0 1 2 3)"], 4), (["(0 1)", "(0 1 2 3 4)"], 5)):
+            G = make(texts, degree)
+            assert (G._rows is None) == (limit == 0)
+            gens = [G.index(g) for g in G.generators]
+            assert closure_indices(G, gens) is G.all_indices
+            # words of even length give A_n, of index 2: the sharpest case for the stop
+            cases = [[G.mul_idx(a, b) for a in gens for b in gens]]
+            cases += [[rng.randrange(G.order) for _ in range(rng.randint(1, 2))] for _ in range(30)]
+            for seeds in cases:
+                got = closure_indices(G, seeds)
+                assert perms(G, got) == naive_closure(perms(G, seeds), degree)
+                assert (got is G.all_indices) == (len(got) == G.order)
+
+
+def test_closure_reads_only_its_seeds_rows():
+    # the walk multiplies on the right, a·g, which reads the row of g alone:
+    # a fresh group builds rows for the distinct non-identity seeds and no other
+    rng = random.Random(31)
+    for texts, degree in ((["(0 1)", "(0 1 2 3 4 5)"], 6), (["(0 1 2)", "(1 2 3 4 5)"], 6)):
+        for _ in range(10):
+            G = make(texts, degree)
+            seeds = [rng.randrange(G.order) for _ in range(rng.randint(1, 3))]
+            seeds += [seeds[0], G.identity_idx]
+            closure_indices(G, seeds)
+            assert {j for j, r in enumerate(G._rows) if r is not None} == set(seeds) - {G.identity_idx}

@@ -9,29 +9,32 @@
 # tests/data; A6, whose 491 subgroups fall in 21 conjugacy classes; P256,
 # tests/data's P128 times <(8 9)>, whose 1,561 subgroups fall in 389 classes;
 # S7's Bryant suite at --kmax 1, the one report of a group above the 1,024 of
-# grp._TABLE_LIMIT, where closures and filters take the untabled paths; and
+# grp._TABLE_LIMIT, where closures and filters take the untabled paths; P1024's
+# (P128's generators and D8 on points 8-11, degree 12) at --kmax 1, a group of
+# order exactly grp._TABLE_LIMIT, the largest that stores product rows; and
 # the built-in catalog at --cap 5 and at --kmax 64, which exit 3 with no
 # report, one on the closure cap and one on cli.MAX_CHECKS),
 # five counterexample reports (--levels 8, the same with the level-4
 # enumeration oracle, --levels 12 scanning to 18, --levels 13, whose model
 # outgrows its budget and ends in the partial report with exit 3, and the
-# smallest model, --levels 2 --scan-max 1) and thirteen ekchain runs
+# smallest model, --levels 2 --scan-max 1) and fourteen ekchain runs
 # (--kmax 4 in S6 on the benchmark's cyclic, order-16 and S3 subgroups, and
 # on a subgroup file of no generators and one of the single generator ();
 # S3 on 7 points in S7 at --kmax 2, above grp._TABLE_LIMIT; the default
 # window in S6 for S3, the log window at kmax 20, and for the order-16
 # subgroup, its class 2; --kmax 0 and 65, which exit 2 with no report;
 # S6 at --cap 100, which exits 3 with no report from the group-file loader;
-# and two that exit 2 with an error naming a permutation in cycle notation:
+# two that exit 2 with an error naming a permutation in cycle notation:
 # the subgroup generator (0 1 2) outside <(0 1)>, and a group file whose
-# line (0 1)(1 2) repeats a point),
+# line (0 1)(1 2) repeats a point; and a file of degree 10,000 and 200 ()
+# lines as both group and subgroup, whose repeated lines are read once),
 # all json-like, and the text reports of the built-in,
 # bench-catalog and tests/data verify, of each bench-catalog suite on its
 # own (a conjugacy class's records are reused per suite run), of ekchain on
 # S6's order-16 subgroup at --kmax 4 and of counterexample --levels 8, so
 # each subcommand's text report is compared.  Each tree runs
-# its own src on HEAD_TREE's input files; A6, P256, S7 and the six ekchain
-# group and subgroup files are written to OUT_DIR/groups.  total_s is zeroed and the
+# its own src on HEAD_TREE's input files; A6, P256, P1024, S7 and the seven
+# ekchain group and subgroup files are written to OUT_DIR/groups.  total_s is zeroed and the
 # text `time:` line, the one timing field, dropped; a nonzero exit is
 # appended as "exit N", and each run's stderr is kept beside its report as
 # NAME.stderr.  The reports and their stderr go to OUT_DIR/parent and
@@ -46,10 +49,12 @@ fi
 parent=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
 out=${3:-$(mktemp -d)}
-mkdir -p "$out/groups/a6" "$out/groups/p256" "$out/groups/s7" "$out/groups/ek"
+mkdir -p "$out/groups/a6" "$out/groups/p256" "$out/groups/p1024" "$out/groups/s7" "$out/groups/ek"
 out=$(cd "$out" && pwd)
 printf 'degree: 6\n(0 1 2)\n(1 2 3 4 5)\n' > "$out/groups/a6/A6.grp"
 printf 'degree: 10\n(0 1)\n(0 2)(1 3)\n(0 4)(1 5)(2 6)(3 7)\n(8 9)\n' > "$out/groups/p256/P256.grp"
+printf 'degree: 12\n(0 1)\n(0 2)(1 3)\n(0 4)(1 5)(2 6)(3 7)\n(8 9 10 11)\n(8 10)\n' \
+  > "$out/groups/p1024/P1024.grp"
 printf 'degree: 7\n(0 1)\n(0 1 2 3 4 5 6)\n' > "$out/groups/s7/S7.grp"
 printf 'degree: 6\n' > "$out/groups/ek/none6.grp"
 printf 'degree: 6\n()\n' > "$out/groups/ek/identity6.grp"
@@ -57,6 +62,7 @@ printf 'degree: 7\n(0 1)\n(0 1 2)\n' > "$out/groups/ek/s3-7.grp"
 printf 'degree: 3\n(0 1)\n' > "$out/groups/ek/c2-3.grp"
 printf 'degree: 3\n(0 1 2)\n' > "$out/groups/ek/c3-3.grp"
 printf 'degree: 3\n(0 1)(1 2)\n' > "$out/groups/ek/malformed-3.grp"
+{ echo 'degree: 10000'; for _ in $(seq 200); do echo '()'; done; } > "$out/groups/ek/repeated-10000.grp"
 ek=$out/groups/ek
 verify=$head/perfbench/groups/verify
 s6=$head/perfbench/groups/s6
@@ -85,6 +91,7 @@ data-text text verify --catalog-dir $head/tests/data
 a6 json-like verify --catalog-dir $out/groups/a6
 p256 json-like verify --kmax 4 --catalog-dir $out/groups/p256
 s7-bryant json-like verify --suite bryant --kmax 1 --catalog-dir $out/groups/s7
+p1024-bryant json-like verify --suite bryant --kmax 1 --catalog-dir $out/groups/p1024
 model json-like counterexample --levels 8
 model-oracle4 json-like counterexample --levels 8 --oracle-depth 4
 model-scan18 json-like counterexample --levels 12 --scan-max 18
@@ -107,6 +114,7 @@ verify-kmax64 json-like verify --kmax 64
 ek-cap100 json-like ekchain $s6/S6.grp $s6/p16.grp --cap 100
 ek-outside json-like ekchain $ek/c2-3.grp $ek/c3-3.grp
 ek-malformed json-like ekchain $ek/malformed-3.grp $ek/c3-3.grp
+ek-repeated json-like ekchain $ek/repeated-10000.grp $ek/repeated-10000.grp
 LIST
 done
 diff -r "$out/parent" "$out/head"
