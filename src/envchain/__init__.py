@@ -38,8 +38,11 @@ class LimitError(RuntimeError):
     """A resource limit was exceeded; the CLI exits 3."""
 
 
-# Here, not in an engine, because every command imports this module: the
-# CLI's renderers, `suites` and `_PASSED` use it.
+# Here, not in an engine, because every command imports this module.  Every
+# memo of the package is one: each group's filters, greedy generators and
+# coset labels in `grp`, the oracle's levels in `symnat`, the series map in
+# `suites`, the CLI's renderers and `_PASSED`.  So every body run starts in
+# `__missing__`.
 class _Memo(dict):
     """fn(key), computed once per distinct key, on its first read."""
 

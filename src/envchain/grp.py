@@ -18,13 +18,15 @@ neither and recompute each entry per read.
 Centralizers, central series, chain levels, envelope terms and the
 normalizers of subgroups are all {g : [g, x] in T for every x in X}: for a
 subgroup S, g^-1 s g lies in S iff [g, s^-1] does, so the normalizer of S is
-the filter with X = T = S.  Each group keeps one memo, every
-`commutator_filter` result by its exact index sets, and interns the results,
-so equal results are one object; central series, chain runs and envelope
-runs keep no memo, so a repeat is a fresh loop whose filters are answered
-from it.  Greedy generators and the left-coset labels of each target are
-memoized too.  `commutator_filter` alone decides when a generating set of X
-may stand in for X and when coset labels decide membership.  A commutator
+the filter with X = T = S.  Each group's memos are `envchain._Memo`s, each
+running its function's body once per distinct exact input: `_filters` holds
+every `commutator_filter` result by its index sets and interns the results,
+so equal results are one object; `_gens` the greedy generators of each set;
+`_labels` the left-coset labels of each target.  Central series, chain runs
+and envelope runs keep no memo, so a repeat is a fresh loop whose filters
+are answered from `_filters`.  `commutator_filter` alone decides when a
+generating set of X may stand in for X and when coset labels decide
+membership.  A commutator
 filter tests only the greedy generators drawn from X when they normalize a
 target T that `generating_indices` verifies, whether or not X is itself a
 subgroup: they lie in X and generate a group containing it.  Every other X
@@ -51,17 +53,13 @@ here and `catalog`'s conjugacy-class passes both read it.
 from __future__ import annotations
 
 from array import array
-from itertools import compress
+from functools import partial
+from itertools import compress, repeat
 from operator import eq, itemgetter
 from typing import Iterable, Sequence, Union
 
-from . import DEFAULT_CAP, MAX_KMAX, LimitError  # defined there so the CLI need not import grp
-from .perm import (
-    CycleParseError,
-    DegreeMismatchError,
-    format_cycles,
-    parse_cycles,
-)
+from . import DEFAULT_CAP, MAX_KMAX, LimitError, _Memo  # defined there so the CLI need not import grp
+from .perm import CycleParseError, DegreeMismatchError, format_cycles, from_moves, parse_moves
 
 # Largest degree a group file may declare; a larger one is a GroupFileError.
 MAX_DEGREE = 10_000
@@ -130,10 +128,12 @@ class FiniteGroup:
         # commutator table (allocated on the first read, -1 = not yet read)
         self._rows: list[list[int] | None] | None = [None] * n if n <= _TABLE_LIMIT else None
         self._comm: list[int] | None = None
-        # memos, one dict per function: exact input -> immutable result
-        self._gens: dict[frozenset[int], tuple[tuple[int, ...], bool]] = {}
-        self._labels: dict[frozenset[int], array] = {}  # `_coset_labels`
-        self._filters: dict[tuple, frozenset[int]] = {}  # `commutator_filter`
+        # memos, one `envchain._Memo` per function: exact input -> immutable
+        # result, the function's body run once per distinct input.  Each
+        # holds the group, so a dropped group is freed by the cycle collector.
+        self._gens = _Memo(partial(_greedy_generators, self))
+        self._labels = _Memo(partial(_coset_labels, self))
+        self._filters = _Memo(partial(_interned_filter, self))
         # every filter result, one object per distinct value (hash-consing)
         self._interned = {self.all_indices: self.all_indices}
 
@@ -300,23 +300,21 @@ def _greedy_generators(group: FiniteGroup, sub: frozenset[int]) -> tuple[tuple[i
     """Greedy generators of the subgroup spanned by `sub`, drawn from
     sorted(sub), and whether `sub` is that subgroup.  Every member of `sub`
     lies in the span of the generators drawn before it, or is drawn itself.
-    Memoized per group."""
-    memo = group._gens.get(sub)
-    if memo is None:
-        gens: list[int] = []
-        span = frozenset({group.identity_idx})
-        for g in sorted(sub):
-            if g not in span:
-                gens.append(g)
-                span = closure_indices(group, gens)
-        memo = group._gens[sub] = (tuple(gens), span == sub)
-    return memo
+    Memoized per group, as its `_gens`."""
+    gens: list[int] = []
+    span = frozenset({group.identity_idx})
+    for g in sorted(sub):
+        if g not in span:
+            gens.append(g)
+            span = closure_indices(group, gens)
+    return tuple(gens), span == sub
 
 
 def generating_indices(group: FiniteGroup, sub: frozenset[int]) -> tuple[int, ...] | None:
     """A greedy generating set of `sub` drawn from sorted(sub), or None when
-    `sub` is not a subgroup (its closure is larger).  Memoized per group."""
-    gens, closed = _greedy_generators(group, sub)
+    `sub` is not a subgroup (its closure is larger).  Read off the group's
+    `_gens`."""
+    gens, closed = group._gens[sub]
     return gens if closed else None
 
 
@@ -338,19 +336,17 @@ def orbit_labels(n: int, maps: Sequence[Sequence[int]]) -> list[int]:
     return lab
 
 
-def _coset_labels(group: FiniteGroup, sub: frozenset[int], gens: Sequence[int]) -> array:
-    """lab[g] = the least index in the left coset g·sub, for a subgroup `sub`
-    generated by `gens`: each coset is an orbit under right multiplication
-    by the generators (`orbit_labels` over their rows).  Memoized per group.
+def _coset_labels(group: FiniteGroup, sub: frozenset[int]) -> array:
+    """lab[g] = the least index in the left coset g·sub, for a verified
+    subgroup `sub`: each coset is an orbit under right multiplication by its
+    `generating_indices` (`orbit_labels` over their rows).  Memoized per
+    group, as its `_labels`.
 
     Stored as 2-byte ints (every index is below `_TABLE_LIMIT`): a list of n
     pointers is a C-heap block that lives as long as the group, and on the
     order-128 `verify` these blocks kept 11 MB of freed heap from going back
     to the system before the report was rendered."""
-    lab = group._labels.get(sub)
-    if lab is None:
-        lab = group._labels[sub] = array("H", orbit_labels(group.order, [group.row(t) for t in gens]))
-    return lab
+    return array("H", orbit_labels(group.order, list(map(group.row, generating_indices(group, sub)))))
 
 
 def _left_products(group: FiniteGroup, x: int, gs: Iterable[int]):
@@ -363,17 +359,18 @@ def _left_products(group: FiniteGroup, x: int, gs: Iterable[int]):
 def commutator_filter(
     group: FiniteGroup, members: frozenset[int], xs: frozenset[int], into: frozenset[int]
 ) -> frozenset[int]:
-    """`_commutator_filter`, memoized per group by the exact (members, xs, into).
+    """`_commutator_filter`, memoized per group by the exact (members, xs,
+    into) in its `_filters`."""
+    return group._filters[members, xs, into]
 
-    Each result is interned: an equal set from an earlier filter, or the
-    group's `all_indices`, is returned in its place, so the memo holds one
-    object per distinct value."""
-    key = (members, xs, into)
-    got = group._filters.get(key)
-    if got is None:
-        got = _commutator_filter(group, members, xs, into)
-        got = group._filters[key] = group._interned.setdefault(got, got)
-    return got
+
+def _interned_filter(group: FiniteGroup, key: tuple) -> frozenset[int]:
+    """`_commutator_filter(group, *key)`, interned: an equal set from an
+    earlier filter, or the group's `all_indices`, is returned in its place,
+    so the memo holds one object per distinct value.  The body is looked up
+    on each call, so a test may replace it."""
+    got = _commutator_filter(group, *key)
+    return group._interned.setdefault(got, got)
 
 
 def _commutator_filter(
@@ -395,7 +392,7 @@ def _commutator_filter(
     gxT = xgT, so up to `_TABLE_LIMIT` each x is one pass comparing the coset
     labels of gx (the row of x) and xg over the remaining members.
     """
-    xgens, _ = _greedy_generators(group, xs)
+    xgens, _ = group._gens[xs]
     tgens = generating_indices(group, into)
     if tgens is not None and all(
         group.conj_idx(t, x) in into for x in xgens for t in tgens
@@ -405,7 +402,7 @@ def _commutator_filter(
         return frozenset(
             g for g in members if all(group.comm_idx(g, x) in into for x in xs)
         )
-    lab = _coset_labels(group, into, tgens).__getitem__
+    lab = group._labels[into].__getitem__
     keep = list(members)
     for x in xs:
         right = group.row(x).__getitem__
@@ -493,11 +490,9 @@ def closure(generators: Sequence[tuple[int, ...]], cap: int = DEFAULT_CAP,
             raise ValueError("need a degree when there are no generators")
         degree = len(generators[0])
     for g in generators:
-        seen = [False] * len(g)
-        for x in g:
-            if not isinstance(x, int) or not 0 <= x < len(g) or seen[x]:
-                raise ValueError(f"images {g!r} are not a bijection of 0..{len(g) - 1}")
-            seen[x] = True
+        # ints only, and then sorted they are 0..n-1: checked at C speed
+        if not all(map(isinstance, g, repeat(int))) or sorted(g) != list(range(len(g))):
+            raise ValueError(f"images {g!r} are not a bijection of 0..{len(g) - 1}")
         if len(g) != degree:
             raise DegreeMismatchError(f"generator degree {len(g)} != {degree}")
     limit = min(cap, MAX_ENTRIES // max(degree, 1))
@@ -581,19 +576,19 @@ def read_group_file(text: str) -> tuple[int, list[tuple[int, ...]]]:
         (0 1 2 3)
         (1 3)
 
-    One generator per line in cycle notation, read as its image tuple; '#'
-    starts a comment.  A generator line that repeats an earlier one is
-    skipped, since it parses the same.  Each distinct generator is kept
-    once, in the order of its first line, and past `MAX_ENTRIES // degree +
-    1` of them no new one is kept: that many already pass the closure's
-    storage bound.
+    One generator per line in cycle notation; '#' starts a comment.  A line
+    is read as the points it moves, so it costs its own length, not the
+    degree.  Each distinct generator is kept once, in the order of its first
+    line, and past `MAX_ENTRIES // degree + 1` of them no new one is kept:
+    that many already pass the closure's storage bound.  Only a kept
+    generator is built as its image tuple.
     """
     degree = None
-    lines: set[str] = set()  # generator lines already read
-    gens: dict[tuple[int, ...], None] = {}  # an ordered set
+    # an ordered set of generators, each as its sorted (point, image) pairs
+    gens: dict[tuple[tuple[int, int], ...], None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line or line in lines:  # only generator lines enter `lines`
+        if not line:
             continue
         if degree is None:
             if not line.startswith("degree:"):
@@ -611,14 +606,14 @@ def read_group_file(text: str) -> tuple[int, list[tuple[int, ...]]]:
             if degree > MAX_DEGREE:
                 raise GroupFileError(f"degree {degree} exceeds the limit {MAX_DEGREE}", lineno)
             continue
-        lines.add(line)
         try:
-            g = parse_cycles(line, degree)
+            moves = parse_moves(line, degree)
         except CycleParseError as exc:
             raise GroupFileError(str(exc), lineno) from exc
         if len(gens) <= MAX_ENTRIES // degree:
-            gens[g] = None
+            gens[tuple(sorted(moves.items()))] = None
     if degree is None:
         raise GroupFileError("missing 'degree: <n>' line", 1)
-    return degree, list(gens)
+    identity = tuple(range(degree))
+    return degree, [from_moves(g, identity) for g in gens]
 

@@ -8,7 +8,7 @@ arithmetic, on indices into a group's sorted image tuples.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class DegreeMismatchError(ValueError):
@@ -67,7 +67,25 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     Cycles must be disjoint; every point must be below `degree`.  "()" (or
     whitespace only) parses as the identity.
     """
-    images = list(range(degree))
+    return from_moves(parse_moves(text, degree).items(), range(degree))
+
+
+def from_moves(moves: Iterable[tuple[int, int]], identity: Sequence[int]) -> tuple[int, ...]:
+    """The image tuple that sends each x to y for the (x, y) in `moves` and
+    fixes every other point of `identity`, the points 0..n-1 in order.  The
+    tuple holds `identity`'s own int objects for the fixed points, so the
+    generators built from one identity tuple share them."""
+    images = list(identity)
+    for x, y in moves:
+        images[x] = y
+    return tuple(images)
+
+
+def parse_moves(text: str, degree: int) -> dict[int, int]:
+    """{x: image of x} for each point x the cycles in `text` move, with the
+    checks and errors of `parse_cycles`; costs the length of `text`, not
+    `degree`."""
+    moves: dict[int, int] = {}
     placed = set()
     cycle: list[int] | None = None
     last_pos = 0
@@ -80,8 +98,8 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
         elif kind == ")":
             if cycle is None:
                 raise CycleParseError("')' without '('", pos)
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                images[a] = b
+            if len(cycle) > 1:
+                moves.update(zip(cycle, cycle[1:] + cycle[:1]))
             cycle = None
         else:
             if cycle is None:
@@ -98,4 +116,4 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
             cycle.append(p)
     if cycle is not None:
         raise CycleParseError("unclosed '('", last_pos)
-    return tuple(images)
+    return moves

@@ -44,11 +44,10 @@ commutator's text is then written straight from its bits as the swaps
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from operator import xor
 from typing import Callable, Iterable, NamedTuple
 
-from . import SKIPPED, CheckRecord, _verdict
+from . import SKIPPED, CheckRecord, _Memo, _verdict
 
 # --- the block index map ----------------------------------------------------
 
@@ -404,9 +403,17 @@ def swaps_text(b: BitFn) -> str:
 
 # --- the centralizer-chain model ----------------------------------------------
 
+# Most bits the model's levels may span (level i spans 2^i members of 2^i
+# bits); `iterated_centralizer_model` raises `ModelBudgetError` past it.
+MODEL_BUDGET = 1 << 26
+
+# Deepest level the enumeration oracle tries: level i enumerates all
+# 2^(2^i) patterns of one block, 65,536 at level 4.
+ORACLE_MAX_LEVEL = 4
+
 
 class ModelBudgetError(RuntimeError):
-    """The chain model grew past its memory budget.
+    """The chain model grew past its memory budget, `MODEL_BUDGET`.
 
     The budget counts the bits of the members a level spans: level i has 2^i
     members of 2^i bits each.  `partial` holds the model up to the last level
@@ -548,14 +555,14 @@ def _preimage(h: int, period: int) -> int:
     return g
 
 
-def iterated_centralizer_model(imax: int, budget: int = 1 << 26) -> IterChainModel:
+def iterated_centralizer_model(imax: int) -> IterChainModel:
     """Compute levels C^1..C^imax of the chain model, as bases.
 
     The basis of level i+1 is the constant 1 and the `_preimage` of each basis
     vector of level i, widened to one 2^(i+1) block.  Each new basis is
     checked to be independent and to span the widened basis of level i.
     Raises `ModelBudgetError` naming the last completed level if the bits of
-    the members would exceed `budget`.
+    the members would exceed `MODEL_BUDGET`, read on each call.
     """
     if imax < 1:
         raise ValueError("imax must be >= 1")
@@ -566,8 +573,8 @@ def iterated_centralizer_model(imax: int, budget: int = 1 << 26) -> IterChainMod
         widened = [b | b << (P // 2) for b in bases[-1]]
         basis = [(1 << P) - 1] + [_preimage(w, P) for w in widened]
         cells += (1 << len(basis)) * P
-        if cells > budget:
-            raise ModelBudgetError(i, cells, budget, IterChainModel(bases))
+        if cells > MODEL_BUDGET:
+            raise ModelBudgetError(i, cells, MODEL_BUDGET, IterChainModel(bases))
         if _rank(basis) < len(basis):
             raise RuntimeError(f"level {i + 1} basis is not independent: internal bug")
         if _rank(basis + widened) > len(basis):
@@ -584,14 +591,13 @@ def brute_force_level(i: int) -> frozenset[BitFn]:
     canonical BitFns from their bits."""
     if i < 1:
         raise ValueError("i must be >= 1")
-    if i > 4:
-        raise ValueError(f"enumeration of 2^{2 ** i} candidates is infeasible (i={i} > 4)")
+    if i > ORACLE_MAX_LEVEL:
+        raise ValueError(f"enumeration of 2^{2 ** i} candidates is infeasible (i={i} > {ORACLE_MAX_LEVEL})")
     P = 2 ** i
     return frozenset(BitFn.from_pattern([(g >> x) & 1 for x in range(P)])
-                     for g in _enumerated_level(i))
+                     for g in _LEVELS[i])
 
 
-@lru_cache(maxsize=None)
 def _enumerated_level(i: int) -> frozenset[int]:
     """Level i of `brute_force_level` as int masks over one P = 2^i block.
 
@@ -599,14 +605,14 @@ def _enumerated_level(i: int) -> frozenset[int]:
     x = 0..P+1.  That window decides membership: a P-periodic g's delta
     repeats with period P from x = 2 on, and level i-1's members are purely
     periodic with period dividing P/2, so two such functions are equal
-    exactly when they agree on x = 0..P+1.  Each level is enumerated once
-    per process and serves every deeper one.
+    exactly when they agree on x = 0..P+1.  Read through `_LEVELS`, so each
+    level is enumerated once per process and serves every deeper one.
     """
     if i == 0:
         return frozenset({0})
     P = 2 ** i
     targets = set()
-    for m in _enumerated_level(i - 1):
+    for m in _LEVELS[i - 1]:
         w = m | m << (P // 2)
         targets.add(w | (w & 3) << P)
     # x -> (x mod P, f_map(x) mod P): the places of g that delta(g)(x) reads
@@ -619,6 +625,9 @@ def _enumerated_level(i: int) -> frozenset[int]:
         if d in targets:
             hits.append(g)
     return frozenset(hits)
+
+
+_LEVELS = _Memo(_enumerated_level)
 
 
 class DescentWitness(NamedTuple):
@@ -741,7 +750,7 @@ def counterexample_checks(levels: int, scan_max: int, oracle_depth: int) -> tupl
                                    lambda: f"e.g. {min(_from_mask(m, window) for m in bad).to_text()}"))
         checks.append(_verdict(f"model-xor-closed-i{i}", "level is a group under pointwise XOR",
                                _rank(basis) == len(basis)))
-    for i in range(1, min(oracle_depth, model.depth, 4) + 1):
+    for i in range(1, min(oracle_depth, model.depth, ORACLE_MAX_LEVEL) + 1):
         checks.append(_verdict(f"model-oracle-i{i}", "solver level equals brute-force enumeration",
                                brute_force_level(i) == model.level(i)))
     witnesses: list[dict] = [{"type": "levels", "sizes": sizes}]

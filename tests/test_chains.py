@@ -971,6 +971,39 @@ def test_filter_results_are_interned(monkeypatch, capsys):
         assert len({id(v) for v in values}) == len(set(values))
 
 
+@pytest.mark.parametrize("catalog, filter_bodies", [("bench", 238), ("builtin", 482)])
+def test_each_memo_runs_its_body_once_per_distinct_key(monkeypatch, capsys, catalog, filter_bodies):
+    # every cache of a group is an `envchain._Memo`: over `verify --suite all
+    # --kmax 4`, each body runs once per key its memo holds.  The totals are
+    # README's filter-body counts.
+    runs = {"_commutator_filter": [], "_greedy_generators": [], "_coset_labels": []}
+
+    def counting(name):
+        body = getattr(grp, name)
+
+        def run(group, *args):
+            runs[name].append(group)
+            return body(group, *args)
+        return run
+
+    # the filter body is looked up on each call; the other two are bound
+    # when a group is built, inside `main`
+    for name in runs:
+        monkeypatch.setattr(grp, name, counting(name))
+    argv = ["verify", "--suite", "all", "--kmax", "4"]
+    if catalog == "bench":
+        argv += ["--catalog-dir", str(ROOT / "perfbench" / "groups" / "verify")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    groups = {id(G): G for G in runs["_commutator_filter"]}.values()
+    assert len(groups) >= 2
+    for name, memo in (("_commutator_filter", "_filters"), ("_greedy_generators", "_gens"),
+                       ("_coset_labels", "_labels")):
+        for G in groups:
+            assert sum(g is G for g in runs[name]) == len(getattr(G, memo)) > 0
+    assert len(runs["_commutator_filter"]) == filter_bodies
+
+
 def test_memo_returns_fresh_lists():
     G = fresh("D16")
     whole = frozenset(range(G.order))

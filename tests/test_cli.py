@@ -385,6 +385,22 @@ def test_repeated_generator_lines_read_in_bounded_memory(tmp_path):
     assert (witness["group_order"], witness["subgroup_order"]) == (1, 1)
 
 
+def test_group_file_line_costs_its_own_length(tmp_path):
+    # 59,988 distinct lines at degree 10,000 that spell only () and (0 1):
+    # read as the points each moves, not as a degree-length tuple (about
+    # 0.3 ms a line, 36 s for this run, when every line built one)
+    lines = []
+    for i in range(2, 10_000):
+        lines += [f"({i})", f"( {i} )", f"(0 1)({i})", f"({i})(1 0)", f"(0 1) ({i})", f"(1 0)( {i})"]
+    assert len(set(lines)) >= 50_000
+    (tmp_path / "f.grp").write_text("degree: 10000\n" + "\n".join(lines) + "\n")
+    g = str(tmp_path / "f.grp")
+    proc = run_with_timeout("ekchain", g, g, "--format", "json-like", timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    (witness,) = json.loads(proc.stdout)["witnesses"]
+    assert (witness["group_order"], witness["subgroup_order"]) == (2, 2)
+
+
 def test_ekchain_fifo_group_file_exit_2(tmp_path):
     (tmp_path / "S3.grp").write_text(CATALOG_FILES["S3"])
     fifo = tmp_path / "sub.grp"
@@ -738,9 +754,7 @@ def test_verify_class_with_a_failing_first_member_runs_member_by_member(monkeypa
 
 
 def test_counterexample_model_budget_check(capsys, monkeypatch):
-    model = symnat.iterated_centralizer_model
-    monkeypatch.setattr(symnat, "iterated_centralizer_model",
-                        lambda imax: model(imax, budget=100))
+    monkeypatch.setattr(symnat, "MODEL_BUDGET", 100)
     code, out = run(capsys, "counterexample", "--levels", "5", "--format", "json-like")
     assert code == 3
     doc = json.loads(out)

@@ -114,7 +114,7 @@ def test_group_is_its_sorted_image_tuples(data):
 
 def test_closure_checks_each_generator_before_any_search(monkeypatch):
     monkeypatch.setattr(grp, "_bfs", lambda *a: pytest.fail("the search ran"))
-    for bad in ((0, 0, 1), (1, 2, 3), (0, -1, 1), (0, 1.0, 2)):
+    for bad in ((0, 0, 1), (1, 2, 3), (0, -1, 1), (0, 1.0, 2), (0, "1", 2), (None, 0, 1)):
         with pytest.raises(ValueError, match=r"^images .* are not a bijection of 0\.\.2$"):
             closure([(1, 0, 2), bad])
     with pytest.raises(DegreeMismatchError, match=r"^generator degree 4 != 3$"):
@@ -187,7 +187,7 @@ def test_orbit_labels_match_naive(data):
             for c in data.draw(st.lists(st.integers(0, n - 1), max_size=3))]
     for maps in (rows, conj, rows + conj, []):
         assert orbit_labels(n, maps) == naive_orbit_least(n, maps)
-    lab = grp._coset_labels(G, H, gens)
+    lab = grp._coset_labels(G, H)
     assert list(lab) == orbit_labels(n, rows)
     assert all(lab[g] == min(G.mul_idx(g, h) for h in H) for g in range(n))
 
@@ -415,6 +415,9 @@ def test_group_file_keeps_each_generator_once(monkeypatch):
     # first occurrences in file order; (1 0) spells the same generator as (0 1)
     text = "degree: 3\n(0 1)\n()\n(0 1)\n(1 0)\n(0 1 2)\n()\n"
     assert grp.read_group_file(text) == (3, [(1, 0, 2), (0, 1, 2), (1, 2, 0)])
+    # as do a rotated cycle, one-point cycles and cycles in another order
+    text = "degree: 5\n(0 1 2)\n(3)(1 2 0)\n(2 0 1) (4)\n(3 4)(0 1)\n(1 0)(4 3)(2)\n(0)(1)\n"
+    assert grp.read_group_file(text) == (5, [(1, 2, 0, 3, 4), (1, 0, 2, 4, 3), (0, 1, 2, 3, 4)])
     # 6 image entries hold 2 elements at degree 3: a third distinct
     # generator is kept, so the closure stops, and no fourth is
     monkeypatch.setattr(grp, "MAX_ENTRIES", 6)
@@ -426,7 +429,7 @@ def test_group_file_keeps_each_generator_once(monkeypatch):
     with pytest.raises(GroupFileError) as exc:
         grp.read_group_file(text + "(0 5)\n")
     assert exc.value.line == 6
-    # only generator lines are skipped as repeats: a second degree line is read
+    # a second degree line is read as a generator line, and rejected
     with pytest.raises(GroupFileError) as exc:
         grp.read_group_file("degree: 3\n(0 1)\ndegree: 3\n")
     assert exc.value.line == 3

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from envchain.grp import closure
-from envchain.perm import CycleParseError, DegreeMismatchError, format_cycles, parse_cycles
+from envchain.perm import CycleParseError, DegreeMismatchError, format_cycles, from_moves, parse_cycles, parse_moves
 
 from naive import commutator, compose, conjugate, identity, inverse, support
 
@@ -61,6 +61,20 @@ def test_parse_cycles_basic():
     assert parse_cycles("(0 1)(2 3)", 4) == (1, 0, 3, 2)
     assert parse_cycles("()", 3) == identity(3)
     assert parse_cycles("  ", 3) == identity(3)
+
+
+def test_parse_moves_is_the_moved_points():
+    assert parse_moves("(0 1)(2 3)", 4) == {0: 1, 1: 0, 2: 3, 3: 2}
+    # fixed points, one-point cycles included, are left out
+    assert parse_moves("(3)(4 1)()", 10_000) == {4: 1, 1: 4}
+    assert parse_moves("  ", 3) == {}
+    assert from_moves(parse_moves("(0 2 1)", 4).items(), range(4)) == parse_cycles("(0 2 1)", 4)
+    for text, position in (("(0 1)(1 2)", 6), ("(3)(3 1)", 4), ("(0 1", 3)):
+        with pytest.raises(CycleParseError) as exc:
+            parse_moves(text, 4)
+        assert exc.value.position == position
+    with pytest.raises(CycleParseError, match=r"^point 4 >= degree 4 \(at offset 1\)$"):
+        parse_moves("(4)", 4)
 
 
 def test_format_cycles_is_canonical():

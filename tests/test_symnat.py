@@ -603,16 +603,38 @@ def test_brute_force_level_4_matches_solver(model):
     assert sn.brute_force_level(4) == model.level(4)
 
 
+def test_enumerated_level_runs_once_per_level(monkeypatch, capsys):
+    # the oracle's levels are one `envchain._Memo`, which its recursion and
+    # `brute_force_level` read: at --oracle-depth 4 each of levels 0..4 is
+    # enumerated once per process, however many runs and levels read it
+    from envchain import _Memo
+    from envchain.cli import main
+
+    ran = []
+
+    def counting(i):
+        ran.append(i)
+        return sn._enumerated_level(i)
+
+    monkeypatch.setattr(sn, "_LEVELS", _Memo(counting))
+    for _ in range(2):
+        assert main(["counterexample", "--levels", "8", "--oracle-depth", "4"]) == 0
+    capsys.readouterr()
+    assert sorted(ran) == list(range(sn.ORACLE_MAX_LEVEL + 1))
+    assert sn.brute_force_level(sn.ORACLE_MAX_LEVEL) and len(ran) == sn.ORACLE_MAX_LEVEL + 1
+
+
 def test_brute_force_bounds():
     with pytest.raises(ValueError):
         sn.brute_force_level(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(i=5 > 4\)"):
         sn.brute_force_level(5)
 
 
-def test_model_budget_error_carries_partial():
+def test_model_budget_error_carries_partial(monkeypatch):
+    monkeypatch.setattr(sn, "MODEL_BUDGET", 100)
     with pytest.raises(sn.ModelBudgetError) as exc:
-        sn.iterated_centralizer_model(8, budget=100)
+        sn.iterated_centralizer_model(8)
     assert str(exc.value) == "budget exceeded after level 3 (341 > 100 stored bits)"
     assert exc.value.partial.depth == 3
 

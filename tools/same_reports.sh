@@ -17,7 +17,7 @@
 # five counterexample reports (--levels 8, the same with the level-4
 # enumeration oracle, --levels 12 scanning to 18, --levels 13, whose model
 # outgrows its budget and ends in the partial report with exit 3, and the
-# smallest model, --levels 2 --scan-max 1) and fourteen ekchain runs
+# smallest model, --levels 2 --scan-max 1) and sixteen ekchain runs
 # (--kmax 4 in S6 on the benchmark's cyclic, order-16 and S3 subgroups, and
 # on a subgroup file of no generators and one of the single generator ();
 # S3 on 7 points in S7 at --kmax 2, above grp._TABLE_LIMIT; the default
@@ -26,15 +26,19 @@
 # S6 at --cap 100, which exits 3 with no report from the group-file loader;
 # two that exit 2 with an error naming a permutation in cycle notation:
 # the subgroup generator (0 1 2) outside <(0 1)>, and a group file whose
-# line (0 1)(1 2) repeats a point; and a file of degree 10,000 and 200 ()
-# lines as both group and subgroup, whose repeated lines are read once),
-# all json-like, and the text reports of the built-in,
-# bench-catalog and tests/data verify, of each bench-catalog suite on its
-# own (a conjugacy class's records are reused per suite run), of ekchain on
-# S6's order-16 subgroup at --kmax 4 and of counterexample --levels 8, so
-# each subcommand's text report is compared.  Each tree runs
-# its own src on HEAD_TREE's input files; A6, P256, P1024, S7 and the seven
-# ekchain group and subgroup files are written to OUT_DIR/groups.  total_s is zeroed and the
+# line (0 1)(1 2) repeats a point; and three group files of degree 10,000,
+# each as both group and subgroup: 200 () lines, whose repeated lines are
+# read once; the 10,000 one-point cycles (0) ... (9999), all the identity,
+# exit 0; and the 9,999 transpositions (0 1) ... (0 9999), which exit 3 on
+# the closure's storage bound), all json-like, and the text reports of the
+# built-in, bench-catalog and tests/data verify, of each bench-catalog suite
+# on its own (a conjugacy class's records are reused per suite run), of
+# ekchain on S6's order-16 subgroup at --kmax 4 and of counterexample
+# --levels 8, so each subcommand's text report is compared.  Each tree runs
+# its own src on HEAD_TREE's input files: the benchmark's groups under
+# perfbench/groups, the probe groups under tests/data/reach (A6, P256,
+# P1024, S7 and the small ekchain files), and the two large degree-10,000
+# files, which are written to OUT_DIR/groups.  total_s is zeroed and the
 # text `time:` line, the one timing field, dropped; a nonzero exit is
 # appended as "exit N", and each run's stderr is kept beside its report as
 # NAME.stderr.  The reports and their stderr go to OUT_DIR/parent and
@@ -49,21 +53,12 @@ fi
 parent=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
 out=${3:-$(mktemp -d)}
-mkdir -p "$out/groups/a6" "$out/groups/p256" "$out/groups/p1024" "$out/groups/s7" "$out/groups/ek"
+mkdir -p "$out/groups"
 out=$(cd "$out" && pwd)
-printf 'degree: 6\n(0 1 2)\n(1 2 3 4 5)\n' > "$out/groups/a6/A6.grp"
-printf 'degree: 10\n(0 1)\n(0 2)(1 3)\n(0 4)(1 5)(2 6)(3 7)\n(8 9)\n' > "$out/groups/p256/P256.grp"
-printf 'degree: 12\n(0 1)\n(0 2)(1 3)\n(0 4)(1 5)(2 6)(3 7)\n(8 9 10 11)\n(8 10)\n' \
-  > "$out/groups/p1024/P1024.grp"
-printf 'degree: 7\n(0 1)\n(0 1 2 3 4 5 6)\n' > "$out/groups/s7/S7.grp"
-printf 'degree: 6\n' > "$out/groups/ek/none6.grp"
-printf 'degree: 6\n()\n' > "$out/groups/ek/identity6.grp"
-printf 'degree: 7\n(0 1)\n(0 1 2)\n' > "$out/groups/ek/s3-7.grp"
-printf 'degree: 3\n(0 1)\n' > "$out/groups/ek/c2-3.grp"
-printf 'degree: 3\n(0 1 2)\n' > "$out/groups/ek/c3-3.grp"
-printf 'degree: 3\n(0 1)(1 2)\n' > "$out/groups/ek/malformed-3.grp"
-{ echo 'degree: 10000'; for _ in $(seq 200); do echo '()'; done; } > "$out/groups/ek/repeated-10000.grp"
-ek=$out/groups/ek
+{ echo 'degree: 10000'; for i in $(seq 0 9999); do echo "($i)"; done; } > "$out/groups/moves-10000.grp"
+{ echo 'degree: 10000'; for i in $(seq 1 9999); do echo "(0 $i)"; done; } > "$out/groups/transpositions-10000.grp"
+reach=$head/tests/data/reach
+ek=$reach/ek
 verify=$head/perfbench/groups/verify
 s6=$head/perfbench/groups/s6
 
@@ -88,10 +83,10 @@ bench-structure text verify --catalog-dir $verify --suite structure --kmax 5
 bench-nilpotent text verify --catalog-dir $verify --suite nilpotent
 data json-like verify --catalog-dir $head/tests/data
 data-text text verify --catalog-dir $head/tests/data
-a6 json-like verify --catalog-dir $out/groups/a6
-p256 json-like verify --kmax 4 --catalog-dir $out/groups/p256
-s7-bryant json-like verify --suite bryant --kmax 1 --catalog-dir $out/groups/s7
-p1024-bryant json-like verify --suite bryant --kmax 1 --catalog-dir $out/groups/p1024
+a6 json-like verify --catalog-dir $reach/a6
+p256 json-like verify --kmax 4 --catalog-dir $reach/p256
+s7-bryant json-like verify --suite bryant --kmax 1 --catalog-dir $reach/s7
+p1024-bryant json-like verify --suite bryant --kmax 1 --catalog-dir $reach/p1024
 model json-like counterexample --levels 8
 model-oracle4 json-like counterexample --levels 8 --oracle-depth 4
 model-scan18 json-like counterexample --levels 12 --scan-max 18
@@ -104,7 +99,7 @@ ek-p16-text text ekchain $s6/S6.grp $s6/p16.grp --kmax 4
 ek-s3 json-like ekchain $s6/S6.grp $s6/s3.grp --kmax 4
 ek-none json-like ekchain $s6/S6.grp $ek/none6.grp --kmax 4
 ek-identity json-like ekchain $s6/S6.grp $ek/identity6.grp --kmax 4
-ek-s7-s3 json-like ekchain $out/groups/s7/S7.grp $ek/s3-7.grp --kmax 2
+ek-s7-s3 json-like ekchain $reach/s7/S7.grp $ek/s3-7.grp --kmax 2
 ek-s3-default json-like ekchain $s6/S6.grp $s6/s3.grp
 ek-p16-default json-like ekchain $s6/S6.grp $s6/p16.grp
 ek-kmax0 json-like ekchain $s6/S6.grp $s6/p16.grp --kmax 0
@@ -115,6 +110,8 @@ ek-cap100 json-like ekchain $s6/S6.grp $s6/p16.grp --cap 100
 ek-outside json-like ekchain $ek/c2-3.grp $ek/c3-3.grp
 ek-malformed json-like ekchain $ek/malformed-3.grp $ek/c3-3.grp
 ek-repeated json-like ekchain $ek/repeated-10000.grp $ek/repeated-10000.grp
+ek-moves json-like ekchain $out/groups/moves-10000.grp $out/groups/moves-10000.grp
+ek-transpositions json-like ekchain $out/groups/transpositions-10000.grp $out/groups/transpositions-10000.grp
 LIST
 done
 diff -r "$out/parent" "$out/head"
