@@ -19,7 +19,9 @@ Centralizers, central series, chain levels, envelope terms and the
 normalizers of subgroups are all {g : [g, x] in T for every x in X}: for a
 subgroup S, g^-1 s g lies in S iff [g, s^-1] does, so the normalizer of S is
 the filter with X = T = S.  Each group's memos are `envchain._Memo`s, each
-running its function's body once per distinct exact input: `_filters` holds
+running its function's body once per distinct exact input and holding the
+group by a weak reference, so a group dropped by its caller is freed at once,
+not by the cycle collector: `_filters` holds
 every `commutator_filter` result by its index sets and interns the results,
 so equal results are one object; `_gens` the greedy generators of each set;
 `_labels` the left-coset labels of each target.  Central series, chain runs
@@ -52,8 +54,8 @@ here and `catalog`'s conjugacy-class passes both read it.
 
 from __future__ import annotations
 
+import weakref
 from array import array
-from functools import partial
 from itertools import compress, repeat
 from operator import eq, itemgetter
 from typing import Iterable, Sequence, Union
@@ -130,10 +132,12 @@ class FiniteGroup:
         self._comm: list[int] | None = None
         # memos, one `envchain._Memo` per function: exact input -> immutable
         # result, the function's body run once per distinct input.  Each
-        # holds the group, so a dropped group is freed by the cycle collector.
-        self._gens = _Memo(partial(_greedy_generators, self))
-        self._labels = _Memo(partial(_coset_labels, self))
-        self._filters = _Memo(partial(_interned_filter, self))
+        # holds the group by a weak reference, so the group is in no
+        # reference cycle and is freed as soon as its caller drops it.
+        me = weakref.ref(self)
+        self._gens = _Memo(lambda key: _greedy_generators(me(), key))
+        self._labels = _Memo(lambda key: _coset_labels(me(), key))
+        self._filters = _Memo(lambda key: _interned_filter(me(), key))
         # every filter result, one object per distinct value (hash-consing)
         self._interned = {self.all_indices: self.all_indices}
 

@@ -30,6 +30,11 @@ def run(capsys, *argv):
     return code, out
 
 
+def render(report: dict, fmt: str) -> str:
+    """The whole report as `main` writes it, its pieces joined."""
+    return "".join((cli._json_chunks if fmt == "json-like" else cli._text_chunks)(report))
+
+
 def strip_timing_text(out: str) -> str:
     return "\n".join(l for l in out.splitlines() if not l.startswith("time: "))
 
@@ -685,7 +690,7 @@ def test_verify_reuse_report_equals_the_literal_report(monkeypatch, name, suite)
                             for G in catalog.values())
     assert len(runs) < len(blocks)
     for fmt in ("json-like", "text"):
-        assert cli.render(report, fmt) == cli.render(literal, fmt)
+        assert render(report, fmt) == render(literal, fmt)
     statuses = Counter(status for _, _, status, _ in flat_checks(report))
     assert cli._summary(report) == {s: statuses[s] for s in ("pass", "fail", "skipped")}
 
@@ -742,8 +747,8 @@ def test_verify_class_with_a_failing_first_member_runs_member_by_member(monkeypa
     formatted = []
     monkeypatch.setattr(suites, "format_cycles", lambda p: formatted.append(p) or format_cycles(p))
     report = cli.cmd_verify(args)
-    assert cli.render(report, "text") == cli.render(literal, "text")
-    assert cli.render(report, "json-like") == cli.render(literal, "json-like")
+    assert render(report, "text") == render(literal, "text")
+    assert render(report, "json-like") == render(literal, "json-like")
     # S3's three transpositions are one class, and each names its own
     assert sorted(witness for cid, _, status, witness in flat_checks(report)
                   if status == "fail" and cid.startswith("S3:")) == ["{(0 1)}", "{(0 2)}", "{(1 2)}"]
@@ -1010,22 +1015,32 @@ def render_text_dicts(report: dict) -> str:
 CHECK_OPEN = '\n    {\n      "claim": '
 
 
+def piece_sizes(blocks) -> list[int]:
+    """The checks in each piece of a report's checks: a piece ends at the
+    first block boundary where it holds `_CHUNK` checks or more."""
+    sizes, n = [], 0
+    for _, records in blocks:
+        n += len(records)
+        if n >= cli._CHUNK:
+            sizes.append(n)
+            n = 0
+    return sizes + [n] if n else sizes
+
+
 def assert_renders_as_dicts(report: dict):
-    """Both renderers give the dict form's bytes, whole and in chunks, and
-    every json-like chunk but the last two holds exactly `_CHUNK` checks."""
+    """Both renderers give the dict form's bytes, whole and in pieces; the
+    pieces end on block boundaries, and all but the last hold at least
+    `_CHUNK` checks."""
     assert all(type(b) is tuple and len(b) == 2 for b in report["checks"])
     assert all(len(r) == 4 for _, records in report["checks"] for r in records)
     dicts = as_dicts(report)
     want_json = json.dumps(dicts, sort_keys=True, indent=2) + "\n"
     want_text = render_text_dicts(dicts)
-    assert cli.render(report, "json-like") == want_json
-    assert cli.render(report, "text") == want_text
     json_chunks, text_chunks = list(cli._json_chunks(report)), list(cli._text_chunks(report))
     assert "".join(json_chunks) == want_json and "".join(text_chunks) == want_text
-    n = len(dicts["checks"])
-    assert len(json_chunks) == len(text_chunks) == -(-n // cli._CHUNK) + 1
-    assert [c.count(CHECK_OPEN) for c in json_chunks[:-1]] == [
-        min(cli._CHUNK, n - start) for start in range(0, n, cli._CHUNK)]
+    sizes = piece_sizes(report["checks"])
+    assert len(json_chunks) == len(text_chunks) == len(sizes) + 1
+    assert [c.count(CHECK_OPEN) for c in json_chunks[:-1]] == sizes
 
 
 # Strings that json escapes: quotes, backslashes, control and non-ASCII
@@ -1073,8 +1088,9 @@ def test_render_matches_dict_form(report):
 @settings(max_examples=60, deadline=None)
 @given(reports(), st.integers(1, 3))
 def test_render_in_small_chunks_matches_dict_form(report, chunk):
-    # up to 6 blocks of up to 4 checks: chunk boundaries fall inside blocks
-    # and between them
+    # up to 6 blocks of up to 4 checks: a piece ends on the first block
+    # boundary at or past the chunk size, so pieces of one block, of several,
+    # and pieces holding more than the chunk size all occur
     cli._CHUNK, saved = chunk, cli._CHUNK
     try:
         assert_renders_as_dicts(report)
@@ -1087,8 +1103,35 @@ def test_render_joins_a_surrogate_pair_split_across_prefix_and_id():
     pair = ("\ude00-k0", "claim \ud83d\ude00", "pass", None)
     cli._add_checks(report, "G:\ud83d", [pair, ("b", "c", "fail", "\ud83d")])
     cli._add_checks(report, "\ud83d", (pair,))
-    assert cli.render(report, "json-like").count('"id": "G:\\ud83d\\ude00-k0"') == 1
+    assert render(report, "json-like").count('"id": "G:\\ud83d\\ude00-k0"') == 1
     assert_renders_as_dicts(report)
+
+
+class FreshRecords(list):
+    """A records list freed to the allocator itself, not to CPython's list
+    free list, so the next one made is likely to take its address and id."""
+
+    __slots__ = ()
+
+
+def fresh_blocks(blocks):
+    """The blocks with each records list built anew as it is read, so a list
+    is freed once written and a later one may take its id."""
+    return ((prefix, FreshRecords(records)) for prefix, records in blocks)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+def test_render_blocks_built_as_read_matches_dict_form(monkeypatch, chunk):
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    blocks = [(f"B{i}:", [(f"c{i}-{j}", f"claim {j}", "pass", None) for j in range(i % 3 + 1)])
+              for i in range(200)]
+    report = cli._new_report("verify", {})
+    dicts = as_dicts(dict(report, checks=blocks))
+    report["checks"] = fresh_blocks(blocks)
+    assert render(report, "json-like") == json.dumps(dicts, sort_keys=True, indent=2) + "\n"
+    # the text checks between the two header lines and the summary line
+    text = render_text_dicts(dicts).split("\n", 2)[2].rsplit("\n", 2)[0] + "\n"
+    assert "".join(cli._check_chunks(fresh_blocks(blocks), cli._text_pair, str)) == text
 
 
 def assert_main_writes_chunks(capsys, monkeypatch, s3_files, fmt, name):
@@ -1109,8 +1152,8 @@ def assert_main_writes_chunks(capsys, monkeypatch, s3_files, fmt, name):
     blocks = reports[0]["checks"]
     n = sum(len(records) for _, records in blocks)
     assert n == blocks.size and n > 14 and len(blocks) > 1
-    assert len(chunks) == -(-n // 7) + 1
-    assert out == "".join(chunks) == cli.render(reports[0], fmt)
+    assert len(chunks) == len(piece_sizes(blocks)) + 1 > 2
+    assert out == "".join(chunks) == render(reports[0], fmt)
 
 
 def test_main_writes_the_rendered_bytes_in_chunks(capsys, monkeypatch, s3_files):
@@ -1124,7 +1167,7 @@ def test_main_writes_the_text_report_in_chunks(capsys, monkeypatch, s3_files):
 def test_render_empty_checks():
     report = cli._new_report("verify", {"kmax": 1})
     report["timings"]["total_s"] = 0.5
-    assert cli.render(report, "json-like").startswith('{\n  "checks": [],\n  "command": {')
+    assert render(report, "json-like").startswith('{\n  "checks": [],\n  "command": {')
     assert_renders_as_dicts(report)
 
 

@@ -1,6 +1,9 @@
 """Group engine: closure, centralizers, normalizers, central series, files."""
 
+import gc
 import random
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -411,6 +414,19 @@ def test_group_file_roundtrip():
     assert G.order == 8 and G.degree == 4
 
 
+REACH = Path(__file__).resolve().parent / "data" / "reach"
+
+
+@pytest.mark.parametrize("path, order, degree", [
+    ("d8x3/D8x3.grp", 512, 12),
+    ("c2x9/C2x9.grp", 512, 18),
+    ("c2x10/C2x10.grp", 1024, 20),
+])
+def test_reach_probe_files_close_to_their_orders(path, order, degree):
+    G = parse_group_file((REACH / path).read_text())
+    assert (G.order, G.degree) == (order, degree)
+
+
 def test_group_file_keeps_each_generator_once(monkeypatch):
     # first occurrences in file order; (1 0) spells the same generator as (0 1)
     text = "degree: 3\n(0 1)\n()\n(0 1)\n(1 0)\n(0 1 2)\n()\n"
@@ -484,6 +500,22 @@ def test_generating_indices_generates_and_is_memoized(d8):
     assert list(gens) == sorted(gens) and len(gens) <= 3
     assert generating_indices(d8, whole) is gens
     assert generating_indices(d8, frozenset({d8.identity_idx})) == ()
+
+
+def test_group_with_filled_memos_is_freed_when_dropped():
+    # the memos hold their group weakly, so reference counting alone frees
+    # it: no cycle waits for the collector
+    G = make(["(0 1 2 3)", "(1 3)"], 4)
+    center = central_series_indices(G, G.all_indices)[0]
+    normalizer_indices(G, G.all_indices, center)
+    assert G._gens and G._labels and G._filters
+    dropped = weakref.ref(G)
+    gc.disable()
+    try:
+        del G
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 def test_generating_indices_none_for_non_subgroups(s3):
