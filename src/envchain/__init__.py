@@ -40,9 +40,9 @@ class LimitError(RuntimeError):
 
 # Here, not in an engine, because every command imports this module.  Every
 # memo of the package is one: each group's filters, greedy generators and
-# coset labels in `grp`, the oracle's levels in `symnat`, the series map in
-# `suites`, the CLI's renderers and `_PASSED`.  So every body run starts in
-# `__missing__`.
+# coset labels in `grp`, the oracle's levels in `symnat`, and the series map
+# and the records lists of one `verify` run in `suites`.  So every body run
+# starts in `__missing__`.
 class _Memo(dict):
     """fn(key), computed once per distinct key, on its first read."""
 
@@ -55,13 +55,8 @@ class _Memo(dict):
         return value
 
 
-# The one record per (id, claim) of a check that passed, built on first use
-# and shared by every report of the process.
-_PASSED = _Memo(lambda key: CheckRecord(*key, PASS))
-
-
 def _verdict(check_id: str, claim: str, ok: bool, witness: Callable[[], str] | None = None) -> CheckRecord:
-    """The shared pass record of (check_id, claim) when `ok`, else a failure
-    with witness(), None when no witness is given.  The witness text is
-    built only on failure."""
-    return _PASSED[check_id, claim] if ok else CheckRecord(check_id, claim, FAIL, witness and witness())
+    """The pass record of (check_id, claim) when `ok`, else a failure with
+    witness(), None when no witness is given.  The witness text is built
+    only on failure."""
+    return CheckRecord(check_id, claim, PASS) if ok else CheckRecord(check_id, claim, FAIL, witness and witness())

@@ -10,7 +10,7 @@ This module parses arguments, loads groups and writes reports; the engines
 make every check.  `chains.ek_chain` computes the `ekchain` chain, its
 default window and H's class, and `chains.ek_chain_checks` gives its
 checks; `cmd_ekchain` checks only a given `--kmax`.
-`suites.group_suites` gives the `verify` blocks of each subgroup of a
+`suites.group_suites` gives the `verify` blocks of each subgroup of each
 catalog group, running the suites once per conjugacy class, and
 `symnat.counterexample_checks` the chain model with its checks and
 witnesses.
@@ -21,9 +21,10 @@ Reports are deterministic byte-for-byte apart from the timing fields, in both
 text and json-like form.  A report holds its checks as blocks
 (prefix, records), each record an `envchain.CheckRecord` (an (id, claim,
 status, witness) tuple, witness None when there is none), and each written
-with the block's prefix before its id.  The engines hand over their records as they are, so a record or a
-whole k-list that passes is one object shared by every block holding it
-(see `suites`), and `verify`'s blocks share whole records lists too.
+with the block's prefix before its id.  The engines hand over their records
+lists as they are, and `verify`'s blocks share them: every block of a
+`verify` report that holds an equal list holds the same object (see
+`suites`).
 json-like output is byte-for-byte `json.dumps(report, sort_keys=True,
 indent=2)` with the checks as one list of dicts, written from a template
 (see `_json_chunks`).  Exit codes: 0 all checks pass, 1 check failures, 2 usage,
@@ -37,8 +38,8 @@ Each subcommand imports only the engine it runs: `ekchain` imports `grp` and
 imports `symnat`, and no `perm`: only `ekchain` formats a permutation.
 At module level this file imports only what they share (`argparse`, `json`,
 the built-in `gc`, and `errno`, `os` and `stat`, which the interpreter's
-start-up has already loaded); the option defaults, the status words,
-`LimitError` and `_Memo` come from the package itself.  Every CLI run is a fresh process that pays for each
+start-up has already loaded); the option defaults, the status words and
+`LimitError` come from the package itself.  Every CLI run is a fresh process that pays for each
 import again, and compiles each module again where no bytecode is cached,
 so an engine loaded but never called costs as much as a short run's own
 work.
@@ -55,9 +56,10 @@ use) keeps its heap as it is.
 
 Both formats are written in pieces of whole blocks, at least `_CHUNK` checks
 each but the last, so the whole text is never held at once.  Each renderer
-quotes a block's prefix once per block and encodes each distinct record, and
-each records object, once (`_check_chunks`), so writing costs per block, not
-per check.  `MAX_CHECKS` is checked as blocks are added, before the first
+quotes a block's prefix once per block and encodes each records object once
+(`_check_chunks`), so writing costs per block, not per check.  `main` counts
+the checks by status once per report, for the text summary line and the
+exit code.  `MAX_CHECKS` is checked as blocks are added, before the first
 byte.
 """
 
@@ -76,7 +78,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
-from . import DEFAULT_CAP, FAIL, MAX_KMAX, PASS, SKIPPED, LimitError, _Memo, __version__
+from . import DEFAULT_CAP, FAIL, MAX_KMAX, PASS, SKIPPED, LimitError, __version__
 
 if TYPE_CHECKING:
     from .grp import FiniteGroup
@@ -191,15 +193,15 @@ def _check_chunks(blocks, pair, quote):
     Record r under prefix p is written as head + quote(p) + tail, where
     (head, tail) = pair(r).  Both renderers write the id after fixed text and
     escape (or not) one code point at a time, so the prefix is quoted once
-    per block, each distinct record is encoded once (equal records count as
-    the same) and each records object is joined once.  A joined run is kept
-    by its object's id, and the entry holds the object, so no other object
-    can take that id while the entry stands.  Both memos are emptied at the
-    first piece boundary where they hold more than `_CHUNK` records' text, so
-    a report of distinct records is never held whole (the built-in `verify
-    --kmax 4` report's 338 records objects hold 1,758 records, 99 distinct).
+    per block and each records object is encoded and joined once.  A joined
+    run is kept by its object's id, and the entry holds the object, so no
+    other object can take that id while the entry stands.  The memo is
+    emptied at the first piece boundary where it holds more than `_CHUNK`
+    records' text, so a report of distinct records is never held whole (the
+    built-in `verify --kmax 4` report's 21 records objects hold 142 records,
+    99 distinct).
     """
-    pairs, runs, held = _Memo(pair), {}, 0
+    runs, held = {}, 0
     parts, n = [], 0
     for prefix, records in blocks:
         if not records:
@@ -207,7 +209,7 @@ def _check_chunks(blocks, pair, quote):
         kept = runs.get(id(records))
         if kept is None:
             # the block's text with the prefix left out: quote(p).join(run)
-            heads, tails = zip(*map(pairs.__getitem__, records))
+            heads, tails = zip(*map(pair, records))
             run = [heads[0], *map(str.__add__, tails, heads[1:]), tails[-1]]
             kept = runs[id(records)] = records, run
             held += len(records)
@@ -216,8 +218,7 @@ def _check_chunks(blocks, pair, quote):
         if n >= _CHUNK:
             yield "".join(parts)
             parts, n = [], 0
-            if held + len(pairs) > _CHUNK:
-                pairs.clear()
+            if held > _CHUNK:
                 runs.clear()
                 held = 0
     if n:
@@ -229,9 +230,9 @@ def _text_pair(record: tuple) -> tuple[str, str]:
     return f"[{status}] ", (f"{cid}\n" if witness is None else f"{cid}\n    {witness}\n")
 
 
-def _text_chunks(report: dict):
+def _text_chunks(report: dict, n: dict):
     """The text report in pieces: the header with the first piece of checks,
-    each further piece, then the rest."""
+    each further piece, then the rest; `n` is the report's `_summary`."""
     cmd = report["command"]
     args = " ".join(f"{k}={v}" for k, v in cmd["args"].items())
     head = f"envchain {report['tool_version']}\n" + f"command: {cmd['name']} {args}".rstrip() + "\n"
@@ -242,7 +243,6 @@ def _text_chunks(report: dict):
     for w in report["witnesses"]:
         kv = " ".join(f"{k}={w[k]}" for k in sorted(w) if k != "type")
         lines.append(f"witness {w['type']}: {kv}\n")
-    n = _summary(report)
     lines.append(f"summary: checks={sum(n.values())} pass={n[PASS]} fail={n[FAIL]} skipped={n[SKIPPED]}\n")
     if report["timings"]:
         lines.append(f"time: {report['timings'].get('total_s', 0.0)}s\n")
@@ -286,10 +286,6 @@ def _json_chunks(report: dict):
     rest = json.dumps({k: v for k, v in report.items() if k != "checks"},
                       sort_keys=True, indent=2)
     yield "".join((opening + "],\n" if opening else "\n  ],\n", rest[2:], "\n"))
-
-
-def _exit_code(report: dict) -> int:
-    return 1 if _summary(report)[FAIL] else 0
 
 
 # --- commands ----------------------------------------------------------------
@@ -396,11 +392,9 @@ def cmd_verify(args) -> dict:
         "cap": args.cap,
         "catalog": "builtin" if args.catalog_dir is None else args.catalog_dir,
     })
-    for gname in sorted(catalog):
-        for label, blocks in suites.group_suites(catalog[gname], args.suite, args.kmax):
-            prefix = f"{gname}:{label}:"
-            for tail, records in blocks:
-                _add_checks(report, prefix + tail, records)
+    for prefix, blocks in suites.group_suites(catalog, args.suite, args.kmax):
+        for tail, records in blocks:
+            _add_checks(report, prefix + tail, records)
     return report
 
 
@@ -442,10 +436,11 @@ def main(argv=None) -> int:
         print(f"envchain: resource limit: {exc}", file=sys.stderr)
         return 3
     report["timings"]["total_s"] = round(time.perf_counter() - start, 6)
+    n = _summary(report)
     try:
         if sys.stdout is None:  # the interpreter found fd 1 closed at start-up
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        sys.stdout.writelines((_json_chunks if args.format == "json-like" else _text_chunks)(report))
+        sys.stdout.writelines(_json_chunks(report) if args.format == "json-like" else _text_chunks(report, n))
         sys.stdout.flush()
     except OSError as exc:
         if sys.stdout is not None:
@@ -457,7 +452,7 @@ def main(argv=None) -> int:
         return 2
     if report.get("partial"):
         return 3
-    return _exit_code(report)
+    return 1 if n[FAIL] else 0
 
 
 if __name__ == "__main__":

@@ -18,12 +18,13 @@ their index sets are equal; no identity of the paper is used to find them.
 
 Verifiers return lists of `CheckRecord`; failures carry witnesses instead of
 raising.  Every pass/fail record, `_set_check`'s set comparisons included,
-comes from the package's one rule, `envchain._verdict`, so a check that
-passes is one shared record per (id, claim) for the process; a k-list of
+comes from the package's one rule, `envchain._verdict`.  A k-list of
 `abc_lemma_by_k` or `ek_structure_by_k` whose checks all pass is one shared
-tuple per k, built on first use.  Every comparison still runs; a failure or
-a skip gets a record and witness of its own.  Only `verify` imports this
-module.
+tuple per k, built on first use, so its records are built once.  Every
+comparison still runs; a failure or a skip gets a record and witness of its
+own.  The check list is the unit of sharing: `group_suites` hands each
+distinct records list of a catalog over as one object, however many
+groups, subgroups and blocks hold it.  Only `verify` imports this module.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ from .perm import format_cycles
 Series = Mapping[frozenset[int], list[frozenset[int]]]
 
 # Shared tuples, built on first use: one per (kind, k) of a k-list whose
-# checks all passed.  Every comparison still runs; only the records are shared.
+# checks all passed.  Every comparison still runs; only building the records
+# is skipped.
 _ALL_PASS: dict[tuple[str, int], tuple[CheckRecord, ...]] = {}
 
 
@@ -427,9 +429,10 @@ def run_suites(G: FiniteGroup, H: Subgroup, suite: str, kmax: int) -> list[tuple
     return blocks
 
 
-def group_suites(G: FiniteGroup, suite: str, kmax: int) -> Iterator[tuple[str, list]]:
-    """(label, blocks) for every subgroup `enumerate_subgroups` lists, in its
-    order: the blocks of `run_suites` on that subgroup.
+def group_suites(catalog: Mapping[str, FiniteGroup], suite: str, kmax: int) -> Iterator[tuple[str, list]]:
+    """(prefix, blocks) for every subgroup of every group of `catalog`, the
+    groups by name and each group's subgroups in `enumerate_subgroups`'
+    order: "name:label:" and the blocks of `run_suites` on that subgroup.
 
     Conjugation by g in G is an automorphism of G, so it carries every set a
     check compares for H onto the matching set for H^g, and the check's
@@ -439,12 +442,16 @@ def group_suites(G: FiniteGroup, suite: str, kmax: int) -> Iterator[tuple[str, l
     blocks, the same objects.
     A failure's witness names elements, so a class whose first member fails
     any check runs member by member; a skip's witness quotes only integers.
+    Each records list a run returns is interned by content for the length of
+    the call, so equal lists of any two subgroups are one tuple.
     """
-    shared = {}  # first member -> its blocks, if all pass or skip
-    for label, H, first in enumerate_subgroups(G):
-        blocks = shared.get(first)
-        if blocks is None:
-            blocks = run_suites(G, H, suite, kmax)
-            if H is first and FAIL not in map(itemgetter(2), chain.from_iterable(r for _, r in blocks)):
-                shared[first] = blocks
-        yield label, blocks
+    lists = _Memo(lambda records: records)  # records tuple -> the first equal one
+    for name, G in sorted(catalog.items()):
+        shared = {}  # first member -> its blocks, if all pass or skip
+        for label, H, first in enumerate_subgroups(G):
+            blocks = shared.get(first)
+            if blocks is None:
+                blocks = [(tail, lists[tuple(records)]) for tail, records in run_suites(G, H, suite, kmax)]
+                if H is first and FAIL not in map(itemgetter(2), chain.from_iterable(r for _, r in blocks)):
+                    shared[first] = blocks
+            yield f"{name}:{label}:", blocks

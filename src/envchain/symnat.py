@@ -60,17 +60,16 @@ def f_map(x: int) -> int:
 
 
 def f_inv(y: int) -> int:
-    if y == 0:
-        return 1
-    return y - 2 if y % 2 == 0 else y + 2
+    return f_pow(y, -1)
 
 
 def f_pow(x: int, m: int) -> int:
-    """m-fold iterate of f_map (negative m iterates the inverse)."""
-    step = f_map if m >= 0 else f_inv
-    for _ in range(abs(m)):
-        x = step(x)
-    return x
+    """m-fold iterate of f_map (negative m iterates the inverse).
+
+    The orbit ..., 5, 3, 1, 0, 2, 4, ... is a line: even x sits at place
+    x/2 and odd x at -(x+1)/2, and f_map moves every point one place on."""
+    p = (x // 2 if x % 2 == 0 else -(x + 1) // 2) + m
+    return 2 * p if p >= 0 else -2 * p - 1
 
 
 # --- eventually periodic bit functions ---------------------------------------

@@ -1067,8 +1067,8 @@ def test_set_check_failure_witness(group, got, want, witness):
     assert type(record) is CheckRecord
 
 
-def test_set_check_pass_is_the_shared_record():
+def test_set_check_pass_is_the_pass_record():
     G = parse_group_file(CATALOG_FILES["S3"])
     record = suites._set_check(G, "id", "claim", frozenset({0, 1}), frozenset({1, 0}), "k=1")
     assert record == ("id", "claim", "pass", None)
-    assert record is suites._set_check(G, "id", "claim", G.all_indices, G.all_indices, "k=2")
+    assert record == suites._set_check(G, "id", "claim", G.all_indices, G.all_indices, "k=2")

@@ -51,6 +51,19 @@ def test_f_pow():
     assert sn.f_pow(11, 0) == 11
 
 
+def test_f_pow_is_iterated_f_map():
+    # the closed form against m-fold iteration of the literal f_map and of
+    # its literal inverse, for m negative, zero and positive
+    def literal_inv(y):
+        return 1 if y == 0 else y - 2 if y % 2 == 0 else y + 2
+
+    for x in range(120):
+        forward = backward = x
+        for m in range(61):
+            assert sn.f_pow(x, m) == forward and sn.f_pow(x, -m) == backward
+            forward, backward = sn.f_map(forward), literal_inv(backward)
+
+
 # --- bit functions --------------------------------------------------------------
 
 

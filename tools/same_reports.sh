@@ -32,9 +32,11 @@
 # exit 0; and the 9,999 transpositions (0 1) ... (0 9999), which exit 3 on
 # the closure's storage bound), all json-like, and the text reports of the
 # built-in, bench-catalog and tests/data verify, of each bench-catalog suite
-# on its own (a conjugacy class's records are reused per suite run), of
-# ekchain on S6's order-16 subgroup at --kmax 4 and of counterexample
-# --levels 8, so each subcommand's text report is compared.  Each tree runs
+# on its own (a conjugacy class's records are reused per suite run), of A6
+# and P256 at --kmax 4 (P256's summary line counts 35,903 blocks, the most
+# of any report here), of ekchain on S6's order-16 subgroup at --kmax 4 and
+# of counterexample --levels 8, so each subcommand's text report is
+# compared.  Each tree runs
 # its own src on HEAD_TREE's input files: the benchmark's groups under
 # perfbench/groups, the probe groups under tests/data/reach (A6, P256,
 # P1024, S7 and the small ekchain files), and the two large degree-10,000
@@ -84,7 +86,9 @@ bench-nilpotent text verify --catalog-dir $verify --suite nilpotent
 data json-like verify --catalog-dir $head/tests/data
 data-text text verify --catalog-dir $head/tests/data
 a6 json-like verify --catalog-dir $reach/a6
+a6-text text verify --kmax 4 --catalog-dir $reach/a6
 p256 json-like verify --kmax 4 --catalog-dir $reach/p256
+p256-text text verify --kmax 4 --catalog-dir $reach/p256
 s7-bryant json-like verify --suite bryant --kmax 1 --catalog-dir $reach/s7
 p1024-bryant json-like verify --suite bryant --kmax 1 --catalog-dir $reach/p1024
 model json-like counterexample --levels 8
