@@ -1,8 +1,9 @@
 """Built-in catalog of small permutation groups used by the verify suites.
 
-Each entry is a group file (see `grp.parse_group_file`); the generator sets
-for the less obvious groups are produced from explicit constructions at import
-time so the cycle strings never drift from the intended group.
+Each entry is a degree and a list of generators as image tuples
+(`catalog_generators`), closed by `grp.closure`.  The generator sets for the
+less obvious groups are produced from explicit constructions, so they never
+drift from the intended group.
 
 `enumerate_subgroups` lists the subgroups `verify` checks, each with its
 label and the first member of its conjugacy class, so that `verify` runs its
@@ -14,8 +15,8 @@ with an element, are `grp.orbit_labels`.
 from __future__ import annotations
 
 from . import DEFAULT_CAP
-from .grp import (FiniteGroup, Subgroup, centralizer, closure_indices, generating_indices, orbit_labels,
-                  parse_group_file)
+from .grp import (FiniteGroup, Subgroup, centralizer, closure, closure_indices, generating_indices,
+                  orbit_labels)
 from .perm import format_cycles, parse_cycles
 
 
@@ -50,35 +51,30 @@ def _quaternion_generators() -> list[tuple[int, ...]]:
     return [left_i, left_j]
 
 
-def _group_file(degree: int, generators: list[tuple[int, ...]], header: str) -> str:
-    return "\n".join([f"# {header}", f"degree: {degree}", *map(format_cycles, generators)]) + "\n"
+def catalog_generators() -> dict[str, tuple[int, list[tuple[int, ...]]]]:
+    """Each catalog group's degree and generators, keyed by name."""
 
-
-def _group_files() -> dict[str, str]:
-    heis = _heisenberg3_generators()
-    quat = _quaternion_generators()
-
-    def gf(degree, cycle_texts, header):
-        return _group_file(degree, [parse_cycles(t, degree) for t in cycle_texts], header)
+    def cycles(degree, *texts):
+        return degree, [parse_cycles(t, degree) for t in texts]
 
     return {
-        "A4": gf(4, ["(0 1 2)", "(1 2 3)"], "alternating group on 4 points, order 12"),
-        "D16": gf(8, ["(0 1 2 3 4 5 6 7)", "(1 7)(2 6)(3 5)"], "dihedral group of order 16"),
-        "D8": gf(4, ["(0 1 2 3)", "(1 3)"], "dihedral group of order 8"),
-        "E8": gf(6, ["(0 1)", "(2 3)", "(4 5)"], "elementary abelian group of order 8"),
-        "Heis3": _group_file(27, heis, "Heisenberg group mod 3, order 27 (regular action)"),
-        "Q8": _group_file(8, quat, "quaternion group of order 8 (regular action)"),
-        "S3": gf(3, ["(0 1)", "(0 1 2)"], "symmetric group on 3 points, order 6"),
-        "S4": gf(4, ["(0 1)", "(0 1 2 3)"], "symmetric group on 4 points, order 24"),
-        "Z4xZ2": gf(6, ["(0 1 2 3)", "(4 5)"], "direct product of cyclic groups of order 4 and 2"),
+        "A4": cycles(4, "(0 1 2)", "(1 2 3)"),  # alternating group on 4 points, order 12
+        "D16": cycles(8, "(0 1 2 3 4 5 6 7)", "(1 7)(2 6)(3 5)"),  # dihedral group of order 16
+        "D8": cycles(4, "(0 1 2 3)", "(1 3)"),  # dihedral group of order 8
+        "E8": cycles(6, "(0 1)", "(2 3)", "(4 5)"),  # elementary abelian group of order 8
+        "Heis3": (27, _heisenberg3_generators()),  # Heisenberg group mod 3, order 27 (regular action)
+        "Q8": (8, _quaternion_generators()),  # quaternion group of order 8 (regular action)
+        "S3": cycles(3, "(0 1)", "(0 1 2)"),  # symmetric group on 3 points, order 6
+        "S4": cycles(4, "(0 1)", "(0 1 2 3)"),  # symmetric group on 4 points, order 24
+        "Z4xZ2": cycles(6, "(0 1 2 3)", "(4 5)"),  # direct product of cyclic groups of order 4 and 2
     }
 
 
-CATALOG_FILES: dict[str, str] = _group_files()
-
 def build_catalog(cap: int = DEFAULT_CAP) -> dict[str, FiniteGroup]:
-    """All catalog groups, keyed by name, in sorted-name order."""
-    return {name: parse_group_file(CATALOG_FILES[name], cap=cap) for name in sorted(CATALOG_FILES)}
+    """All catalog groups, keyed by name, in sorted-name order, each closed
+    with at most `cap` elements."""
+    return {name: closure(gens, cap=cap, degree=degree)
+            for name, (degree, gens) in sorted(catalog_generators().items())}
 
 
 def enumerate_subgroups(G: FiniteGroup) -> list[tuple[str, Subgroup, Subgroup]]:

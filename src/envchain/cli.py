@@ -291,8 +291,10 @@ def _json_chunks(report: dict):
 # --- commands ----------------------------------------------------------------
 
 
-def _read_group_file(path: str) -> tuple[int, list]:
-    """The degree and generators of the group file at `path`, not closed."""
+def _read_group_file(path: str, cap: int | None = None) -> tuple[int, list]:
+    """The degree and generators of the group file at `path`, not closed;
+    read to be closed under `cap` when one is given (see
+    `grp.read_group_file`)."""
     from .grp import GroupFileError, read_group_file
 
     try:
@@ -304,7 +306,7 @@ def _read_group_file(path: str) -> tuple[int, list]:
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     try:
-        return read_group_file(text)
+        return read_group_file(text, cap)
     except GroupFileError as exc:
         raise _UsageError(f"{path}: {exc}") from exc
 
@@ -312,7 +314,7 @@ def _read_group_file(path: str) -> tuple[int, list]:
 def _load_group_file(path: str, cap: int) -> FiniteGroup:
     from .grp import closure
 
-    degree, gens = _read_group_file(path)
+    degree, gens = _read_group_file(path, cap)
     return closure(gens, cap=cap, degree=degree)
 
 

@@ -48,7 +48,9 @@ holds more than n/2 elements (Lagrange's theorem).
 `closure` stops with a `ClosureCapError`, a kind of the package's
 `envchain.LimitError`, once the group holds more than the caller's cap or
 more than `MAX_ENTRIES` image entries (order × degree): a group's storage
-grows with both.  `orbit_labels` is the one orbit walk; the coset labels
+grows with both.  A group file read to be closed makes the closure's first
+test, of its distinct generators, before it builds any image tuple
+(`read_group_file`).  `orbit_labels` is the one orbit walk; the coset labels
 here and `catalog`'s conjugacy-class passes both read it.
 """
 
@@ -265,15 +267,15 @@ class Subgroup:
 # --- index-set algebra (used heavily by `chains`) --------------------------
 
 
-def _bfs(e, seeds, mul, cap: int) -> set:
+def _bfs(e, seeds, mul, cap: int, degree: int | None = None) -> set:
     """`e` and every product of seeds, breadth-first with `mul(a, seed)`;
-    raises `ClosureCapError` as soon as the set holds more than `cap`.
-    On indices, multiplying by a seed on the right reads only the seeds'
-    product rows."""
+    raises `ClosureCapError(cap, reached, degree)` as soon as the set holds
+    more than `cap`.  On indices, multiplying by a seed on the right reads
+    only the seeds' product rows."""
     gens = frontier = sorted(set(seeds) - {e})
     els = {e, *gens}
     if len(els) > cap:
-        raise ClosureCapError(cap, len(els))
+        raise ClosureCapError(cap, len(els), degree)
     while frontier:
         new = []
         for a in frontier:
@@ -283,7 +285,7 @@ def _bfs(e, seeds, mul, cap: int) -> set:
                     els.add(c)
                     new.append(c)
                     if len(els) > cap:
-                        raise ClosureCapError(cap, len(els))
+                        raise ClosureCapError(cap, len(els), degree)
         frontier = new
     # finite order: the products of generators already contain all inverses
     return els
@@ -486,28 +488,31 @@ def closure(generators: Sequence[tuple[int, ...]], cap: int = DEFAULT_CAP,
     element limit for `_bfs`.  `degree` is only required when no generators
     are given.
     """
-    if cap <= 0:
-        raise ValueError("cap must be positive")
     generators = tuple(map(tuple, generators))
     if degree is None:
         if not generators:
             raise ValueError("need a degree when there are no generators")
         degree = len(generators[0])
+    limit, named = _limit(cap, degree)
     for g in generators:
         # ints only, and then sorted they are 0..n-1: checked at C speed
         if not all(map(isinstance, g, repeat(int))) or sorted(g) != list(range(len(g))):
             raise ValueError(f"images {g!r} are not a bijection of 0..{len(g) - 1}")
         if len(g) != degree:
             raise DegreeMismatchError(f"generator degree {len(g)} != {degree}")
-    limit = min(cap, MAX_ENTRIES // max(degree, 1))
-    try:
-        # (a g)(x) = a[g[x]] on image tuples
-        els = _bfs(tuple(range(degree)), generators, lambda a, g: tuple(map(a.__getitem__, g)), limit)
-    except ClosureCapError as exc:
-        if limit == cap:
-            raise
-        raise ClosureCapError(limit, exc.reached, degree) from None
+    # (a g)(x) = a[g[x]] on image tuples
+    els = _bfs(tuple(range(degree)), generators, lambda a, g: tuple(map(a.__getitem__, g)), limit, named)
     return FiniteGroup(degree, generators, els)
+
+
+def _limit(cap: int, degree: int) -> tuple[int, int | None]:
+    """The most elements `closure` keeps at `degree` under `cap`, and the
+    degree its `ClosureCapError` names: None when `cap` binds, `degree` when
+    `MAX_ENTRIES` stored image entries bind first."""
+    if cap <= 0:
+        raise ValueError("cap must be positive")
+    bound = MAX_ENTRIES // max(degree, 1)
+    return (cap, None) if cap <= bound else (bound, degree)
 
 
 def _as_index_view(ambient: Union[FiniteGroup, Subgroup]) -> tuple[FiniteGroup, frozenset[int]]:
@@ -568,11 +573,11 @@ def nilpotency_class(ambient: Union[FiniteGroup, Subgroup]) -> int | None:
 def parse_group_file(text: str, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """The group a group file generates (see `read_group_file`), closed with
     at most `cap` elements."""
-    degree, gens = read_group_file(text)
+    degree, gens = read_group_file(text, cap)
     return closure(gens, cap=cap, degree=degree)
 
 
-def read_group_file(text: str) -> tuple[int, list[tuple[int, ...]]]:
+def read_group_file(text: str, cap: int | None = None) -> tuple[int, list[tuple[int, ...]]]:
     """The degree and generators of a group file, without closing them:
 
         # comment
@@ -586,6 +591,11 @@ def read_group_file(text: str) -> tuple[int, list[tuple[int, ...]]]:
     line, and past `MAX_ENTRIES // degree + 1` of them no new one is kept:
     that many already pass the closure's storage bound.  Only a kept
     generator is built as its image tuple.
+
+    A `cap` says the file is read to be closed with it.  `closure`'s first
+    test, of the identity and the distinct generators against its element
+    limit, is then made here, before any tuple is built, and raises the same
+    `ClosureCapError`.
     """
     degree = None
     # an ordered set of generators, each as its sorted (point, image) pairs
@@ -618,6 +628,11 @@ def read_group_file(text: str) -> tuple[int, list[tuple[int, ...]]]:
             gens[tuple(sorted(moves.items()))] = None
     if degree is None:
         raise GroupFileError("missing 'degree: <n>' line", 1)
+    if cap is not None:
+        limit, named = _limit(cap, degree)
+        reached = len(gens) + (() not in gens)  # () is the identity's key
+        if reached > limit:
+            raise ClosureCapError(limit, reached, named)
     identity = tuple(range(degree))
     return degree, [from_moves(g, identity) for g in gens]
 

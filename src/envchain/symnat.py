@@ -474,10 +474,11 @@ class IterChainModel:
     """Ascending chain of finite bit-function groups C^1 < C^2 < ...
 
     Level i is kept only as a GF(2) basis of int masks over one 2^i block
-    (bit x is the value at x); level 0 is the trivial group.  `span(i)` is C^i
-    as masks, and `level(i)` builds it as canonical BitFns on each call.
-    Every member of level i is purely periodic with period dividing 2^i, and
-    each level is a group under pointwise XOR.
+    (bit x is the value at x); level 0 is the trivial group.  `span(i)` lists
+    C^i as masks, the form `brute_force_level(i)` gives too; a member is a
+    BitFn only where a witness is written (`_from_mask`).  Every member of
+    level i is purely periodic with period dividing 2^i, and each level is a
+    group under pointwise XOR.
     """
 
     def __init__(self, bases: list[list[int]]):
@@ -497,9 +498,6 @@ class IterChainModel:
         for b in self.basis(i):
             span += [s ^ b for s in span]
         return span
-
-    def level(self, i: int) -> frozenset[BitFn]:
-        return frozenset(_from_mask(m, 2 ** i) for m in self.span(i))
 
     def sizes(self) -> list[int]:
         return [1 << len(b) for b in self._bases[1:]]
@@ -582,23 +580,22 @@ def iterated_centralizer_model(imax: int) -> IterChainModel:
     return IterChainModel(bases)
 
 
-def brute_force_level(i: int) -> frozenset[BitFn]:
+def brute_force_level(i: int) -> frozenset[int]:
     """Independent oracle: enumerate all period-2^i patterns and keep those
     whose delta lies in the enumerated previous level.
 
-    Reads neither `_preimage` nor `_delta_mask`; the hits are built as
-    canonical BitFns from their bits."""
+    Reads neither `_preimage` nor `_delta_mask`.  The hits are int masks over
+    one 2^i block (bit x is the value at x), as `IterChainModel.span` lists
+    level i."""
     if i < 1:
         raise ValueError("i must be >= 1")
     if i > ORACLE_MAX_LEVEL:
         raise ValueError(f"enumeration of 2^{2 ** i} candidates is infeasible (i={i} > {ORACLE_MAX_LEVEL})")
-    P = 2 ** i
-    return frozenset(BitFn.from_pattern([(g >> x) & 1 for x in range(P)])
-                     for g in _LEVELS[i])
+    return _LEVELS[i]
 
 
 def _enumerated_level(i: int) -> frozenset[int]:
-    """Level i of `brute_force_level` as int masks over one P = 2^i block.
+    """Level i of `brute_force_level`, enumerated over one P = 2^i block.
 
     Every candidate's delta is sampled point by point from `f_map` on
     x = 0..P+1.  That window decides membership: a P-periodic g's delta
@@ -727,7 +724,8 @@ def counterexample_checks(levels: int, scan_max: int, oracle_depth: int) -> tupl
     if model.depth >= 1:
         checks.append(_verdict(
             "model-level1", "level 1 is exactly the constant functions", sorted(model.span(1)) == [0, 0b11],
-            lambda: "level 1 = {" + ", ".join(sorted(b.to_text() for b in model.level(1))) + "}"))
+            lambda: "level 1 = {" + ", ".join(sorted(
+                b.to_text() for b in {_from_mask(m, 2) for m in model.span(1)})) + "}"))
     sizes = model.sizes()
     checks.append(_verdict("model-sizes-strict", "level sizes strictly increase",
                            all(a < b for a, b in zip(sizes, sizes[1:])), lambda: f"sizes={sizes}"))
@@ -751,7 +749,7 @@ def counterexample_checks(levels: int, scan_max: int, oracle_depth: int) -> tupl
                                _rank(basis) == len(basis)))
     for i in range(1, min(oracle_depth, model.depth, ORACLE_MAX_LEVEL) + 1):
         checks.append(_verdict(f"model-oracle-i{i}", "solver level equals brute-force enumeration",
-                               brute_force_level(i) == model.level(i)))
+                               brute_force_level(i) == frozenset(model.span(i))))
     witnesses: list[dict] = [{"type": "levels", "sizes": sizes}]
     for k in range(0, max(model.depth - 1, 0)):
         try:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from envchain import catalog as catalog_module
 from envchain import chains, grp, suites
-from envchain.catalog import CATALOG_FILES, build_catalog, enumerate_subgroups
+from envchain.catalog import build_catalog, enumerate_subgroups
 from envchain.chains import (
     CheckRecord,
     ek_chain,
@@ -56,6 +56,7 @@ from naive import (
     naive_subgroup_classes,
 )
 from strategies import DIFFERENTIAL, groups, perms, subgroups, subgroups_or_subsets
+from views import catalog_file
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,6 +64,29 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.fixture(scope="module")
 def catalog():
     return build_catalog()
+
+
+# Each built-in group's degree, order and generators in cycle notation: the
+# catalog holds generators, not group-file text, so these pin what it closes.
+BUILTIN = {
+    "A4": (4, 12, ["(0 1 2)", "(1 2 3)"]),
+    "D16": (8, 16, ["(0 1 2 3 4 5 6 7)", "(1 7)(2 6)(3 5)"]),
+    "D8": (4, 8, ["(0 1 2 3)", "(1 3)"]),
+    "E8": (6, 8, ["(0 1)", "(2 3)", "(4 5)"]),
+    "Heis3": (27, 27, ["(0 9 18)(1 10 19)(2 11 20)(3 13 23)(4 14 21)(5 12 22)(6 17 25)(7 15 26)(8 16 24)",
+                       "(0 3 6)(1 4 7)(2 5 8)(9 12 15)(10 13 16)(11 14 17)(18 21 24)(19 22 25)(20 23 26)"]),
+    "Q8": (8, 8, ["(0 2 1 3)(4 6 5 7)", "(0 4 1 5)(2 7 3 6)"]),
+    "S3": (3, 6, ["(0 1)", "(0 1 2)"]),
+    "S4": (4, 24, ["(0 1)", "(0 1 2 3)"]),
+    "Z4xZ2": (6, 8, ["(0 1 2 3)", "(4 5)"]),
+}
+
+
+def test_builtin_catalog_is_pinned(catalog):
+    assert list(catalog) == sorted(BUILTIN)
+    for name, (degree, order, cycles) in BUILTIN.items():
+        G = catalog[name]
+        assert (G.degree, G.order, list(map(format_cycles, G.generators))) == (degree, order, cycles), name
 
 
 @pytest.fixture(scope="module")
@@ -894,7 +918,7 @@ def test_guard_target_not_a_subgroup(catalog):
 
 
 def fresh(name):
-    return parse_group_file(CATALOG_FILES[name])
+    return parse_group_file(catalog_file(name))
 
 
 @pytest.mark.parametrize("name", ["D16", "S4", "Heis3"])
@@ -1061,14 +1085,14 @@ def test_ek_chain_in_s6_reads_no_commutator():
     ("S4", set(range(9)), {0}, "k=1; unexpected {(2 3), (1 2), (1 2 3), (1 3 2), (1 3), (0 1), ...}"),
 ], ids=["unexpected", "missing", "both", "unexpected-seven"])
 def test_set_check_failure_witness(group, got, want, witness):
-    G = parse_group_file(CATALOG_FILES[group])
+    G = parse_group_file(catalog_file(group))
     record = suites._set_check(G, "id", "claim", frozenset(got), frozenset(want), "k=1")
     assert record == ("id", "claim", "fail", witness)
     assert type(record) is CheckRecord
 
 
 def test_set_check_pass_is_the_pass_record():
-    G = parse_group_file(CATALOG_FILES["S3"])
+    G = parse_group_file(catalog_file("S3"))
     record = suites._set_check(G, "id", "claim", frozenset({0, 1}), frozenset({1, 0}), "k=1")
     assert record == ("id", "claim", "pass", None)
     assert record == suites._set_check(G, "id", "claim", G.all_indices, G.all_indices, "k=2")

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envchain.catalog import CATALOG_FILES, build_catalog, enumerate_subgroups
+from envchain.catalog import build_catalog, enumerate_subgroups
 from envchain import CheckRecord, chains, cli, grp, suites, symnat
 from envchain.cli import main
 from envchain.grp import MAX_KMAX, nilpotency_class, parse_group_file
 from envchain.perm import format_cycles
+from views import catalog_file
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,7 +64,7 @@ def report_digest(out: str) -> str:
 @pytest.fixture
 def s3_files(tmp_path):
     g = tmp_path / "s3.grp"
-    g.write_text(CATALOG_FILES["S3"])
+    g.write_text(catalog_file("S3"))
     h = tmp_path / "h.grp"
     h.write_text("degree: 3\n(0 1)\n")
     return str(g), str(h)
@@ -150,7 +151,7 @@ def test_group_file_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
              for cmd in (("ekchain", str(g), str(h)), ("verify", "--catalog-dir", str(c.parent)))]
     reports = []
     for mark in (b"", b"\xef\xbb\xbf"):
-        for path, text in ((g, CATALOG_FILES["S3"]), (c, CATALOG_FILES["S3"]), (h, "degree: 3\n(0 1)\n")):
+        for path, text in ((g, catalog_file("S3")), (c, catalog_file("S3")), (h, "degree: 3\n(0 1)\n")):
             path.write_bytes(mark + text.encode())
         runs = [run(capsys, *argv) for argv in argvs]
         reports.append([(code, strip_timing_text(out) if argv[-1] == "text" else strip_timing_json(out))
@@ -283,8 +284,8 @@ def test_usage_error_exit_2():
 def test_verify_custom_catalog(capsys, tmp_path):
     cdir = tmp_path / "cat"
     cdir.mkdir()
-    (cdir / "S3.grp").write_text(CATALOG_FILES["S3"])
-    (cdir / "D8.grp").write_text(CATALOG_FILES["D8"])
+    (cdir / "S3.grp").write_text(catalog_file("S3"))
+    (cdir / "D8.grp").write_text(catalog_file("D8"))
     code, out = run(capsys, "verify", "--suite", "all", "--kmax", "3",
                     "--catalog-dir", str(cdir))
     assert code == 0
@@ -295,7 +296,7 @@ def test_verify_custom_catalog(capsys, tmp_path):
 def test_verify_deterministic_output(capsys, tmp_path):
     cdir = tmp_path / "cat"
     cdir.mkdir()
-    (cdir / "D8.grp").write_text(CATALOG_FILES["D8"])
+    (cdir / "D8.grp").write_text(catalog_file("D8"))
     args = ("verify", "--suite", "structure", "--kmax", "2", "--catalog-dir", str(cdir))
     _, first = run(capsys, *args)
     _, second = run(capsys, *args)
@@ -305,7 +306,7 @@ def test_verify_deterministic_output(capsys, tmp_path):
 def test_verify_json_deterministic_and_self_describing(capsys, tmp_path):
     cdir = tmp_path / "cat"
     cdir.mkdir()
-    (cdir / "S3.grp").write_text(CATALOG_FILES["S3"])
+    (cdir / "S3.grp").write_text(catalog_file("S3"))
     args = ("verify", "--suite", "bryant", "--kmax", "2",
             "--catalog-dir", str(cdir), "--format", "json-like")
     _, first = run(capsys, *args)
@@ -326,7 +327,7 @@ def test_verify_kmax_over_bound_exit_2(capsys):
 def test_verify_check_limit_exit_3(capsys, tmp_path, monkeypatch):
     cdir = tmp_path / "cat"
     cdir.mkdir()
-    (cdir / "S3.grp").write_text(CATALOG_FILES["S3"])
+    (cdir / "S3.grp").write_text(catalog_file("S3"))
     args = ("verify", "--suite", "all", "--kmax", "3", "--catalog-dir", str(cdir),
             "--format", "json-like")
     code, out = run(capsys, *args)
@@ -343,7 +344,7 @@ def test_verify_check_limit_exit_3(capsys, tmp_path, monkeypatch):
 
 
 def test_verify_catalog_entry_that_is_a_directory_exit_2(capsys, tmp_path):
-    (tmp_path / "S3.grp").write_text(CATALOG_FILES["S3"])
+    (tmp_path / "S3.grp").write_text(catalog_file("S3"))
     (tmp_path / "x.grp").mkdir()
     code = main(["verify", "--kmax", "1", "--catalog-dir", str(tmp_path)])
     captured = capsys.readouterr()
@@ -408,8 +409,59 @@ def test_group_file_line_costs_its_own_length(tmp_path):
     assert (witness["group_order"], witness["subgroup_order"]) == (2, 2)
 
 
+# Run by a small interpreter that starts the CLI and reads its rusage: a
+# child's ru_maxrss starts at the RSS of the process it was forked from, so
+# a CLI started from the test process would read at least the test's RSS.
+_OWN_PEAK = (
+    "import os, subprocess, sys\n"
+    "child = subprocess.Popen(sys.argv[2:])\n"
+    "_, status, usage = os.wait4(child.pid, 0)\n"
+    "open(sys.argv[1], 'w').write(f'{os.waitstatus_to_exitcode(status)} {usage.ru_maxrss}')\n"
+)
+
+
+def run_own_peak(tmp_path, *argv, timeout=60) -> tuple[int, str, str, float]:
+    """(exit code, stdout, stderr, own peak RSS in MB) of the CLI in a fresh
+    process, the peak read with `os.wait4`."""
+    stats = tmp_path / "own-peak"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _OWN_PEAK, str(stats), sys.executable, "-m", "envchain.cli",
+                           *argv], env=env, capture_output=True, text=True, timeout=timeout)
+    code, peak_kb = map(int, stats.read_text().split())
+    return code, proc.stdout, proc.stderr, peak_kb / 1024
+
+
+def transpositions_file(tmp_path) -> str:
+    """The 9,999 transpositions (0 1) ... (0 9999) at degree 10,000."""
+    (tmp_path / "T.grp").write_text("degree: 10000\n" + "".join(f"(0 {i})\n" for i in range(1, 10000)))
+    return str(tmp_path / "T.grp")
+
+
+def test_group_file_past_the_storage_bound_exits_before_building_tuples(tmp_path):
+    # the identity and the first 839 distinct generators already pass the 838
+    # elements grp.MAX_ENTRIES allows at degree 10,000, so the group file is
+    # refused before any image tuple is built: building those 839 tuples of
+    # 10,000 entries took 80 MB
+    t = transpositions_file(tmp_path)
+    code, out, err, peak_mb = run_own_peak(tmp_path, "ekchain", t, t)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"envchain: resource limit: closure exceeded the bound of {grp.MAX_ENTRIES} stored image "
+        f"entries (order x degree) at degree 10000 (at least {grp.MAX_ENTRIES // 10000 + 2} elements)\n")
+    assert peak_mb < 30, f"own peak RSS {peak_mb:.1f} MB"
+
+
+def test_subgroup_file_is_looked_up_in_the_group(tmp_path):
+    # a subgroup file is never closed on its own: its generators are only
+    # looked up in G, here the trivial group of the one-point cycles
+    (tmp_path / "M.grp").write_text("degree: 10000\n" + "".join(f"({i})\n" for i in range(10000)))
+    proc = run_with_timeout("ekchain", str(tmp_path / "M.grp"), transpositions_file(tmp_path), timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "envchain: error: subgroup generator (0 1) is not in the group\n"
+
+
 def test_ekchain_fifo_group_file_exit_2(tmp_path):
-    (tmp_path / "S3.grp").write_text(CATALOG_FILES["S3"])
+    (tmp_path / "S3.grp").write_text(catalog_file("S3"))
     fifo = tmp_path / "sub.grp"
     os.mkfifo(fifo)
     proc = run_with_timeout("ekchain", str(tmp_path / "S3.grp"), str(fifo))
@@ -419,7 +471,7 @@ def test_ekchain_fifo_group_file_exit_2(tmp_path):
 
 
 def test_verify_catalog_entry_that_is_a_fifo_exit_2(tmp_path):
-    (tmp_path / "S3.grp").write_text(CATALOG_FILES["S3"])
+    (tmp_path / "S3.grp").write_text(catalog_file("S3"))
     os.mkfifo(tmp_path / "x.grp")
     proc = run_with_timeout("verify", "--kmax", "1", "--catalog-dir", str(tmp_path))
     assert proc.returncode == 2
@@ -477,7 +529,7 @@ def test_report_to_a_closed_stdout_exit_2(unbuffered):
 
 
 def test_verify_catalog_entry_not_utf8_exit_2(capsys, tmp_path):
-    (tmp_path / "S3.grp").write_text(CATALOG_FILES["S3"])
+    (tmp_path / "S3.grp").write_text(catalog_file("S3"))
     (tmp_path / "bad.grp").write_bytes(b"# caf\xe9\ndegree: 2\n(0 1)\n")
     code = main(["verify", "--kmax", "1", "--catalog-dir", str(tmp_path)])
     captured = capsys.readouterr()

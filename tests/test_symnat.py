@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from envchain import symnat as sn
 from envchain.perm import format_cycles
+from views import level
 
 
 # --- the index map -------------------------------------------------------------
@@ -446,7 +447,7 @@ def test_random_periodic_bits_commute_with_every_level_member(model):
     # the whole product of block involutions is abelian, so any periodic bit
     # element passes the membership commutator test against every chain level
     rng = random.Random(53)
-    levels = [model.level(k + 1) for k in (0, 1, 2)]
+    levels = [level(model, k + 1) for k in (0, 1, 2)]
     for _ in range(10):
         p = sn.BitFn((), tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 8))))
         for lev in levels:
@@ -534,11 +535,11 @@ def model():
 
 
 def test_level_one_is_constants(model):
-    assert model.level(1) == frozenset({sn.BitFn.zero(), sn.BitFn.ones()})
+    assert level(model, 1) == frozenset({sn.BitFn.zero(), sn.BitFn.ones()})
 
 
 def test_level_two_exact(model):
-    assert model.level(2) == frozenset({
+    assert level(model, 2) == frozenset({
         sn.BitFn.zero(),
         sn.BitFn.ones(),
         sn.BitFn.from_pattern((0, 1, 1, 0)),
@@ -554,12 +555,12 @@ def test_sizes_strictly_increase(model):
 
 def test_levels_ascend(model):
     for i in range(model.depth):
-        assert model.level(i) < model.level(i + 1)
+        assert level(model, i) < level(model, i + 1)
 
 
 def test_members_purely_periodic_with_dividing_period(model):
     for i in range(1, model.depth + 1):
-        for b in model.level(i):
+        for b in level(model, i):
             assert not b.prefix
             assert (2 ** i) % b.period == 0
 
@@ -568,7 +569,7 @@ def test_nontrivial_members_hit_every_window(model):
     # a nonzero periodic function has a 1 in every period-length window
     for i in range(1, model.depth + 1):
         window = 2 ** i
-        for b in model.level(i):
+        for b in level(model, i):
             if b.is_zero:
                 continue
             for start in range(0, 4 * window, window):
@@ -577,7 +578,7 @@ def test_nontrivial_members_hit_every_window(model):
 
 def test_levels_xor_closed(model):
     for i in range(1, 5):
-        lev = model.level(i)
+        lev = level(model, i)
         for a in lev:
             for b in lev:
                 assert (a ^ b) in lev
@@ -586,14 +587,14 @@ def test_levels_xor_closed(model):
 def test_membership_characterization(model):
     # level i+1 is exactly the 2^(i+1)-periodic functions with delta in level i
     for i in range(1, 4):
-        lev = model.level(i)
-        for b in model.level(i + 1):
+        lev = level(model, i)
+        for b in level(model, i + 1):
             assert sn.delta(b) in lev
 
 
 def test_model_matches_brute_force(model):
     for i in (1, 2, 3):
-        assert sn.brute_force_level(i) == model.level(i)
+        assert sn.brute_force_level(i) == frozenset(model.span(i))
 
 
 def old_brute_force_level(i: int) -> frozenset:
@@ -607,13 +608,16 @@ def old_brute_force_level(i: int) -> frozenset:
     return frozenset(out)
 
 
-def test_mask_oracle_matches_the_bitfn_enumeration():
+def test_mask_oracle_matches_the_bitfn_enumeration(model):
+    # the oracle's masks and the solver's spans, each read as BitFns
     for i in (1, 2, 3):
-        assert sn.brute_force_level(i) == old_brute_force_level(i)
+        old = old_brute_force_level(i)
+        assert frozenset(sn._from_mask(m, 2 ** i) for m in sn.brute_force_level(i)) == old
+        assert level(model, i) == old
 
 
 def test_brute_force_level_4_matches_solver(model):
-    assert sn.brute_force_level(4) == model.level(4)
+    assert sn.brute_force_level(4) == frozenset(model.span(4))
 
 
 def test_enumerated_level_runs_once_per_level(monkeypatch, capsys):
@@ -656,7 +660,7 @@ def test_model_depth_10_from_basis():
     deep = sn.iterated_centralizer_model(10)
     assert deep.sizes() == [2 ** i for i in range(1, 11)]
     for i in range(1, 11):
-        prev = deep.level(i - 1)
+        prev = level(deep, i - 1)
         for mask in deep.basis(i):
             assert sn.delta(sn._from_mask(mask, 2 ** i)) in prev
 
@@ -665,8 +669,8 @@ def test_preimage_is_seeded_solution(model):
     # the recurrence solves delta(g) = h over the doubled block, with g(0) = 0
     for i in range(1, 6):
         P = 2 ** (i + 1)
-        nxt = model.level(i + 1)
-        for h in model.level(i):
+        nxt = level(model, i + 1)
+        for h in level(model, i):
             g = sn._from_mask(sn._preimage(sum(h(x) << x for x in range(P)), P), P)
             assert g(0) == 0
             assert sn.delta(g) == h
@@ -761,10 +765,9 @@ def test_basis_and_span(model):
     for i in range(model.depth + 1):
         span = model.span(i)
         assert len(set(span)) == 1 << len(model.basis(i))
-        assert model.level(i) == frozenset(sn._from_mask(m, 2 ** i) for m in span)
     assert model.sizes() == [len(model.span(i)) for i in range(1, model.depth + 1)]
     for bad in (-1, model.depth + 1):
-        for read in (model.basis, model.span, model.level):
+        for read in (model.basis, model.span):
             with pytest.raises(IndexError, match=f"level {bad} not computed \\(depth 8\\)"):
                 read(bad)
 
@@ -777,7 +780,7 @@ def test_period_and_scan_key_match_bitfn(model):
         for m in span:
             assert sn._period(m, W) == sn._from_mask(m, W).period
         scanned = [sn._from_mask(m, W) for m in sorted(span, key=lambda m: sn._scan_key(m, W))]
-        assert scanned == sorted(model.level(i), key=sn.BitFn.sort_key)
+        assert scanned == sorted(level(model, i), key=sn.BitFn.sort_key)
 
 
 def test_period_and_scan_key_match_bitfn_off_the_model():
@@ -824,7 +827,7 @@ def test_gxl_generators_are_involutions():
 def test_gxl_generators_commute_with_coarser_periodic_bits(model):
     # swaps within a residue class mod 2^l centralize everything 2^l-periodic
     for k in (0, 1, 2):
-        lev = model.level(k + 1)
+        lev = level(model, k + 1)
         l = max((b.period for b in lev), default=1).bit_length() - 1
         for x in range(2 ** l):
             for i in (1, 2):
@@ -852,7 +855,7 @@ def test_descent_witness_commutator_form(model):
         # [g, B(h)] is B(expected) itself: no block permutation, no power of f
         assert w.commutator == sn.SymElem.from_bits(expected)
         assert w.h(w.x0) != w.h(w.x0 + step)
-        assert w.h in model.level(w.kprime + 1)
+        assert w.h in level(model, w.kprime + 1)
 
 
 def test_descent_witness_shallow_model_not_exhausted():
@@ -880,12 +883,12 @@ def test_descent_witness_empty_range_is_not_exhausted(model):
 def bitfn_descent_scan(k, scan_max, model):
     """The descent scan over sorted BitFn levels, as it ran before the scan
     read masks; returns (kprime, l, x0, h) or raises DescentScanError."""
-    lev = model.level(k + 1)
+    lev = level(model, k + 1)
     l = max(b.period for b in lev).bit_length() - 1
     step = 2 ** l
     limit = min(scan_max, model.depth - 1)
     for kp in range(k + 1, limit + 1):
-        for h in sorted(model.level(kp + 1), key=sn.BitFn.sort_key):
+        for h in sorted(level(model, kp + 1), key=sn.BitFn.sort_key):
             for x0 in range(step):
                 if h(x0) != h(x0 + step):
                     return kp, l, x0, h

@@ -17,7 +17,7 @@
 # five counterexample reports (--levels 8, the same with the level-4
 # enumeration oracle, --levels 12 scanning to 18, --levels 13, whose model
 # outgrows its budget and ends in the partial report with exit 3, and the
-# smallest model, --levels 2 --scan-max 1) and sixteen ekchain runs
+# smallest model, --levels 2 --scan-max 1) and seventeen ekchain runs
 # (--kmax 4 in S6 on the benchmark's cyclic, order-16 and S3 subgroups, and
 # on a subgroup file of no generators and one of the single generator ();
 # S3 on 7 points in S7 at --kmax 2, above grp._TABLE_LIMIT; the default
@@ -30,7 +30,9 @@
 # each as both group and subgroup: 200 () lines, whose repeated lines are
 # read once; the 10,000 one-point cycles (0) ... (9999), all the identity,
 # exit 0; and the 9,999 transpositions (0 1) ... (0 9999), which exit 3 on
-# the closure's storage bound), all json-like, and the text reports of the
+# the closure's storage bound; and the transpositions as the subgroup file
+# of the one-point cycles' group, which exits 2 on its first generator, a
+# subgroup file being only looked up in the group), all json-like, and the text reports of the
 # built-in, bench-catalog and tests/data verify, of each bench-catalog suite
 # on its own (a conjugacy class's records are reused per suite run), of A6
 # and P256 at --kmax 4 (P256's summary line counts 35,903 blocks, the most
@@ -116,6 +118,7 @@ ek-malformed json-like ekchain $ek/malformed-3.grp $ek/c3-3.grp
 ek-repeated json-like ekchain $ek/repeated-10000.grp $ek/repeated-10000.grp
 ek-moves json-like ekchain $out/groups/moves-10000.grp $out/groups/moves-10000.grp
 ek-transpositions json-like ekchain $out/groups/transpositions-10000.grp $out/groups/transpositions-10000.grp
+ek-moves-transpositions json-like ekchain $out/groups/moves-10000.grp $out/groups/transpositions-10000.grp
 LIST
 done
 diff -r "$out/parent" "$out/head"
