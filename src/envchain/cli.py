@@ -15,7 +15,10 @@ catalog group, running the suites once per conjugacy class, and
 `symnat.counterexample_checks` the chain model with its checks and
 witnesses.
 
-Group files are read as UTF-8, a leading byte-order mark dropped.
+Group files are read as UTF-8, a leading byte-order mark dropped, and their
+text goes to `grp`: `grp.parse_group_file` closes a group file, and
+`grp.read_group_file` hands over the subgroup file's generators, each built
+and looked up in G in turn, so the first one outside G ends the read.
 
 Reports are deterministic byte-for-byte apart from the timing fields, in both
 text and json-like form.  A report holds its checks as blocks
@@ -76,13 +79,9 @@ import time
 from collections import Counter
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import DEFAULT_CAP, FAIL, MAX_KMAX, PASS, SKIPPED, LimitError, __version__
-
-if TYPE_CHECKING:
-    from .grp import FiniteGroup
-
 
 # Most checks one report may hold; `verify` grows as O(kmax^3) per subgroup.
 MAX_CHECKS = 500_000
@@ -291,11 +290,10 @@ def _json_chunks(report: dict):
 # --- commands ----------------------------------------------------------------
 
 
-def _read_group_file(path: str, cap: int | None = None) -> tuple[int, list]:
-    """The degree and generators of the group file at `path`, not closed;
-    read to be closed under `cap` when one is given (see
-    `grp.read_group_file`)."""
-    from .grp import GroupFileError, read_group_file
+def _read_group_file(path: str, read, *args):
+    """`read(text, *args)` on the text of the group file at `path`: one of
+    `grp.parse_group_file` and `grp.read_group_file`."""
+    from .grp import GroupFileError
 
     try:
         # before `open`: opening a FIFO for reading waits for a writer
@@ -306,16 +304,9 @@ def _read_group_file(path: str, cap: int | None = None) -> tuple[int, list]:
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     try:
-        return read_group_file(text, cap)
+        return read(text, *args)
     except GroupFileError as exc:
         raise _UsageError(f"{path}: {exc}") from exc
-
-
-def _load_group_file(path: str, cap: int) -> FiniteGroup:
-    from .grp import closure
-
-    degree, gens = _read_group_file(path, cap)
-    return closure(gens, cap=cap, degree=degree)
 
 
 def _check_cap(cap: int):
@@ -332,18 +323,21 @@ def _check_kmax(kmax: int):
 
 def cmd_ekchain(args) -> dict:
     from . import chains
+    from .grp import parse_group_file, read_group_file
     from .perm import format_cycles
 
     _check_cap(args.cap)
-    G = _load_group_file(args.group_file, args.cap)
+    G = _read_group_file(args.group_file, parse_group_file, args.cap)
     # H is closed only inside G, so G's cap bounds it too
-    degree, gens = _read_group_file(args.subgroup_file)
+    degree, gens = _read_group_file(args.subgroup_file, read_group_file)
     if degree != G.degree:
         raise _UsageError(f"subgroup degree {degree} does not match group degree {G.degree}")
-    missing = [g for g in gens if g not in G]
-    if missing:
-        raise _UsageError(f"subgroup generator {format_cycles(missing[0])} is not in the group")
-    H = G.generated_subgroup(gens)
+    seeds = []
+    for g in gens:  # each tuple is built as the loop reaches it
+        if g not in G:
+            raise _UsageError(f"subgroup generator {format_cycles(g)} is not in the group")
+        seeds.append(G.index(g))
+    H = G.generated_subgroup(seeds)
     if args.kmax is not None:
         _check_kmax(args.kmax)
     rep = chains.ek_chain(G, H, args.kmax)  # a default window needs no check
@@ -374,6 +368,7 @@ def cmd_verify(args) -> dict:
 
     from . import suites
     from .catalog import build_catalog
+    from .grp import parse_group_file
 
     _check_cap(args.cap)
     _check_kmax(args.kmax)
@@ -385,7 +380,7 @@ def cmd_verify(args) -> dict:
         if not root.is_dir():
             raise _UsageError(f"{args.catalog_dir} is not a directory")
         for f in sorted(root.glob("*.grp")):
-            catalog[f.stem] = _load_group_file(str(f), args.cap)
+            catalog[f.stem] = _read_group_file(str(f), parse_group_file, args.cap)
         if not catalog:
             raise _UsageError(f"no *.grp files in {args.catalog_dir}")
     report = _new_report("verify", {

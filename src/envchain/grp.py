@@ -56,11 +56,12 @@ here and `catalog`'s conjugacy-class passes both read it.
 
 from __future__ import annotations
 
+import re
 import weakref
 from array import array
 from itertools import compress, repeat
 from operator import eq, itemgetter
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from . import DEFAULT_CAP, MAX_KMAX, LimitError, _Memo  # defined there so the CLI need not import grp
 from .perm import CycleParseError, DegreeMismatchError, format_cycles, from_moves, parse_moves
@@ -577,7 +578,7 @@ def parse_group_file(text: str, cap: int = DEFAULT_CAP) -> FiniteGroup:
     return closure(gens, cap=cap, degree=degree)
 
 
-def read_group_file(text: str, cap: int | None = None) -> tuple[int, list[tuple[int, ...]]]:
+def read_group_file(text: str, cap: int | None = None) -> tuple[int, Iterator[tuple[int, ...]]]:
     """The degree and generators of a group file, without closing them:
 
         # comment
@@ -586,11 +587,18 @@ def read_group_file(text: str, cap: int | None = None) -> tuple[int, list[tuple[
         (1 3)
 
     One generator per line in cycle notation; '#' starts a comment.  A line
-    is read as the points it moves, so it costs its own length, not the
-    degree.  Each distinct generator is kept once, in the order of its first
-    line, and past `MAX_ENTRIES // degree + 1` of them no new one is kept:
-    that many already pass the closure's storage bound.  Only a kept
-    generator is built as its image tuple.
+    ends at "\n", "\r\n" or "\r" only, as in a file read with universal
+    newlines: every other character that `str.isspace` calls whitespace is
+    whitespace inside the line.  A line is read as the points it moves, so
+    it costs its own length, not the degree.  Each distinct generator is
+    kept once, in the order of its first line, and past
+    `MAX_ENTRIES // degree + 1` of them no new one is kept: that many
+    already pass the closure's storage bound.
+
+    The whole text is read and checked before this returns, but the kept
+    generators come as an iterator, consumed once, that builds each image
+    tuple only when it reaches it, so a caller that stops early builds no
+    more of them.
 
     A `cap` says the file is read to be closed with it.  `closure`'s first
     test, of the identity and the distinct generators against its element
@@ -600,7 +608,7 @@ def read_group_file(text: str, cap: int | None = None) -> tuple[int, list[tuple[
     degree = None
     # an ordered set of generators, each as its sorted (point, image) pairs
     gens: dict[tuple[tuple[int, int], ...], None] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -633,6 +641,5 @@ def read_group_file(text: str, cap: int | None = None) -> tuple[int, list[tuple[
         reached = len(gens) + (() not in gens)  # () is the identity's key
         if reached > limit:
             raise ClosureCapError(limit, reached, named)
-    identity = tuple(range(degree))
-    return degree, [from_moves(g, identity) for g in gens]
+    return degree, map(from_moves, gens, repeat(tuple(range(degree))))
 

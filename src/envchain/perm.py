@@ -4,11 +4,16 @@ A permutation of degree n is a bijection of {0..n-1}, held everywhere in the
 package as the tuple of its images: p[x] is the image of x.  This module
 reads and writes that tuple in disjoint-cycle notation; `grp` does the
 arithmetic, on indices into a group's sorted image tuples.
+
+Cycle text is read as the matches of one pattern, `_TOKEN`: after any
+whitespace (what `str.isspace` calls whitespace), a parenthesis, a run of
+ASCII digits, or any other character, which is an error at its offset.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+import re
+from typing import Iterable, Sequence
 
 
 class DegreeMismatchError(ValueError):
@@ -41,24 +46,8 @@ def format_cycles(images: tuple[int, ...]) -> str:
     return "".join(out) or "()"
 
 
-def _tokens(text: str) -> Iterator[tuple[str, int, str]]:
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            yield c, i, c
-            i += 1
-        elif "0" <= c <= "9":  # ASCII only: int() would also read "١", and "²" not at all
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            yield "num", i, text[i:j]
-            i = j
-        else:
-            raise CycleParseError(f"unexpected character {c!r}", i)
+# ASCII digits only: int() would also read "١", and "²" not at all
+_TOKEN = re.compile(r"\s*(?:([()])|([0-9]+)|(\S))")
 
 
 def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
@@ -88,19 +77,22 @@ def parse_moves(text: str, degree: int) -> dict[int, int]:
     moves: dict[int, int] = {}
     placed = set()
     cycle: list[int] | None = None
-    last_pos = 0
-    for kind, pos, tok in _tokens(text):
-        last_pos = pos
-        if kind == "(":
+    pos = 0
+    for m in _TOKEN.finditer(text):
+        paren, tok, other = m.groups()
+        pos = m.start(m.lastindex)
+        if paren == "(":
             if cycle is not None:
                 raise CycleParseError("nested '('", pos)
             cycle = []
-        elif kind == ")":
+        elif paren == ")":
             if cycle is None:
                 raise CycleParseError("')' without '('", pos)
             if len(cycle) > 1:
                 moves.update(zip(cycle, cycle[1:] + cycle[:1]))
             cycle = None
+        elif other:
+            raise CycleParseError(f"unexpected character {other!r}", pos)
         else:
             if cycle is None:
                 raise CycleParseError("point outside a cycle", pos)
@@ -115,5 +107,5 @@ def parse_moves(text: str, degree: int) -> dict[int, int]:
             placed.add(p)
             cycle.append(p)
     if cycle is not None:
-        raise CycleParseError("unclosed '('", last_pos)
+        raise CycleParseError("unclosed '('", pos)
     return moves

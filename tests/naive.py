@@ -164,3 +164,63 @@ def naive_orbit_least(n: int, maps) -> list[int]:
             orbit |= new
         out.append(min(orbit))
     return out
+
+
+def naive_tokens(text: str):
+    """(kind, offset, token) for each token of cycle text, by one character
+    loop: whitespace is what `str.isspace` says, a point is a run of ASCII
+    digits, and any other character raises ValueError(message, offset)."""
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "()":
+            yield c, i, c
+            i += 1
+        elif "0" <= c <= "9":
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            yield "num", i, text[i:j]
+            i = j
+        else:
+            raise ValueError(f"unexpected character {c!r}", i)
+
+
+def naive_moves(text: str, degree: int) -> dict[int, int]:
+    """{x: image of x} for each point the cycles in `text` move, read from
+    `naive_tokens`; the first error raises ValueError(message, offset)."""
+    moves: dict[int, int] = {}
+    placed = set()
+    cycle = None
+    last = 0
+    for kind, pos, tok in naive_tokens(text):
+        last = pos
+        if kind == "(":
+            if cycle is not None:
+                raise ValueError("nested '('", pos)
+            cycle = []
+        elif kind == ")":
+            if cycle is None:
+                raise ValueError("')' without '('", pos)
+            if len(cycle) > 1:
+                moves.update(zip(cycle, cycle[1:] + cycle[:1]))
+            cycle = None
+        else:
+            if cycle is None:
+                raise ValueError("point outside a cycle", pos)
+            try:
+                p = int(tok)
+            except ValueError:  # more digits than int() converts
+                raise ValueError(f"point of {len(tok)} digits", pos) from None
+            if p >= degree:
+                raise ValueError(f"point {p} >= degree {degree}", pos)
+            if p in placed:
+                raise ValueError(f"repeated point {p}", pos)
+            placed.add(p)
+            cycle.append(p)
+    if cycle is not None:
+        raise ValueError("unclosed '('", last)
+    return moves

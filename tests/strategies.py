@@ -1,9 +1,10 @@
 """Hypothesis strategies for the differential tests: small permutation groups
 and index sets inside them, with helpers to move between index sets and the
-image-tuple sets the naive oracle works on."""
+image-tuple sets the naive oracle works on, and cycle text for the lexer."""
 
 from __future__ import annotations
 
+import sys
 from functools import cache
 
 from hypothesis import HealthCheck, assume, settings
@@ -85,3 +86,31 @@ def perms(G: FiniteGroup, indices) -> frozenset[tuple[int, ...]]:
 
 def indices(G: FiniteGroup, members) -> frozenset[int]:
     return frozenset(G.index(p) for p in members)
+
+
+# ASCII and Unicode whitespace, as `str.isspace` has it.
+SPACES = " \t\n\r\v\f\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
+
+# Parentheses, letters, ASCII digits, two digits int() treats apart (it
+# reads "\u0661" and fails on "\u00b2"), the whitespace, and U+FEFF, which
+# is not whitespace.
+CYCLE_CHARS = "()ax0123456789\u0661\u00b2\ufeff" + SPACES
+
+
+@st.composite
+def cycle_texts(draw) -> str:
+    """Cycle text: up to four cycles of points, each point below 13, up to
+    three characters of ASCII digits and "\u0661\u00b2", or a run of ASCII
+    digits around the most that int() converts; every token after a run of
+    whitespace, and up to two characters of `CYCLE_CHARS` put in at random
+    offsets."""
+    most = sys.get_int_max_str_digits()
+    point = st.one_of(st.integers(0, 12).map(str), st.text("0123456789\u0661\u00b2", min_size=1, max_size=3),
+                      st.integers(most - 3, most + 3).map("7".__mul__))
+    space = st.text(SPACES, max_size=2)
+    cycles = draw(st.lists(st.lists(point, max_size=4), max_size=4))
+    text = "".join(draw(space) + t for c in cycles for t in ("(", *c, ")")) + draw(space)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(CYCLE_CHARS)) + text[i:]
+    return text

@@ -125,6 +125,16 @@ def test_ekchain_parse_error_reports_line(capsys, tmp_path, s3_files):
     assert "line 2" in captured.err
 
 
+def test_group_file_line_ends_only_at_a_newline(capsys, tmp_path):
+    # "\f" is whitespace inside a line: the third line is the error's
+    g = tmp_path / "f.grp"
+    g.write_text("degree: 4\n(0 1)\f(2 3)\n(0 5)\n")
+    code = main(["ekchain", str(g), str(g)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"envchain: error: {g}: line 3: point 5 >= degree 4 (at offset 3)\n"
+
+
 @pytest.mark.parametrize("content", [
     b"degree: 3\n(0 1)  # \xff\n",  # not UTF-8
     "degree: 3\n(0 \u00b2)\n".encode(),  # int() raises on a superscript two
@@ -451,13 +461,22 @@ def test_group_file_past_the_storage_bound_exits_before_building_tuples(tmp_path
     assert peak_mb < 30, f"own peak RSS {peak_mb:.1f} MB"
 
 
-def test_subgroup_file_is_looked_up_in_the_group(tmp_path):
+def test_subgroup_file_is_looked_up_in_the_group(capsys, tmp_path):
     # a subgroup file is never closed on its own: its generators are only
-    # looked up in G, here the trivial group of the one-point cycles
+    # looked up in G, here the trivial group of the one-point cycles, each
+    # as it is built, so the first, (0 1), ends the read before the other
+    # 838 kept ones are built (their 10,000-entry tuples took 80 MB)
     (tmp_path / "M.grp").write_text("degree: 10000\n" + "".join(f"({i})\n" for i in range(10000)))
-    proc = run_with_timeout("ekchain", str(tmp_path / "M.grp"), transpositions_file(tmp_path), timeout=30)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "envchain: error: subgroup generator (0 1) is not in the group\n"
+    code, out, err, peak_mb = run_own_peak(tmp_path, "ekchain", str(tmp_path / "M.grp"), transpositions_file(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "envchain: error: subgroup generator (0 1) is not in the group\n"
+    assert peak_mb < 30, f"own peak RSS {peak_mb:.1f} MB"
+    # the error names the first generator outside G, not the first generator
+    (tmp_path / "C2.grp").write_text("degree: 3\n(0 1)\n")
+    (tmp_path / "H.grp").write_text("degree: 3\n(0 1)\n(1 2)\n(0 1 2)\n")
+    assert main(["ekchain", str(tmp_path / "C2.grp"), str(tmp_path / "H.grp")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "envchain: error: subgroup generator (1 2) is not in the group\n")
 
 
 def test_ekchain_fifo_group_file_exit_2(tmp_path):

@@ -427,18 +427,24 @@ def test_reach_probe_files_close_to_their_orders(path, order, degree):
     assert (G.order, G.degree) == (order, degree)
 
 
+def read_group_file(text: str) -> tuple[int, list[tuple[int, ...]]]:
+    """`grp.read_group_file` with its generators built into a list."""
+    degree, gens = grp.read_group_file(text)
+    return degree, list(gens)
+
+
 def test_group_file_keeps_each_generator_once(monkeypatch):
     # first occurrences in file order; (1 0) spells the same generator as (0 1)
     text = "degree: 3\n(0 1)\n()\n(0 1)\n(1 0)\n(0 1 2)\n()\n"
-    assert grp.read_group_file(text) == (3, [(1, 0, 2), (0, 1, 2), (1, 2, 0)])
+    assert read_group_file(text) == (3, [(1, 0, 2), (0, 1, 2), (1, 2, 0)])
     # as do a rotated cycle, one-point cycles and cycles in another order
     text = "degree: 5\n(0 1 2)\n(3)(1 2 0)\n(2 0 1) (4)\n(3 4)(0 1)\n(1 0)(4 3)(2)\n(0)(1)\n"
-    assert grp.read_group_file(text) == (5, [(1, 2, 0, 3, 4), (1, 0, 2, 4, 3), (0, 1, 2, 3, 4)])
+    assert read_group_file(text) == (5, [(1, 2, 0, 3, 4), (1, 0, 2, 4, 3), (0, 1, 2, 3, 4)])
     # 6 image entries hold 2 elements at degree 3: a third distinct
     # generator is kept, so the closure stops, and no fourth is
     monkeypatch.setattr(grp, "MAX_ENTRIES", 6)
     text = "degree: 3\n(0 1)\n(1 2)\n(0 2)\n(0 1 2)\n"
-    assert grp.read_group_file(text)[1] == [(1, 0, 2), (0, 2, 1), (2, 1, 0)]
+    assert read_group_file(text)[1] == [(1, 0, 2), (0, 2, 1), (2, 1, 0)]
     with pytest.raises(ClosureCapError, match=r"\(at least 4 elements\)$"):
         parse_group_file(text)
     # lines past the last kept generator are still read and checked
@@ -449,6 +455,21 @@ def test_group_file_keeps_each_generator_once(monkeypatch):
     with pytest.raises(GroupFileError) as exc:
         grp.read_group_file("degree: 3\n(0 1)\ndegree: 3\n")
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("space", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_group_file_line_ends_only_at_a_newline(space):
+    # str.splitlines also ends a line at these; one generator per line, so
+    # (0 1) and (2 3) are one generator of order 2
+    assert parse_group_file(f"degree: 4\n(0 1){space}(2 3)\n").order == 2
+    with pytest.raises(GroupFileError) as exc:
+        parse_group_file(f"degree: 4\n(0 1){space}(2 3)\n(0 5)\n")
+    assert exc.value.line == 3
+    # "\r\n" and "\r" end a line, as universal newlines read them
+    assert parse_group_file("degree: 4\r\n(0 1)\r(2 3)\r\n").order == 4
+    with pytest.raises(GroupFileError) as exc:
+        parse_group_file("degree: 4\r\n(0 1)\r(2 3)\r\n(0 5)\n")
+    assert exc.value.line == 4
 
 
 def test_group_file_errors():

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from envchain.grp import closure
 from envchain.perm import CycleParseError, DegreeMismatchError, format_cycles, from_moves, parse_cycles, parse_moves
 
-from naive import commutator, compose, conjugate, identity, inverse, support
+from naive import commutator, compose, conjugate, identity, inverse, naive_moves, support
+from strategies import DIFFERENTIAL, cycle_texts
 
 
 def perms(degree):
@@ -109,6 +110,22 @@ def test_parse_cycles_point_past_the_int_digit_limit():
     with pytest.raises(CycleParseError, match="point of 5000 digits"):
         parse_cycles("(0 " + "9" * 5000 + ")", 3)
     assert parse_cycles("(0 01)", 3) == parse_cycles("(0 1)", 3)
+
+
+@DIFFERENTIAL
+@given(cycle_texts(), st.sampled_from([1, 3, 10, 100_000]))
+def test_parse_moves_matches_the_character_loop(text, degree):
+    # the lexer's one pattern against the character loop it replaced: the
+    # same moves, or the same message at the same offset
+    try:
+        expected = naive_moves(text, degree)
+    except ValueError as exc:
+        message, offset = exc.args
+        with pytest.raises(CycleParseError) as got:
+            parse_moves(text, degree)
+        assert (str(got.value), got.value.position) == (f"{message} (at offset {offset})", offset)
+    else:
+        assert parse_moves(text, degree) == expected
 
 
 def test_degree_mismatch():

@@ -17,18 +17,20 @@
 # five counterexample reports (--levels 8, the same with the level-4
 # enumeration oracle, --levels 12 scanning to 18, --levels 13, whose model
 # outgrows its budget and ends in the partial report with exit 3, and the
-# smallest model, --levels 2 --scan-max 1) and seventeen ekchain runs
+# smallest model, --levels 2 --scan-max 1) and eighteen ekchain runs
 # (--kmax 4 in S6 on the benchmark's cyclic, order-16 and S3 subgroups, and
 # on a subgroup file of no generators and one of the single generator ();
 # S3 on 7 points in S7 at --kmax 2, above grp._TABLE_LIMIT; the default
 # window in S6 for S3, the log window at kmax 20, and for the order-16
 # subgroup, its class 2; --kmax 0 and 65, which exit 2 with no report;
 # S6 at --cap 100, which exits 3 with no report from the group-file loader;
-# two that exit 2 with an error naming a permutation in cycle notation:
-# the subgroup generator (0 1 2) outside <(0 1)>, and a group file whose
-# line (0 1)(1 2) repeats a point; and three group files of degree 10,000,
-# each as both group and subgroup: 200 () lines, whose repeated lines are
-# read once; the 10,000 one-point cycles (0) ... (9999), all the identity,
+# three that exit 2 with an error naming a permutation in cycle notation:
+# the subgroup generator (0 1 2) outside <(0 1)>; the subgroup file (0 1),
+# (1 2), (0 1 2) in <(0 1)>, whose error names (1 2), the first generator
+# outside the group, the generators being looked up in file order; and a
+# group file whose line (0 1)(1 2) repeats a point; and three group files
+# of degree 10,000, each as both group and subgroup: 200 () lines, whose
+# repeated lines are read once; the 10,000 one-point cycles (0) ... (9999), all the identity,
 # exit 0; and the 9,999 transpositions (0 1) ... (0 9999), which exit 3 on
 # the closure's storage bound; and the transpositions as the subgroup file
 # of the one-point cycles' group, which exits 2 on its first generator, a
@@ -114,6 +116,7 @@ verify-cap5 json-like verify --cap 5
 verify-kmax64 json-like verify --kmax 64
 ek-cap100 json-like ekchain $s6/S6.grp $s6/p16.grp --cap 100
 ek-outside json-like ekchain $ek/c2-3.grp $ek/c3-3.grp
+ek-outside-second json-like ekchain $ek/c2-3.grp $ek/c2-then-outside-3.grp
 ek-malformed json-like ekchain $ek/malformed-3.grp $ek/c3-3.grp
 ek-repeated json-like ekchain $ek/repeated-10000.grp $ek/repeated-10000.grp
 ek-moves json-like ekchain $out/groups/moves-10000.grp $out/groups/moves-10000.grp
