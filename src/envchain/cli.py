@@ -7,18 +7,21 @@ Three subcommands:
   counterexample  the infinite-descent chain model and its witnesses
 
 This module parses arguments, loads groups and writes reports; the engines
-make every check.  `chains.ek_chain` computes the `ekchain` chain, its
-default window and H's class, and `chains.ek_chain_checks` gives its
-checks; `cmd_ekchain` checks only a given `--kmax`.
+make every check.  `main` checks every numeric option against one table of
+bounds, `_BOUNDS`, before a command runs.  `chains.ek_chain` computes the
+`ekchain` chain, its default window and H's class, and
+`chains.ek_chain_checks` gives its checks.
 `suites.group_suites` gives the `verify` blocks of each subgroup of each
 catalog group, running the suites once per conjugacy class, and
 `symnat.counterexample_checks` the chain model with its checks and
 witnesses.
 
 Group files are read as UTF-8, a leading byte-order mark dropped, and their
-text goes to `grp`: `grp.parse_group_file` closes a group file, and
-`grp.read_group_file` hands over the subgroup file's generators, each built
-and looked up in G in turn, so the first one outside G ends the read.
+text goes to `grp.read_group_file`, which checks it whole and hands over the
+degree and generators.  Each command reads and checks all its files before
+it closes any group with `grp.closure`, so a usage error costs no closure.
+The subgroup file's generators are built and looked up in G in turn, so
+the first one outside G ends the read.
 
 Reports are deterministic byte-for-byte apart from the timing fields, in both
 text and json-like form.  A report holds its checks as blocks
@@ -89,6 +92,11 @@ MAX_CHECKS = 500_000
 # Fewest checks in each piece of a report as `main` writes it, the last piece
 # excepted; pieces end on block boundaries.
 _CHUNK = 4096
+
+# Each numeric option's least value and limit (None: no limit), checked in
+# this order before any input is read; an unset --kmax is a default window.
+_BOUNDS = {"cap": (1, None), "kmax": (1, MAX_KMAX), "levels": (2, None),
+           "scan_max": (1, None), "oracle_depth": (0, None)}
 
 
 class _UsageError(Exception):
@@ -290,10 +298,10 @@ def _json_chunks(report: dict):
 # --- commands ----------------------------------------------------------------
 
 
-def _read_group_file(path: str, read, *args):
-    """`read(text, *args)` on the text of the group file at `path`: one of
-    `grp.parse_group_file` and `grp.read_group_file`."""
-    from .grp import GroupFileError
+def _read_group_file(path: str, cap: int | None = None):
+    """`grp.read_group_file(text, cap)` on the text of the group file at
+    `path`: its degree and generators, not yet closed."""
+    from .grp import GroupFileError, read_group_file
 
     try:
         # before `open`: opening a FIFO for reading waits for a writer
@@ -304,43 +312,39 @@ def _read_group_file(path: str, read, *args):
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     try:
-        return read(text, *args)
+        return read_group_file(text, cap)
     except GroupFileError as exc:
         raise _UsageError(f"{path}: {exc}") from exc
 
 
-def _check_cap(cap: int):
-    if cap < 1:
-        raise _UsageError("cap must be >= 1")
-
-
-def _check_kmax(kmax: int):
-    if kmax < 1:
-        raise _UsageError("kmax must be >= 1")
-    if kmax > MAX_KMAX:
-        raise _UsageError(f"kmax {kmax} exceeds the limit {MAX_KMAX}")
+def _check_options(args):
+    """The first numeric option outside its `_BOUNDS` is a usage error."""
+    for name, (least, limit) in _BOUNDS.items():
+        value, flag = getattr(args, name, None), name.replace("_", "-")
+        if value is not None and value < least:
+            raise _UsageError(f"{flag} must be >= {least}")
+        if value is not None and limit is not None and value > limit:
+            raise _UsageError(f"{flag} {value} exceeds the limit {limit}")
 
 
 def cmd_ekchain(args) -> dict:
-    from . import chains
-    from .grp import parse_group_file, read_group_file
+    from . import chains, grp
     from .perm import format_cycles
 
-    _check_cap(args.cap)
-    G = _read_group_file(args.group_file, parse_group_file, args.cap)
+    # both files are read and checked before G is closed
+    degree, gens = _read_group_file(args.group_file, args.cap)
     # H is closed only inside G, so G's cap bounds it too
-    degree, gens = _read_group_file(args.subgroup_file, read_group_file)
-    if degree != G.degree:
-        raise _UsageError(f"subgroup degree {degree} does not match group degree {G.degree}")
+    sub_degree, sub_gens = _read_group_file(args.subgroup_file)
+    if sub_degree != degree:
+        raise _UsageError(f"subgroup degree {sub_degree} does not match group degree {degree}")
+    G = grp.closure(gens, cap=args.cap, degree=degree)
     seeds = []
-    for g in gens:  # each tuple is built as the loop reaches it
+    for g in sub_gens:  # each tuple is built as the loop reaches it
         if g not in G:
             raise _UsageError(f"subgroup generator {format_cycles(g)} is not in the group")
         seeds.append(G.index(g))
     H = G.generated_subgroup(seeds)
-    if args.kmax is not None:
-        _check_kmax(args.kmax)
-    rep = chains.ek_chain(G, H, args.kmax)  # a default window needs no check
+    rep = chains.ek_chain(G, H, args.kmax)
     report = _new_report("ekchain", {
         "group_file": args.group_file,
         "subgroup_file": args.subgroup_file,
@@ -366,23 +370,21 @@ def cmd_verify(args) -> dict:
     once per conjugacy class (see `suites.group_suites`)."""
     from pathlib import Path
 
-    from . import suites
+    from . import grp, suites
     from .catalog import build_catalog
-    from .grp import parse_group_file
 
-    _check_cap(args.cap)
-    _check_kmax(args.kmax)
     if args.catalog_dir is None:
         catalog = build_catalog(cap=args.cap)
     else:
-        catalog = {}
         root = Path(args.catalog_dir)
         if not root.is_dir():
             raise _UsageError(f"{args.catalog_dir} is not a directory")
-        for f in sorted(root.glob("*.grp")):
-            catalog[f.stem] = _read_group_file(str(f), parse_group_file, args.cap)
-        if not catalog:
+        # every file is read and checked before any group is closed
+        files = {f.stem: _read_group_file(str(f), args.cap) for f in sorted(root.glob("*.grp"))}
+        if not files:
             raise _UsageError(f"no *.grp files in {args.catalog_dir}")
+        catalog = {name: grp.closure(gens, cap=args.cap, degree=degree)
+                   for name, (degree, gens) in files.items()}
     report = _new_report("verify", {
         "suite": args.suite,
         "kmax": args.kmax,
@@ -398,12 +400,6 @@ def cmd_verify(args) -> dict:
 def cmd_counterexample(args) -> dict:
     from . import symnat
 
-    if args.levels < 2:
-        raise _UsageError("levels must be >= 2")
-    if args.scan_max < 1:
-        raise _UsageError("scan-max must be >= 1")
-    if args.oracle_depth < 0:
-        raise _UsageError("oracle-depth must be >= 0")
     report = _new_report("counterexample", {
         "levels": args.levels,
         "scan_max": args.scan_max,
@@ -425,6 +421,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
+        _check_options(args)
         report = args.func(args)
     except _UsageError as exc:
         print(f"envchain: error: {exc}", file=sys.stderr)

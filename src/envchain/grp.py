@@ -63,7 +63,7 @@ from itertools import compress, repeat
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
-from . import DEFAULT_CAP, MAX_KMAX, LimitError, _Memo  # defined there so the CLI need not import grp
+from . import DEFAULT_CAP, LimitError, _Memo  # defined there so the CLI need not import grp
 from .perm import CycleParseError, DegreeMismatchError, format_cycles, from_moves, parse_moves
 
 # Largest degree a group file may declare; a larger one is a GroupFileError.

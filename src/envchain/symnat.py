@@ -59,10 +59,6 @@ def f_map(x: int) -> int:
     return 0 if x == 1 else x - 2
 
 
-def f_inv(y: int) -> int:
-    return f_pow(y, -1)
-
-
 def f_pow(x: int, m: int) -> int:
     """m-fold iterate of f_map (negative m iterates the inverse).
 

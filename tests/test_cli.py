@@ -16,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envchain.catalog import build_catalog, enumerate_subgroups
-from envchain import CheckRecord, chains, cli, grp, suites, symnat
+from envchain import MAX_KMAX, CheckRecord, chains, cli, grp, suites, symnat
 from envchain.cli import main
-from envchain.grp import MAX_KMAX, nilpotency_class, parse_group_file
+from envchain.grp import nilpotency_class, parse_group_file
 from envchain.perm import format_cycles
 from views import catalog_file
 
 ROOT = Path(__file__).resolve().parent.parent
+REACH = ROOT / "tests" / "data" / "reach"
 
 
 def run(capsys, *argv):
@@ -220,11 +221,54 @@ def test_ekchain_computes_the_subgroup_class_once(capsys, monkeypatch, kmax):
     assert "subgroup_class=2" in out and f"kmax={kmax[1] if kmax else 2}" in out
 
 
+def forbid_input(monkeypatch):
+    """Make reading a group file, closing a group, running a chain or the
+    model fail the test."""
+    monkeypatch.setattr(cli, "_read_group_file", lambda *a: pytest.fail("a file was read"))
+    monkeypatch.setattr(grp, "closure", lambda *a, **kw: pytest.fail("a group was closed"))
+    monkeypatch.setattr(chains, "ek_chain", lambda *a: pytest.fail("a chain ran"))
+    monkeypatch.setattr(symnat, "counterexample_checks", lambda *a: pytest.fail("the model ran"))
+
+
 @pytest.mark.parametrize("kmax", ["0", "65"])
 def test_ekchain_kmax_out_of_range_runs_no_chain(capsys, monkeypatch, s3_files, kmax):
-    monkeypatch.setattr(chains, "ek_chain", lambda *a: pytest.fail("a chain ran"))
+    forbid_input(monkeypatch)
     assert main(["ekchain", *s3_files, "--kmax", kmax]) == 2
-    assert capsys.readouterr().err.startswith("envchain: error: kmax ")
+    assert capsys.readouterr().err == ("envchain: error: kmax must be >= 1\n" if kmax == "0" else
+                                       "envchain: error: kmax 65 exceeds the limit 64\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["ekchain", "S3", "H", "--cap", "0"], "cap must be >= 1"),
+    (["verify", "--catalog-dir", "DIR", "--cap", "0"], "cap must be >= 1"),
+    (["verify", "--catalog-dir", "DIR", "--kmax", "0"], "kmax must be >= 1"),
+    (["verify", "--catalog-dir", "DIR", "--kmax", "65"], "kmax 65 exceeds the limit 64"),
+    (["counterexample", "--levels", "1"], "levels must be >= 2"),
+    (["counterexample", "--scan-max", "0"], "scan-max must be >= 1"),
+    (["counterexample", "--oracle-depth", "-1"], "oracle-depth must be >= 0"),
+], ids=["ekchain-cap", "verify-cap", "verify-kmax0", "verify-kmax65", "levels", "scan-max",
+        "oracle-depth"])
+def test_option_out_of_range_reads_no_input(capsys, monkeypatch, s3_files, argv, err):
+    # every option is checked in `main`, before its command reads a file
+    cdir = Path(s3_files[0]).parent
+    argv = [{"S3": s3_files[0], "H": s3_files[1], "DIR": str(cdir)}.get(a, a) for a in argv]
+    forbid_input(monkeypatch)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"envchain: error: {err}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("subgroup, err", [
+    ("malformed-3.grp", "{path}: line 2: repeated point 1 (at offset 6)"),
+    ("c2-3.grp", "subgroup degree 3 does not match group degree 7"),
+], ids=["malformed", "degree"])
+def test_ekchain_subgroup_file_is_checked_before_the_group_is_closed(capsys, monkeypatch,
+                                                                     subgroup, err):
+    path = REACH / "ek" / subgroup
+    monkeypatch.setattr(grp, "closure", lambda *a, **kw: pytest.fail("a group was closed"))
+    assert main(["ekchain", str(REACH / "s7" / "S7.grp"), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"envchain: error: {err.format(path=path)}\n" and captured.out == ""
 
 
 def test_ekchain_cap_exceeded(capsys, s3_files):
@@ -563,6 +607,17 @@ def test_verify_catalog_parse_error_names_the_file(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == (f"envchain: error: {tmp_path / 'bad.grp'}: line 2: "
+                            "point 9 >= degree 3 (at offset 3)\n")
+
+
+def test_verify_catalog_dir_is_read_before_any_group_is_closed(capsys, tmp_path, monkeypatch):
+    (tmp_path / "a.grp").write_text(catalog_file("S3"))
+    (tmp_path / "b.grp").write_text("degree: 3\n(0 9)\n")
+    monkeypatch.setattr(grp, "closure", lambda *a, **kw: pytest.fail("a group was closed"))
+    code = main(["verify", "--kmax", "1", "--catalog-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (f"envchain: error: {tmp_path / 'b.grp'}: line 2: "
                             "point 9 >= degree 3 (at offset 3)\n")
 
 

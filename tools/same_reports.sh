@@ -17,12 +17,15 @@
 # five counterexample reports (--levels 8, the same with the level-4
 # enumeration oracle, --levels 12 scanning to 18, --levels 13, whose model
 # outgrows its budget and ends in the partial report with exit 3, and the
-# smallest model, --levels 2 --scan-max 1) and eighteen ekchain runs
+# smallest model, --levels 2 --scan-max 1) and twenty-one ekchain runs
 # (--kmax 4 in S6 on the benchmark's cyclic, order-16 and S3 subgroups, and
 # on a subgroup file of no generators and one of the single generator ();
 # S3 on 7 points in S7 at --kmax 2, above grp._TABLE_LIMIT; the default
 # window in S6 for S3, the log window at kmax 20, and for the order-16
 # subgroup, its class 2; --kmax 0 and 65, which exit 2 with no report;
+# three usage errors in S7, each of which exits 2 with no report: --kmax 0,
+# the degree-3 subgroup file c2-3.grp and the malformed subgroup file
+# malformed-3.grp;
 # S6 at --cap 100, which exits 3 with no report from the group-file loader;
 # three that exit 2 with an error naming a permutation in cycle notation:
 # the subgroup generator (0 1 2) outside <(0 1)>; the subgroup file (0 1),
@@ -115,6 +118,9 @@ ek-kmax65 json-like ekchain $s6/S6.grp $s6/p16.grp --kmax 65
 verify-cap5 json-like verify --cap 5
 verify-kmax64 json-like verify --kmax 64
 ek-cap100 json-like ekchain $s6/S6.grp $s6/p16.grp --cap 100
+ek-s7-kmax0 json-like ekchain $reach/s7/S7.grp $ek/s3-7.grp --kmax 0
+ek-s7-degree json-like ekchain $reach/s7/S7.grp $ek/c2-3.grp
+ek-s7-malformed json-like ekchain $reach/s7/S7.grp $ek/malformed-3.grp
 ek-outside json-like ekchain $ek/c2-3.grp $ek/c3-3.grp
 ek-outside-second json-like ekchain $ek/c2-3.grp $ek/c2-then-outside-3.grp
 ek-malformed json-like ekchain $ek/malformed-3.grp $ek/c3-3.grp
