@@ -5,12 +5,13 @@ every command shares, so that no engine defines it twice: the check record
 (`CheckRecord` and the status words `PASS`, `FAIL` and `SKIPPED`), the one
 pass/fail rule `_verdict` every engine writes its records through,
 `LimitError`, the one exception for a resource limit (the CLI exits 3 on
-it), and `_Memo`.
+it), `_Memo`, and `format_moves`, the one writer of cycle notation, for the
+finite permutations of `perm` and the block permutations of `symnat` alike.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 __version__ = "0.1.0"
 
@@ -60,3 +61,21 @@ def _verdict(check_id: str, claim: str, ok: bool, witness: Callable[[], str] | N
     witness(), None when no witness is given.  The witness text is built
     only on failure."""
     return CheckRecord(check_id, claim, PASS) if ok else CheckRecord(check_id, claim, FAIL, witness and witness())
+
+
+def format_moves(moves: Mapping[int, int]) -> str:
+    """Canonical cycle notation of the permutation sending each x to
+    moves[x] and fixing every other point, `moves` holding the moved points
+    only: each cycle starts at its least point, cycles are sorted by that
+    point, and the identity is "()".  Costs the number of moved points, not
+    the degree; the mirror of `perm.parse_moves`."""
+    out, done = [], set()
+    for start in sorted(moves):
+        if start in done:
+            continue
+        cycle = [start]
+        while (x := moves[cycle[-1]]) != start:
+            cycle.append(x)
+        done.update(cycle)
+        out.append("(" + " ".join(map(str, cycle)) + ")")
+    return "".join(out) or "()"

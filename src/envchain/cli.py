@@ -41,7 +41,11 @@ too.
 
 Each subcommand imports only the engine it runs: `ekchain` imports `grp` and
 `chains`; `verify` imports those, `suites` and `catalog`; `counterexample`
-imports `symnat`, and no `perm`: only `ekchain` formats a permutation.
+imports `symnat`, and no `perm`.  `ekchain` (in its errors) and `verify`
+(in its subgroup labels and witnesses) format image tuples with
+`perm.format_cycles`; the model writes its cycles with
+`envchain.format_moves`, the package's one writer of cycle notation, which
+`perm.format_cycles` calls too.
 At module level this file imports only what they share (`argparse`, `json`,
 the built-in `gc`, and `errno`, `os` and `stat`, which the interpreter's
 start-up has already loaded); the option defaults, the status words and

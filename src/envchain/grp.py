@@ -206,11 +206,7 @@ class FiniteGroup:
         """Index of g^-1 h g."""
         return self.mul_idx(self.mul_idx(self.inv_idx(g), h), g)
 
-    # --- subgroup constructors -------------------------------------------
-
-    def subgroup(self, members: Iterable[Union[tuple[int, ...], int]]) -> "Subgroup":
-        """Subgroup from an already-closed element collection."""
-        return Subgroup(self, frozenset(self.index(m) for m in members))
+    # --- subgroup constructor --------------------------------------------
 
     def generated_subgroup(self, gens: Iterable[Union[tuple[int, ...], int]]) -> "Subgroup":
         return Subgroup(self, closure_indices(self, [self.index(g) for g in gens]))

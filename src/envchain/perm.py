@@ -3,7 +3,10 @@
 A permutation of degree n is a bijection of {0..n-1}, held everywhere in the
 package as the tuple of its images: p[x] is the image of x.  This module
 reads and writes that tuple in disjoint-cycle notation; `grp` does the
-arithmetic, on indices into a group's sorted image tuples.
+arithmetic, on indices into a group's sorted image tuples.  Both ways go
+through the moved points as {x: image of x}: `parse_moves` reads them, and
+the package's `envchain.format_moves`, which `symnat` writes its block
+permutations with too, writes them.
 
 Cycle text is read as the matches of one pattern, `_TOKEN`: after any
 whitespace (what `str.isspace` calls whitespace), a parenthesis, a run of
@@ -14,6 +17,8 @@ from __future__ import annotations
 
 import re
 from typing import Iterable, Sequence
+
+from . import format_moves
 
 
 class DegreeMismatchError(ValueError):
@@ -29,21 +34,11 @@ class CycleParseError(ValueError):
 
 
 def format_cycles(images: tuple[int, ...]) -> str:
-    """Canonical cycle notation: each cycle starts at its least point, cycles
-    are sorted by that point and fixed points are omitted; the identity
-    formats as "()"."""
-    out = []
-    done = [False] * len(images)
-    for start, x in enumerate(images):
-        if done[start] or x == start:
-            continue
-        cyc = [start]
-        while x != start:
-            cyc.append(x)
-            done[x] = True
-            x = images[x]
-        out.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(out) or "()"
+    """Canonical cycle notation of an image tuple (`envchain.format_moves`
+    on its moved points): each cycle starts at its least point, cycles are
+    sorted by that point and fixed points are omitted; the identity formats
+    as "()"."""
+    return format_moves({x: y for x, y in enumerate(images) if x != y})
 
 
 # ASCII digits only: int() would also read "١", and "²" not at all

@@ -39,6 +39,10 @@ witness gets that full symbolic `sym_commutator` check; a verified
 commutator's text is then written straight from its bits as the swaps
 (2x 2x+1) (`swaps_text`), so the model makes no finite permutation;
 `bits_to_permutation` makes one, as its image tuple, only when called.
+`swaps_text` and `BlockPerm.cycles_text` hand their moved points to the
+package's one writer of cycle notation, `envchain.format_moves`, so the
+model loads no `perm`.  Past `MODEL_BUDGET` the model raises
+`ModelBudgetError`, an `envchain.LimitError`.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import math
 from operator import xor
 from typing import Callable, Iterable, NamedTuple
 
-from . import SKIPPED, CheckRecord, _Memo, _verdict
+from . import SKIPPED, CheckRecord, LimitError, _Memo, _verdict, format_moves
 
 # --- the block index map ----------------------------------------------------
 
@@ -258,22 +262,7 @@ class BlockPerm:
         return hash(frozenset(self._map.items()))
 
     def cycles_text(self) -> str:
-        if not self._map:
-            return "()"
-        done = set()
-        parts = []
-        for start in sorted(self._map):
-            if start in done:
-                continue
-            cyc = [start]
-            done.add(start)
-            x = self._map[start]
-            while x != start:
-                cyc.append(x)
-                done.add(x)
-                x = self._map[x]
-            parts.append("(" + " ".join(map(str, cyc)) + ")")
-        return "".join(parts)
+        return format_moves(self._map)
 
     def __repr__(self) -> str:
         return f"BlockPerm({self.cycles_text()!r})"
@@ -389,11 +378,10 @@ def bits_to_permutation(b: BitFn, degree: int | None = None) -> tuple[int, ...]:
 
 def swaps_text(b: BitFn) -> str:
     """`format_cycles(bits_to_permutation(b))` read off the bits: B(b) is
-    the swap (2x 2x+1) for each x with b(x) = 1, and these are its cycles in
-    canonical order."""
+    the swap (2x 2x+1) for each x with b(x) = 1."""
     if b.block != (0,):
         raise ValueError("bit function does not have finite support")
-    return "".join(f"({2 * x} {2 * x + 1})" for x, bit in enumerate(b.prefix) if bit) or "()"
+    return format_moves({y: y ^ 1 for x, bit in enumerate(b.prefix) if bit for y in (2 * x, 2 * x + 1)})
 
 
 # --- the centralizer-chain model ----------------------------------------------
@@ -407,8 +395,9 @@ MODEL_BUDGET = 1 << 26
 ORACLE_MAX_LEVEL = 4
 
 
-class ModelBudgetError(RuntimeError):
-    """The chain model grew past its memory budget, `MODEL_BUDGET`.
+class ModelBudgetError(LimitError):
+    """The chain model grew past its memory budget, `MODEL_BUDGET`; a
+    resource limit like every `envchain.LimitError`.
 
     The budget counts the bits of the members a level spans: level i has 2^i
     members of 2^i bits each.  `partial` holds the model up to the last level

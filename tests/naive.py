@@ -224,3 +224,42 @@ def naive_moves(text: str, degree: int) -> dict[int, int]:
     if cycle is not None:
         raise ValueError("unclosed '('", last)
     return moves
+
+
+def naive_cycles(images: Perm) -> str:
+    """Canonical cycle notation of an image tuple, by a walk over all n
+    points: each cycle from its least point, cycles in the order of that
+    point, fixed points left out, "()" for the identity."""
+    out = []
+    done = [False] * len(images)
+    for start, x in enumerate(images):
+        if done[start] or x == start:
+            continue
+        cyc = [start]
+        while x != start:
+            cyc.append(x)
+            done[x] = True
+            x = images[x]
+        out.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(out) or "()"
+
+
+def naive_sparse_cycles(moves: dict[int, int]) -> str:
+    """The same text for the permutation moving exactly the keys of
+    `moves`, by a walk over its sorted support alone."""
+    if not moves:
+        return "()"
+    done = set()
+    parts = []
+    for start in sorted(moves):
+        if start in done:
+            continue
+        cyc = [start]
+        done.add(start)
+        x = moves[start]
+        while x != start:
+            cyc.append(x)
+            done.add(x)
+            x = moves[x]
+        parts.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(parts)

@@ -690,7 +690,7 @@ def test_nilpotent_envelope_d16_class2_subgroup(catalog):
     # cross-check the stabilized envelope against a from-scratch recomputation
     terms, _ = ek_term_data(D16, H.indices, 5)
     assert terms[2] == terms[3] == terms[4] == terms[5]
-    assert nilpotency_class(D16.subgroup(terms[2])) == 2
+    assert nilpotency_class(Subgroup(D16, terms[2])) == 2
 
 
 def test_nilpotent_envelope_skips_non_nilpotent(catalog):

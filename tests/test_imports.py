@@ -40,6 +40,14 @@ def run_main(argv: list[str]) -> str:
     return f"from envchain import cli\nassert cli.main({argv!r}) == 0"
 
 
+def test_package_import_loads_no_submodule(tmp_path):
+    # the package's `__init__` holds what every command shares, so that
+    # importing it alone must load no engine
+    mods = loaded("import envchain", tmp_path)
+    assert "envchain" in mods
+    assert not {m for m in mods if m.startswith("envchain.")}
+
+
 def test_cli_import_leaves_the_engines_out(tmp_path):
     mods = loaded("import envchain.cli", tmp_path)
     assert "envchain.cli" in mods

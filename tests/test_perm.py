@@ -1,13 +1,20 @@
 """Cycle notation, the tuple arithmetic of the naive oracle, and the input
-check `closure` makes on image tuples."""
+check `closure` makes on image tuples.  Every writer of cycle notation in
+the package (`perm.format_cycles`, `symnat.BlockPerm.cycles_text` and
+`symnat.swaps_text`) goes through `envchain.format_moves`, which is checked
+here (and `swaps_text` in `test_symnat`) against the naive oracle's two
+walks."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from envchain import format_moves
 from envchain.grp import closure
 from envchain.perm import CycleParseError, DegreeMismatchError, format_cycles, from_moves, parse_cycles, parse_moves
+from envchain.symnat import BlockPerm
 
-from naive import commutator, compose, conjugate, identity, inverse, naive_moves, support
+from naive import (commutator, compose, conjugate, identity, inverse, naive_cycles, naive_moves,
+                   naive_sparse_cycles, support)
 from strategies import DIFFERENTIAL, cycle_texts
 
 
@@ -83,6 +90,39 @@ def test_format_cycles_is_canonical():
     assert format_cycles((0, 1, 2)) == "()"
     assert format_cycles(parse_cycles("(4 3)(2 0 1)", 6)) == "(0 1 2)(3 4)"
     assert format_cycles((2, 3, 0, 1)) == "(0 2)(1 3)"
+
+
+def sparse_moves(lo, hi):
+    """{x: image of x} for a permutation of up to 12 points drawn from
+    lo..hi, its fixed points dropped."""
+    return st.lists(st.integers(lo, hi), unique=True, max_size=12).flatmap(
+        lambda pts: st.permutations(pts).map(lambda img: {x: y for x, y in zip(pts, img) if x != y}))
+
+
+@DIFFERENTIAL
+@given(st.one_of(sparse_moves(0, 20), sparse_moves(10**9, 10**18), sparse_moves(0, 10**18)))
+def test_format_moves_matches_the_naive_walk(moves):
+    text = naive_sparse_cycles(moves)
+    assert format_moves(moves) == text
+    assert BlockPerm(moves).cycles_text() == text
+
+
+@DIFFERENTIAL
+@given(st.integers(0, 12).flatmap(perms))
+def test_format_cycles_matches_the_naive_walks(p):
+    text = naive_cycles(p)
+    assert format_cycles(p) == text
+    assert naive_sparse_cycles({x: y for x, y in enumerate(p) if x != y}) == text
+
+
+def test_format_moves_costs_the_moved_points_not_the_degree():
+    # no list of 10^18 slots can be made, so this passes only when the text
+    # is written from the two moved points alone
+    far = 10**18
+    assert BlockPerm.swap(0, far).cycles_text() == f"(0 {far})"
+    assert format_moves({far + 2: far, far: far + 1, far + 1: far + 2, 10**9: 5, 5: 10**9}) == \
+        f"(5 {10**9})({far} {far + 1} {far + 2})"
+    assert format_moves({}) == "()"
 
 
 def test_parse_cycles_errors_carry_position():

@@ -8,8 +8,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from envchain import LimitError
 from envchain import symnat as sn
 from envchain.perm import format_cycles
+from naive import naive_cycles
 from views import level
 
 
@@ -521,7 +523,8 @@ def test_swaps_text_matches_the_permutation_text():
     for _ in range(500):
         bits = [rng.randint(0, 1) for _ in range(rng.randint(0, 40))] if rng.randrange(3) else []
         b = sn.BitFn(bits, (0,))
-        assert sn.swaps_text(b) == format_cycles(sn.bits_to_permutation(b))
+        p = sn.bits_to_permutation(b)
+        assert sn.swaps_text(b) == format_cycles(p) == naive_cycles(p)
     with pytest.raises(ValueError):
         sn.swaps_text(sn.BitFn.ones())
 
@@ -654,6 +657,13 @@ def test_model_budget_error_carries_partial(monkeypatch):
         sn.iterated_centralizer_model(8)
     assert str(exc.value) == "budget exceeded after level 3 (341 > 100 stored bits)"
     assert exc.value.partial.depth == 3
+
+
+def test_model_budget_is_a_limit_error():
+    # level 13 spans more bits than MODEL_BUDGET; a library caller catches
+    # every resource limit as envchain.LimitError
+    with pytest.raises(LimitError, match=r"^budget exceeded after level 12 "):
+        sn.iterated_centralizer_model(13)
 
 
 def test_model_depth_10_from_basis():
