@@ -240,11 +240,9 @@ def test_ekchain_kmax_out_of_range_runs_no_chain(capsys, monkeypatch, s3_files, 
     (["verify", "--kmax", "1", "--cap", "0"], "cap must be >= 1"),
     (["ekchain", "S3", "H", "--kmax", "100000000"], "kmax 100000000 exceeds the limit 64"),
     (["verify", "--suite", "structure", "--kmax", "65"], "kmax 65 exceeds the limit 64"),
-    (["counterexample", "--levels", "3", "--scan-max", "-1"], "scan-max must be >= 1"),
-    (["counterexample", "--levels", "3", "--oracle-depth", "-5"], "oracle-depth must be >= 0"),
 ], ids=["ekchain-cap", "verify-cap", "verify-kmax0", "verify-kmax65", "levels", "scan-max",
         "oracle-depth", "ekchain-cap-negative", "verify-builtin-cap", "ekchain-kmax-1e8",
-        "verify-structure-kmax65", "scan-max-negative", "oracle-depth-minus5"])
+        "verify-structure-kmax65"])
 def test_option_out_of_range_reads_no_input(capsys, monkeypatch, s3_files, argv, err):
     # every option is checked in `main`, before its command reads a file
     cdir = Path(s3_files[0]).parent
@@ -663,6 +661,32 @@ def test_counterexample_wrong_witness_commutator_fails(capsys, monkeypatch, part
     assert f"[fail] witness-k1\n    commutator={text}\n" in out
     assert f"witness descent: commutator={text} g=" in out
     assert "summary: checks=20 pass=18 fail=1 skipped=1\n" in out
+
+
+def test_counterexample_levels_bound(capsys, monkeypatch):
+    forbid_input(monkeypatch)
+    assert main(["counterexample", "--levels", "1"]) == 2
+    assert capsys.readouterr().err == "envchain: error: levels must be >= 2\n"
+
+
+@pytest.mark.parametrize("scan_max", ["0", "-1"])
+def test_counterexample_scan_max_bound(capsys, monkeypatch, scan_max):
+    forbid_input(monkeypatch)
+    code = main(["counterexample", "--levels", "3", "--scan-max", scan_max])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "envchain: error: scan-max must be >= 1\n"
+
+
+@pytest.mark.parametrize("depth", ["-1", "-5"])
+def test_counterexample_oracle_depth_bound(capsys, monkeypatch, depth):
+    forbid_input(monkeypatch)
+    code = main(["counterexample", "--levels", "3", "--oracle-depth", depth])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "envchain: error: oracle-depth must be >= 0\n"
 
 
 def test_counterexample_oracle_depth_zero_runs_no_oracle(capsys):
